@@ -14,12 +14,12 @@ import time
 
 from benchmarks.bench_stream_update import make_job_log, make_ras_log
 from benchmarks.conftest import banner
+from repro.core.equivalence import diff_results
 from repro.core.pipeline import CoAnalysis
 from repro.obs import record_bench
 from repro.stream import (
     BoundedLatenessStream,
     StreamingCoAnalysis,
-    diff_results,
     split_trace,
 )
 

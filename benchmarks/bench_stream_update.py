@@ -14,12 +14,13 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.equivalence import diff_results
 from repro.core.pipeline import CoAnalysis
 from repro.frame import Frame
 from repro.logs.job import JOB_COLUMNS, JobLog
 from repro.logs.ras import RAS_COLUMNS, RasLog
 from repro.obs import record_bench
-from repro.stream import StreamingCoAnalysis, diff_results, split_trace
+from repro.stream import StreamingCoAnalysis, split_trace
 
 from benchmarks.conftest import banner
 

@@ -7,9 +7,8 @@ Eleven subcommands::
     repro-coanalysis analyze --ras traces/ras.log --job traces/job.log \
         [--on-bad-record {strict,quarantine,skip}] [--max-bad-records N] \
         [--workers N] [--cache-dir DIR] [--no-cache] \
-        [--lazy] [--check-equivalence] [--telemetry-out run.jsonl]
-    repro-coanalysis demo [--scale 0.1] [--workers N] \
-        [--lazy] [--check-equivalence]
+        [--telemetry-out run.jsonl]
+    repro-coanalysis demo [--scale 0.1] [--workers N]
     repro-coanalysis fleet [--machines N] [--windows K] [--out-dir store/] \
         [--time-range T0:T1] [--check-equivalence]
     repro-coanalysis stream [--ras ... --job ... | --scale 0.1] \
@@ -32,10 +31,7 @@ test); ``analyze`` runs the full §IV–§VI co-analysis on any pair of
 logs in that format (including real, dirty ones — see
 ``--on-bad-record``); ``demo`` does both in memory and prints the
 report. ``analyze`` exits with status 2 when ingestion rejects or
-aborts on a damaged log. ``--lazy`` routes ingest → filter → match
-through a deferred query plan (:mod:`repro.query`) with pushdown into
-the reader and parse cache; ``--check-equivalence`` runs both modes
-and asserts bit-identity (exit 3 on divergence). ``fleet`` synthesizes (or reopens) an
+aborts on a damaged log. ``fleet`` synthesizes (or reopens) an
 N-machine sharded store (:mod:`repro.store`), fans the co-analysis out
 per machine, and merges observations across the fleet with bootstrap
 CIs; ``--check-equivalence`` asserts the sharded run reproduces the
@@ -239,21 +235,6 @@ def _ingest_policy(args: argparse.Namespace) -> IngestPolicy:
     )
 
 
-def _add_lazy_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--lazy", action="store_true",
-        help="route ingest → filter → match through a deferred query "
-             "plan (repro.query): predicate/column pushdown into the "
-             "reader and parse cache, fused filter+select kernels; "
-             "output is bit-identical to the eager pipeline",
-    )
-    p.add_argument(
-        "--check-equivalence", action="store_true",
-        help="run both the eager and the lazy pipeline and assert the "
-             "results are bit-identical (exit 3 on divergence)",
-    )
-
-
 def _add_telemetry_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--telemetry-out", default=None, metavar="PATH",
@@ -318,11 +299,7 @@ def _telemetry(args: argparse.Namespace) -> _TelemetryRun | None:
     return _TelemetryRun(Path(out), config)
 
 
-def _pipeline_from_args(
-    args: argparse.Namespace, lazy: bool | None = None
-) -> CoAnalysis:
-    if lazy is None:
-        lazy = getattr(args, "lazy", False)
+def _pipeline_from_args(args: argparse.Namespace) -> CoAnalysis:
     return CoAnalysis(
         filters=FilterChain(
             temporal=TemporalFilter(threshold=args.temporal_threshold),
@@ -331,28 +308,14 @@ def _pipeline_from_args(
         ),
         matcher=InterruptionMatcher(tolerance=args.tolerance),
         study_workers=getattr(args, "workers", 1),
-        lazy=lazy,
     )
-
-
-def _print_equivalence(lazy_result, eager_result) -> int:
-    """Print the lazy-vs-eager bit-identity verdict; 3 on divergence."""
-    from repro.stream.equivalence import diff_results
-
-    diffs = diff_results(lazy_result, eager_result)
-    print()
-    for diff in diffs:
-        print(f"equivalence: {diff}")
-    print(f"lazy == eager: {'OK' if not diffs else 'FAILED'}")
-    return 3 if diffs else 0
 
 
 def _run_analysis(
     args: argparse.Namespace, ras_log, job_log, extra_timings=(),
     telemetry: _TelemetryRun | None = None, source: str = "",
 ) -> int:
-    analysis = _pipeline_from_args(args)
-    result = analysis.run(ras_log, job_log, source=source)
+    result = _pipeline_from_args(args).run(ras_log, job_log, source=source)
     if telemetry is not None:
         telemetry.observations = list(result.observations)
     print(result.report())
@@ -367,13 +330,6 @@ def _run_analysis(
             tuple(extra_timings) + result.timings,
             title="stage timings (full)",
         ))
-    if getattr(args, "check_equivalence", False):
-        other = _pipeline_from_args(args, lazy=not analysis.lazy).run(
-            ras_log, job_log, source=source
-        )
-        if analysis.lazy:
-            return _print_equivalence(result, other)
-        return _print_equivalence(other, result)
     return 0
 
 
@@ -404,90 +360,6 @@ def _ingest_note(log, workers: int) -> str:
     return ""
 
 
-def _analyze_lazy(args, policy, cache, telemetry) -> int:
-    """``analyze --lazy``: ingest → filter → match as one query plan.
-
-    The RAS file becomes a scan leaf, so the optimizer's projection
-    pushdown reaches the parse cache (a hit decodes only the five
-    columns the pipeline reads). The job log is read eagerly — the
-    matcher consumes it whole. With ``--check-equivalence`` the eager
-    pipeline also runs and the results must be bit-identical (exit 3).
-    """
-    from repro.perf import StageTimer
-    from repro.query import scan_ras_log
-
-    timer = StageTimer()
-    source = f"{args.ras} + {args.job}"
-    rc = 0
-    with telemetry.activate() if telemetry else nullcontext():
-        try:
-            with timer.stage("ingest.job") as st:
-                job_log = read_job_log(
-                    args.job, policy=policy, workers=args.workers,
-                    cache=cache,
-                )
-                st.rows = job_log.num_jobs
-                st.note = _ingest_note(job_log, args.workers)
-            ras_eager = None
-            if args.check_equivalence:
-                with timer.stage("ingest.ras") as st:
-                    ras_eager = read_ras_log(
-                        args.ras, policy=policy, workers=args.workers,
-                        cache=cache,
-                    )
-                    st.rows = len(ras_eager)
-                    st.note = _ingest_note(ras_eager, args.workers)
-            info: dict = {}
-            ras_lf = scan_ras_log(
-                args.ras, policy=policy, workers=args.workers,
-                cache=cache, info=info,
-            )
-            analysis = _pipeline_from_args(args, lazy=True)
-            result = analysis.run_lazy(ras_lf, job_log, source=source)
-        except IngestAbortError as exc:
-            print(f"ingestion aborted: {exc}", file=sys.stderr)
-            print(exc.report.render(), file=sys.stderr)
-            return 2
-        except IngestError as exc:
-            print(
-                f"ingestion rejected a bad record: {exc}\n"
-                "(rerun with --on-bad-record quarantine to divert bad "
-                "records and continue)",
-                file=sys.stderr,
-            )
-            return 2
-        if telemetry is not None:
-            telemetry.observations = list(result.observations)
-        if cache is not None:
-            print(
-                f"parse cache: ras={info.get('cache_status')}"
-                f" job={job_log.cache_status}"
-            )
-        print(result.report())
-        ras_quarantine = None if policy.is_strict else info.get("quarantine")
-        for label, report in (
-            ("RAS", ras_quarantine),
-            ("job", getattr(job_log, "quarantine", None)),
-        ):
-            if report is not None:
-                print()
-                print(report.render(label))
-        if args.timings:
-            print()
-            print(render_timings(
-                tuple(timer.timings) + result.timings,
-                title="stage timings (full)",
-            ))
-        if args.check_equivalence:
-            eager = _pipeline_from_args(args, lazy=False).run(
-                ras_eager, job_log, source=source
-            )
-            rc = _print_equivalence(result, eager)
-    if telemetry is not None and rc == 0:
-        print(f"telemetry manifest: {telemetry.finish()}")
-    return rc
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
     from repro.perf import StageTimer
 
@@ -498,8 +370,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
         cache = ParseCache(args.cache_dir)
     telemetry = _telemetry(args)
-    if args.lazy:
-        return _analyze_lazy(args, policy, cache, telemetry)
     timer = StageTimer()
     with telemetry.activate() if telemetry else nullcontext():
         try:
@@ -654,32 +524,10 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     return 1 if result.degraded else 0
 
 
-def _obs_key(observations) -> list[tuple]:
-    """Comparable projection of an observation list.
-
-    Floats go through their IEEE bit pattern so bit-identical NaNs
-    compare equal (plain ``==`` would call them different).
-    """
-    import struct
-
-    def norm(v):
-        if isinstance(v, float):
-            return struct.pack("<d", v)
-        return v
-
-    return [
-        (
-            o.number,
-            o.holds,
-            o.available,
-            sorted((k, norm(v)) for k, v in o.measured.items()),
-        )
-        for o in observations
-    ]
-
-
 def _fleet_matches_batch(args, fleet, result) -> bool:
-    """Assert every machine's sharded observations == its batch run's."""
+    """Assert every machine's sharded result == its batch run's."""
+    from repro.core.equivalence import diff_results
+
     by_machine = {ma.machine: ma for ma in result.machines}
     ok = True
     for fm in fleet:
@@ -689,16 +537,12 @@ def _fleet_matches_batch(args, fleet, result) -> bool:
             ok = False
             continue
         batch = _pipeline_from_args(args).run(fm.ras_log, fm.job_log)
-        sharded_obs = _obs_key(ma.result.observations)
-        batch_obs = _obs_key(batch.observations)
-        if sharded_obs == batch_obs:
-            print(
-                f"equivalence {fm.machine}: OK "
-                f"({len(batch_obs)} observations bit-identical)"
-            )
-        else:
-            print(f"equivalence {fm.machine}: FAILED (observations differ)")
-            ok = False
+        diffs = diff_results(ma.result, batch)
+        if not diffs:
+            print(f"equivalence {fm.machine}: OK (results bit-identical)")
+        for diff in diffs:
+            print(f"equivalence {fm.machine}: FAILED ({diff})")
+        ok = ok and not diffs
     print(f"sharded == batch: {'OK' if ok else 'FAILED'}")
     return ok
 
@@ -706,10 +550,10 @@ def _fleet_matches_batch(args, fleet, result) -> bool:
 def cmd_stream(args: argparse.Namespace) -> int:
     import math
 
+    from repro.core.equivalence import diff_results
     from repro.stream import (
         StreamError,
         StreamingCoAnalysis,
-        diff_results,
         load_checkpoint,
         save_checkpoint,
         split_trace,
@@ -872,8 +716,8 @@ def cmd_stream(args: argparse.Namespace) -> int:
 def cmd_daemon(args: argparse.Namespace) -> int:
     import signal
 
+    from repro.core.equivalence import diff_results
     from repro.stream.daemon import DaemonConfig, DaemonLoop, Supervisor
-    from repro.stream.equivalence import diff_results
     from repro.stream.source import RetryPolicy
 
     if args.alert_rule:
@@ -1145,7 +989,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ingest_args(p_an)
     _add_workers_arg(p_an)
     _add_cache_args(p_an)
-    _add_lazy_args(p_an)
     _add_telemetry_args(p_an)
     p_an.set_defaults(func=cmd_analyze)
 
@@ -1153,7 +996,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_profile_args(p_demo)
     _add_analysis_args(p_demo)
     _add_workers_arg(p_demo)
-    _add_lazy_args(p_demo)
     _add_telemetry_args(p_demo)
     p_demo.set_defaults(func=cmd_demo)
 
@@ -1183,7 +1025,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fl.add_argument(
         "--check-equivalence", action="store_true",
         help="also run each machine's logs through the batch pipeline "
-             "and assert the sharded observations are bit-identical "
+             "and assert the sharded results are bit-identical "
              "(exit 3 on mismatch)",
     )
     _add_profile_args(p_fl)

@@ -82,15 +82,13 @@ class FatalEventTable:
         return counts
 
 
-def assemble_event_frame(fatal: Frame) -> FatalEventTable:
-    """Build the event table from an already-FATAL-filtered frame.
+def fatal_event_table(ras_log: RasLog) -> FatalEventTable:
+    """Extract FATAL records into the pipeline's event frame.
 
-    *fatal* needs only ``event_time`` / ``errcode`` / ``component`` /
-    ``location`` (the lazy pipeline projects down to exactly these
-    before this stage); ``event_id`` is assigned by position in the
-    incoming row order, so the caller must preserve the log's order up
-    to here — both the eager severity filter and the lazy plan do.
+    ``event_id`` is assigned by position in the log's row order, before
+    the frame is sorted by time.
     """
+    fatal = ras_log.fatal().frame
     n = fatal.num_rows
     mp_lo = np.empty(n, dtype=np.int64)
     mp_hi = np.empty(n, dtype=np.int64)
@@ -110,8 +108,3 @@ def assemble_event_frame(fatal: Frame) -> FatalEventTable:
         }
     )
     return FatalEventTable(frame.sort_by("event_time", "event_id"))
-
-
-def fatal_event_table(ras_log: RasLog) -> FatalEventTable:
-    """Extract FATAL records into the pipeline's event frame."""
-    return assemble_event_frame(ras_log.fatal().frame)

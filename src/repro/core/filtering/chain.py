@@ -56,24 +56,6 @@ class FilterChain:
         with timer.stage("filter.causal") as st:
             c = self.causal.apply(s)
             st.rows = len(c)
-        self.record(raw, t, s, c, timings=timer.timings)
-        return c
-
-    def record(
-        self,
-        raw: int,
-        t: FatalEventTable,
-        s: FatalEventTable,
-        c: FatalEventTable,
-        timings: tuple[StageTiming, ...] = (),
-    ) -> None:
-        """Account for one pass through the chain: stats, the stashed
-        post-temporal table, and the ``kernel.filter.*`` counters.
-
-        Split out of :meth:`apply` so a driver that runs the three
-        stages itself (the lazy query pipeline wraps each as a plan
-        node) produces the identical accounting.
-        """
         self.stats = FilterStats(
             raw=raw,
             after_temporal=len(t),
@@ -90,4 +72,5 @@ class FilterChain:
         ):
             registry.counter("kernel.filter.kept", stage=stage).inc(kept)
         self.temporal_table = t
-        self.timings = timings
+        self.timings = timer.timings
+        return c

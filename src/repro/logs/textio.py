@@ -53,36 +53,26 @@ def read_log_frame(
     policy: IngestPolicy | str | None = None,
     workers: int = 1,
     cache: "ParseCache | None" = None,
-    columns: "list[str] | tuple[str, ...] | None" = None,
 ):
     """Read a ``"ras"`` / ``"job"`` log as a bare frame.
 
-    The shared core behind :func:`read_ras_log` / :func:`read_job_log`
-    and the lazy query engine's log scans. Returns ``(frame, report,
-    cache_status)`` where *report* is the parse's
-    :class:`~repro.logs.quarantine.QuarantineReport` (present under
-    every policy; callers decide whether to surface it) and
+    The shared core behind :func:`read_ras_log` / :func:`read_job_log`.
+    Returns ``(frame, report, cache_status)`` where *report* is the
+    parse's :class:`~repro.logs.quarantine.QuarantineReport` (present
+    under every policy; callers decide whether to surface it) and
     *cache_status* resolves as in :func:`read_ras_log`.
-
-    *columns* is projection pushdown: a cache **hit** decodes only the
-    requested npz members and returns just those columns (in the
-    requested order). A miss always parses — and stores — the full
-    file; only then is the subset selected, because the cache entry
-    must keep every column to serve future callers whatever they ask
-    for.
     """
     if table not in ("ras", "job"):
         raise ValueError(f"unknown log table {table!r}")
     pol = coerce_policy(policy)
     report = pol.new_report(str(path))
-    want = list(columns) if columns is not None else None
 
     key = None
     if cache is not None:
         from repro.parallel.cache import apply_report_state
 
         key = cache.key_for(path, kind=table, policy=pol)
-        hit = cache.load(key, columns=want)
+        hit = cache.load(key)
         if hit is not None:
             frame, state = hit
             if state is not None:
@@ -127,8 +117,6 @@ def read_log_frame(
     status = None if cache is None else cache.last_status
     if key is not None:
         cache.store(key, frame, report)
-    if want is not None:
-        frame = frame.select(want)
     return frame, report, status
 
 

@@ -100,7 +100,6 @@ def decode_columns(
     directory: str | Path,
     columns: list[list[str]],
     mmap: bool = True,
-    names: "set[str] | frozenset[str] | None" = None,
 ) -> dict[str, np.ndarray]:
     """Load the column files a manifest *columns* spec describes.
 
@@ -109,18 +108,11 @@ def decode_columns(
     columns must decode eagerly (the values array is pickled).
     Each load increments ``store.shard.column_loads`` so tests can
     prove pruned shards were never touched.
-
-    *names* restricts decoding to a column subset: files for columns
-    outside the subset are never opened (projection pushdown — the
-    index ``j`` still comes from the full spec, so file names stay
-    stable whatever subset is requested).
     """
     directory = Path(directory)
     metrics = get_metrics()
     data: dict[str, np.ndarray] = {}
     for j, (name, encoding, _dtype) in enumerate(columns):
-        if names is not None and name not in names:
-            continue
         if encoding == "dict":
             values = np.load(
                 directory / f"{j}.{name}.values.npy", allow_pickle=True

@@ -13,7 +13,6 @@ for any K — including cuts landing exactly on window edges.
 * :mod:`repro.stream.source` — tailing feeds with retry/backoff
 * :mod:`repro.stream.checkpoint` — durable save/resume between increments
 * :mod:`repro.stream.daemon` — poll→increment→checkpoint supervision
-* :mod:`repro.stream.equivalence` — the bit-identity comparator
 """
 
 from repro.stream.checkpoint import (
@@ -21,7 +20,6 @@ from repro.stream.checkpoint import (
     save_checkpoint,
     validate_checkpoint,
 )
-from repro.stream.equivalence import diff_results, frames_equal
 from repro.stream.lateness import (
     BoundedLatenessStream,
     LateRecordSink,
@@ -48,8 +46,6 @@ __all__ = [
     "StreamingCoAnalysis",
     "StreamUpdate",
     "coverage_edges",
-    "diff_results",
-    "frames_equal",
     "load_checkpoint",
     "replay_trace",
     "save_checkpoint",

@@ -27,7 +27,7 @@ the lateness reorder buffer, feed cursors and the store-append backlog.
 Resuming from a checkpoint and ingesting the remaining increments is
 bit-identical to having run the whole stream in one process — the
 checkpoint tests replay both ways and compare with
-:mod:`repro.stream.equivalence`.
+:mod:`repro.core.equivalence`.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ The recovery claim — resume from any kill point is bit-identical to an
 uninterrupted run — is not an aspiration; ``tests/stream/test_daemon_fuzz.py``
 drives seeded fault schedules (:mod:`repro.faults.io`) and kill points
 through this module and compares final results with
-:func:`~repro.stream.equivalence.diff_results`.
+:func:`~repro.core.equivalence.diff_results`.
 """
 
 from __future__ import annotations

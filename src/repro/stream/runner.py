@@ -15,7 +15,7 @@ the accumulated tables through :meth:`repro.core.pipeline.CoAnalysis.complete`
 — the *identical* downstream code the batch pipeline runs — so
 replaying a trace in K increments is bit-identical to the one-shot
 batch run for any K, cuts on window edges included (the equivalence
-:mod:`repro.stream.equivalence` checks and ``tests/stream`` pins).
+:mod:`repro.core.equivalence` checks and ``tests/stream`` pins).
 """
 
 from __future__ import annotations

@@ -6,13 +6,13 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.equivalence import diff_results
 from repro.core.filtering.chain import FilterChain
 from repro.core.filtering.temporal import TemporalFilter
 from repro.core.pipeline import CoAnalysis
 from repro.stream import (
     StreamError,
     StreamingCoAnalysis,
-    diff_results,
     load_checkpoint,
     save_checkpoint,
     split_trace,

@@ -8,10 +8,10 @@ import os
 import numpy as np
 import pytest
 
+from repro.core.equivalence import diff_results, frames_equal
 from repro.core.pipeline import CoAnalysis
 from repro.faults.io import InjectedCrash
 from repro.logs import read_job_log, read_ras_log, write_job_log, write_ras_log
-from repro.stream import diff_results, frames_equal
 from repro.stream.daemon import (
     CheckpointRotator,
     DaemonConfig,

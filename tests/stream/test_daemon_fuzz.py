@@ -11,6 +11,7 @@ fully re-read files. 30 phase-kill combos plus 3 mid-IO-op kills.
 
 import pytest
 
+from repro.core.equivalence import diff_results
 from repro.faults.io import (
     FaultKind,
     FaultPlan,
@@ -18,7 +19,6 @@ from repro.faults.io import (
     InjectedCrash,
     IOFault,
 )
-from repro.stream import diff_results
 from repro.stream.daemon import DaemonLoop
 from tests.stream.test_daemon import NO_SLEEP, GrowingTrace, daemon_config
 

@@ -10,11 +10,11 @@ an open chain/causal window, and empty increments."""
 import numpy as np
 import pytest
 
+from repro.core.equivalence import diff_results
 from repro.core.pipeline import CoAnalysis
 from repro.stream import (
     StreamError,
     StreamingCoAnalysis,
-    diff_results,
     replay_trace,
     split_trace,
 )

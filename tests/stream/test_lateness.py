@@ -5,6 +5,7 @@ counted, and never crashed on."""
 import numpy as np
 import pytest
 
+from repro.core.equivalence import diff_results
 from repro.core.pipeline import CoAnalysis
 from repro.logs import read_ras_log
 from repro.logs.job import JobLog, empty_job_log
@@ -14,7 +15,6 @@ from repro.stream import (
     BoundedLatenessStream,
     LateRecordSink,
     StreamError,
-    diff_results,
 )
 from tests.stream.conftest import make_jobs, make_ras
 

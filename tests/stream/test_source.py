@@ -7,9 +7,9 @@ import os
 
 import pytest
 
+from repro.core.equivalence import frames_equal
 from repro.faults.io import FaultKind, FaultPlan, FaultyFS, IOFault
 from repro.logs import read_job_log, read_ras_log, write_job_log, write_ras_log
-from repro.stream import frames_equal
 from repro.stream.source import (
     FEED_DEGRADED,
     FEED_IDLE,

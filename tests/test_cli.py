@@ -382,3 +382,72 @@ class TestValidateCheckpointCLI:
         rc = main(["stream", "--validate-checkpoint", str(tmp_path / "no")])
         assert rc == 1
         assert "unreadable-index" in capsys.readouterr().out
+
+
+class TestEquivalenceVerdicts:
+    """The ``--check-equivalence`` verdicts, driven through ``main``."""
+
+    def test_fleet_sharded_equals_batch(self, capsys):
+        rc = main(
+            ["fleet", "--machines", "3", "--windows", "4", "--scale",
+             "0.01", "--seed", "5", "--check-equivalence"]
+        )
+        assert rc == 0
+        assert "sharded == batch: OK" in capsys.readouterr().out
+
+    def test_stream_equals_batch(self, capsys):
+        rc = main(
+            ["stream", "--scale", "0.01", "--seed", "5", "--increments",
+             "3", "--check-equivalence"]
+        )
+        assert rc == 0
+        assert "stream == batch: OK" in capsys.readouterr().out
+
+
+class TestFleetDivergence:
+    """A sharded result that matches batch on observations but not on
+    the rest of the result must still fail the fleet check."""
+
+    @pytest.fixture(scope="class")
+    def machine(self):
+        from types import SimpleNamespace
+
+        from tests.stream.conftest import make_jobs, make_ras
+
+        ras = make_ras(1500)
+        return SimpleNamespace(
+            machine="m0", ras_log=ras, job_log=make_jobs(ras, 200)
+        )
+
+    @pytest.mark.parametrize("field", ["interruptions", "filter_stats"])
+    def test_divergence_beyond_observations_fails(
+        self, machine, field, capsys
+    ):
+        import dataclasses
+        from types import SimpleNamespace
+
+        from repro.cli import _fleet_matches_batch, _pipeline_from_args
+
+        args = build_parser().parse_args(["fleet"])
+        batch = _pipeline_from_args(args).run(
+            machine.ras_log, machine.job_log
+        )
+        assert batch.interruptions.num_rows > 1
+        tampered = {
+            "interruptions": batch.interruptions.head(
+                batch.interruptions.num_rows - 1
+            ),
+            "filter_stats": dataclasses.replace(
+                batch.filter_stats,
+                after_causal=batch.filter_stats.after_causal + 1,
+            ),
+        }[field]
+        sharded = dataclasses.replace(batch, **{field: tampered})
+        assert sharded.observations == batch.observations
+        result = SimpleNamespace(
+            machines=[SimpleNamespace(machine="m0", ok=True, result=sharded)]
+        )
+        assert not _fleet_matches_batch(args, [machine], result)
+        out = capsys.readouterr().out
+        assert f"equivalence m0: FAILED ({field}:" in out
+        assert "sharded == batch: FAILED" in out

@@ -19,7 +19,6 @@ PACKAGES = [
     "repro.policy",
     "repro.viz",
     "repro.simulate",
-    "repro.query",
 ]
 
 
