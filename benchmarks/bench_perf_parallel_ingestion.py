@@ -1,14 +1,16 @@
 """Performance: chunk-parallel ingestion, the parse cache, telemetry cost.
 
-Three hard gates on a 10× synthetic RAS log (120k rows): parsing with 4
-workers must be at least 2× faster than 1 worker (skipped on hosts with
-fewer than 4 available CPUs — a 1-core container cannot express the
-speedup), a warm-cache rerun must finish in under 10% of the cold
-parse while returning a bit-identical log, and running the same parse
-under an active :class:`repro.obs.Tracer` must cost less than 3% extra
-wall time. Another test pins the bit-identical guarantee itself at
-scale, on a corrupted file, so the speed never drifts away from
-correctness.
+Four hard gates on a 10× synthetic RAS log (120k rows, every 50th
+message carrying an escaped separator): the block kernel must classify
+the lines at least 3× faster than the per-line ``classify_ras_line``
+loop it replaced, parsing with 4 workers must be at least 2× faster
+than 1 worker (skipped on hosts with fewer than 4 available CPUs — a
+1-core container cannot express the speedup), a warm-cache rerun must
+finish in under 10% of the cold parse while returning a bit-identical
+log, and running the same parse under an active
+:class:`repro.obs.Tracer` must cost less than 3% extra wall time.
+Another test pins the bit-identical guarantee itself at scale, on a
+corrupted file, so the speed never drifts away from correctness.
 """
 
 import time
@@ -19,11 +21,13 @@ import pytest
 from repro.faults.corruption import LogCorruptor
 from repro.frame import Frame
 from repro.logs.ras import RAS_COLUMNS, RasLog
+from repro.logs.stream import parse_ras_block
 from repro.logs.textio import read_ras_log, write_ras_log
 from repro.obs import Tracer, get_metrics, record_bench
-from repro.parallel import ParseCache, effective_cpu_count
+from repro.parallel import ParseCache, effective_cpu_count, replay_cross_record
 
 from benchmarks.conftest import banner
+from tests.logs.ras_reference import RasRowCursor, classify_ras_line
 
 BENCH = "perf_parallel_ingestion"
 
@@ -97,6 +101,52 @@ def _best(fn, rounds: int = 2) -> float:
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def test_gate_block_parse_vs_line_loop(big_ras_file):
+    """Hard gate: the block kernel plus the cross-record replay classify
+    the 10× log >= 3× faster than a per-line ``classify_ras_line`` loop,
+    with the same verdicts."""
+    banner("parallel ingestion: block-kernel gate")
+    with open(big_ras_file, encoding="utf-8") as fh:
+        fh.readline()
+        lines = fh.read().split("\n")[:-1]
+
+    def block():
+        defects, rows = parse_ras_block(lines)
+        accepted, cross = replay_cross_record(rows.recids, rows.times)
+        return len(defects) + len(cross), rows.recids[accepted]
+
+    def line_loop():
+        cursor = RasRowCursor()
+        bad, recids = 0, []
+        for text in lines:
+            defect, parsed = classify_ras_line(text, cursor)
+            if defect is not None:
+                bad += 1
+                continue
+            cursor.accept(parsed[1], parsed[2])
+            recids.append(parsed[1])
+        return bad, np.array(recids, dtype=np.int64)
+
+    bad_block, recids_block = block()
+    bad_line, recids_line = line_loop()
+    assert bad_block == bad_line == 0
+    assert np.array_equal(recids_block, recids_line)
+    # interleaved best-of-N, as in the telemetry gate below
+    t_block = t_line = float("inf")
+    for _ in range(3):
+        t_block = min(t_block, _best(block, rounds=1))
+        t_line = min(t_line, _best(line_loop, rounds=1))
+    print(
+        f"per-line {t_line * 1e3:.0f}ms vs block {t_block * 1e3:.0f}ms"
+        f" -> {t_line / t_block:.2f}x on {len(lines)} lines"
+    )
+    record_bench(
+        BENCH, "block_parse_speedup", t_line / t_block,
+        block_s=t_block, line_s=t_line, lines=len(lines),
+    )
+    assert t_line >= 3.0 * t_block
 
 
 @pytest.mark.skipif(

@@ -15,6 +15,13 @@ carrying the line number and defect class; under ``quarantine`` /
 ``skip`` bad lines are diverted into a
 :class:`~repro.logs.quarantine.QuarantineReport` and parsing continues.
 
+Every reader of RAS text — the serial reader here, the chunk-parallel
+workers (:mod:`repro.parallel.workers`) and the live feed parser
+(:mod:`repro.stream.source`) — classifies lines with one block kernel,
+:func:`parse_ras_block`: column-at-a-time checks for the common case,
+and :func:`classify_ras_fields`, the one definition of the per-line
+taxonomy, for every line a column check flags.
+
 A *growing* file needs one extra rule: hitting EOF in the middle of a
 line means the writer has not flushed the rest yet — a fragment, not a
 defect. Pass a :class:`PartialTail` to :func:`iter_ras_chunks` and the
@@ -27,6 +34,8 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from time import perf_counter, thread_time
 from typing import Iterator
@@ -36,6 +45,7 @@ import numpy as np
 from repro.frame import Frame
 from repro.frame.io import unescape_cell
 from repro.logs.quarantine import (
+    REPLACEMENT_CHAR,
     DefectClass,
     IngestPolicy,
     QuarantineReport,
@@ -66,6 +76,33 @@ _COMPONENT_IDX = 2
 _ERRCODE_IDX = 4
 _SEVERITY_IDX = 5
 _TIME_IDX = 6
+#: disk-layout indices of the free-text fields (no semantic check)
+_FREE_COLUMNS = (1, 3, 7, 8, 9)
+
+_SEP = "|"
+_NUM_SEPS = len(_DISK_COLUMNS) - 1
+
+#: characters per ``readlines`` batch of the serial reader: large enough
+#: to amortize the column work, small enough that a batch's split cells
+#: stay a small fraction of the parsed frame
+_BATCH_CHARS = 1 << 20
+
+#: the recid column's range, and the longest all-digit recid inside it
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+_MAX_RECID_DIGITS = 18
+
+#: the BG/P stamp ``YYYY-MM-DD-HH.MM.SS.ffffff``: width, separator
+#: positions and digit positions
+_STAMP_WIDTH = 26
+_STAMP_SEPS = tuple(zip((4, 7, 10, 13, 16, 19), b"---..."))
+_STAMP_DIGITS = np.array(
+    [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18, 20, 21, 22, 23, 24, 25]
+)
+#: stands in for a flagged stamp so the rest of its column stays fixed-width
+_STAMP_FILLER = "1970-01-01-00.00.00.000000"
+_DAYS_IN_MONTH = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+#: largest microsecond count a float64 holds exactly
+_EXACT_MICROS = 1 << 53
 
 
 class PartialTail:
@@ -104,19 +141,72 @@ class PartialTail:
         return f"PartialTail({state})"
 
 
-class RasRowCursor:
-    """Cross-record validation state for one pass over a RAS file."""
+@dataclass(slots=True)
+class RasRows:
+    """Field-valid RAS rows in line order: the block kernel's candidates.
 
-    __slots__ = ("seen_recids", "max_time")
+    ``cells`` holds the ten disk-layout columns as object arrays of
+    unescaped text (the recid and timestamp cells keep their text as
+    well); ``recids`` and ``times`` are the typed recid and event-time
+    columns, and ``lines`` gives each row's 0-based index in the block
+    of lines it was parsed from.
+    """
 
-    def __init__(self) -> None:
-        self.seen_recids: set[int] = set()
-        self.max_time = float("-inf")
+    lines: np.ndarray  # int64
+    recids: np.ndarray  # int64
+    times: np.ndarray  # float64 epoch seconds
+    cells: list[np.ndarray]
 
-    def accept(self, recid: int, event_time: float) -> None:
-        self.seen_recids.add(recid)
-        if event_time > self.max_time:
-            self.max_time = event_time
+    def __len__(self) -> int:
+        return len(self.lines)
+
+    def take(self, index) -> "RasRows":
+        """The rows selected by *index* (a mask, slice or index array)."""
+        return RasRows(
+            self.lines[index],
+            self.recids[index],
+            self.times[index],
+            [col[index] for col in self.cells],
+        )
+
+    @staticmethod
+    def concat(parts: list["RasRows"]) -> "RasRows":
+        """Stack row sets in order (an empty list gives typed empty rows)."""
+        if len(parts) == 1:
+            return parts[0]
+        if not parts:
+            return RasRows(
+                np.empty(0, dtype=np.int64),
+                np.empty(0, dtype=np.int64),
+                np.empty(0, dtype=np.float64),
+                [np.empty(0, dtype=object) for _ in _DISK_COLUMNS],
+            )
+        return RasRows(
+            np.concatenate([p.lines for p in parts]),
+            np.concatenate([p.recids for p in parts]),
+            np.concatenate([p.times for p in parts]),
+            [
+                np.concatenate([p.cells[j] for p in parts])
+                for j in range(len(_DISK_COLUMNS))
+            ],
+        )
+
+    def to_frame(self) -> Frame:
+        """The rows as an in-memory RAS frame (columns of Table II)."""
+        cells = self.cells
+        data = {
+            "recid": self.recids,
+            "msg_id": cells[1],
+            "component": cells[_COMPONENT_IDX],
+            "subcomponent": cells[3],
+            "errcode": cells[_ERRCODE_IDX],
+            "severity": cells[_SEVERITY_IDX],
+            "event_time": self.times,
+            "location": cells[7],
+            "serialnumber": cells[8],
+            "message": cells[9],
+        }
+        return Frame({c: data[c] for c in RAS_COLUMNS})
 
 
 def classify_ras_fields(
@@ -126,10 +216,11 @@ def classify_ras_fields(
 
     Covers every check that needs only the line itself (structure,
     typed fields, vocabulary) — everything except the cross-record
-    duplicate-recid and time-order checks, which need a
-    :class:`RasRowCursor`. Chunk-parallel ingestion
-    (:mod:`repro.parallel`) runs this in workers and replays the
-    cross-record checks at merge time.
+    duplicate-recid and time-order checks, which
+    :func:`repro.parallel.merge.replay_cross_record` decides. This is
+    the one definition of the per-line defect taxonomy:
+    :func:`parse_ras_block` sends every line its column checks flag
+    here.
     """
     parts = text.split(sep)
     defect = structural_defect(text, len(parts), len(_DISK_COLUMNS))
@@ -139,6 +230,9 @@ def classify_ras_fields(
     try:
         recid = int(cells[_RECID_IDX])
     except ValueError:
+        return DefectClass.BAD_FIELD, None
+    if not _INT64_MIN <= recid <= _INT64_MAX:
+        # the recid column is int64: a larger value cannot be stored
         return DefectClass.BAD_FIELD, None
     try:
         event_time = parse_bgp_time(cells[_TIME_IDX])
@@ -153,26 +247,173 @@ def classify_ras_fields(
     return None, (cells, recid, event_time)
 
 
-def classify_ras_line(
-    text: str, cursor: RasRowCursor, sep: str = "|"
-) -> tuple[DefectClass | None, tuple[list[str], int, float] | None]:
-    """Classify one data line against the defect taxonomy.
+def parse_ras_block(
+    lines: list[str],
+) -> tuple[list[tuple[int, DefectClass]], RasRows]:
+    """Classify a block of RAS data lines a column at a time.
 
-    Returns ``(None, (cells, recid, event_time))`` for a clean line —
-    the caller must then :meth:`RasRowCursor.accept` it — or
-    ``(defect, None)`` for a bad one. Cross-record checks compare
-    against *accepted* rows only, so one quarantined line never
-    cascades into false positives on its neighbours.
+    The result is :func:`classify_ras_fields` applied line by line:
+    ``(index, defect)`` for every line it rejects, in line order, and
+    the cells, recid and event time of every line it accepts as
+    :class:`RasRows`. Cross-record checks are left to the caller.
+
+    The fast path validates whole columns. Lines with exactly nine
+    separators and no replacement character are split at once; recids
+    must be 1–18 ASCII digits; timestamps must be canonical 26-character
+    BG/P stamps with in-range fields, converted with exact int64
+    microsecond arithmetic; each distinct severity, component and
+    ERRCODE is checked once. Every line a check flags goes through
+    :func:`classify_ras_fields` instead, so the fast path only ever
+    accepts what that function accepts, with the same values.
     """
-    defect, parsed = classify_ras_fields(text, sep)
-    if defect is not None:
-        return defect, None
-    cells, recid, event_time = parsed
-    if recid in cursor.seen_recids:
-        return DefectClass.DUPLICATE_RECID, None
-    if event_time < cursor.max_time:
-        return DefectClass.OUT_OF_ORDER_TIME, None
-    return None, (cells, recid, event_time)
+    n = len(lines)
+    # nine separators also rule out a blank line
+    counts = np.fromiter(map(str.count, lines, repeat(_SEP, n)), np.int64, n)
+    keep = np.flatnonzero(counts == _NUM_SEPS)
+    kept = lines if len(keep) == n else [lines[i] for i in keep.tolist()]
+    text = _SEP.join(kept)
+    if REPLACEMENT_CHAR in text:
+        clean = np.fromiter(
+            (REPLACEMENT_CHAR not in line for line in kept), bool, len(kept)
+        )
+        keep = keep[clean]
+        kept = [lines[i] for i in keep.tolist()]
+        text = _SEP.join(kept)
+    width = len(_DISK_COLUMNS)
+    cells = text.split(_SEP) if kept else []
+    cols = [cells[j::width] for j in range(width)]
+    del cells
+
+    flagged, recids = _recid_column(cols[_RECID_IDX])
+    bad_time, times = _stamp_column(cols[_TIME_IDX])
+    flagged |= bad_time
+    for j, accept in (
+        (_SEVERITY_IDX, _SEVERITY_SET.__contains__),
+        (_COMPONENT_IDX, _COMPONENT_SET.__contains__),
+        (_ERRCODE_IDX, _ERRCODE_RE.match),
+    ):
+        rejected = {v for v in set(cols[j]) if not accept(v)}
+        if rejected:
+            flagged |= np.fromiter(
+                (v in rejected for v in cols[j]), bool, len(keep)
+            )
+    if "\\" in text:
+        # the checks above flag escaped validated cells; unescape the rest
+        for k in [k for k, line in enumerate(kept) if "\\" in line]:
+            for j in _FREE_COLUMNS:
+                cols[j][k] = unescape_cell(cols[j][k], _SEP)
+
+    sel = np.logical_not(flagged) if flagged.any() else slice(None)
+    rows = RasRows(
+        keep[sel],
+        recids[sel],
+        times[sel],
+        [np.fromiter(col, object, len(col))[sel] for col in cols],
+    )
+    on_fast_path = np.zeros(n, dtype=bool)
+    on_fast_path[rows.lines] = True
+    defects: list[tuple[int, DefectClass]] = []
+    slow: list[tuple[int, list[str], int, float]] = []
+    for i in np.flatnonzero(~on_fast_path).tolist():
+        defect, parsed = classify_ras_fields(lines[i])
+        if defect is not None:
+            defects.append((i, defect))
+        else:
+            slow.append((i, *parsed))
+    if slow:
+        index, slow_cells, slow_recids, slow_times = zip(*slow)
+        rows = RasRows.concat([
+            rows,
+            RasRows(
+                np.array(index, dtype=np.int64),
+                np.array(slow_recids, dtype=np.int64),
+                np.array(slow_times, dtype=np.float64),
+                [np.array(col, dtype=object) for col in zip(*slow_cells)],
+            ),
+        ])
+        rows = rows.take(np.argsort(rows.lines, kind="stable"))
+    return defects, rows
+
+
+def _recid_column(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Recids of cells that are 1–18 ASCII digits, and a mask of the rest.
+
+    ``int()`` also takes signs, blanks, underscores and non-ASCII
+    digits; those cells are flagged for the per-line path. Flagged
+    entries of the value array are placeholders.
+    """
+    m = len(cells)
+    lengths = np.fromiter(map(len, cells), np.int64, m)
+    flagged = (lengths == 0) | (lengths > _MAX_RECID_DIGITS)
+    joined = "".join(cells)
+    if not (joined.isascii() and joined.isdigit()):
+        flagged |= np.fromiter(
+            (not (v.isascii() and v.isdigit()) for v in cells), bool, m
+        )
+    if flagged.any():
+        cells = ["0" if f else v for v, f in zip(cells, flagged.tolist())]
+    return flagged, np.fromiter(map(int, cells), np.int64, m)
+
+
+def _stamp_column(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Epoch seconds of canonical BG/P stamps, and a mask of the rest.
+
+    A stamp passes only as ``YYYY-MM-DD-HH.MM.SS.ffffff`` in ASCII
+    digits with a real calendar date (leap years included), hour ≤ 23
+    and minute and second ≤ 59 — exactly the stamps ``strptime``
+    accepts in that shape. The time is the int64 microsecond count
+    from the epoch (days-from-civil) divided by 10**6, the same exact
+    quotient ``datetime.timestamp()`` rounds, so the floats are
+    bit-identical; stamps whose count a float64 cannot hold exactly are
+    flagged instead.
+    """
+    m = len(cells)
+    flagged = np.fromiter(map(len, cells), np.int64, m) != _STAMP_WIDTH
+    joined = "".join(cells)
+    if flagged.any() or not joined.isascii():
+        flagged |= np.fromiter((not v.isascii() for v in cells), bool, m)
+        cells = [
+            _STAMP_FILLER if f else v for v, f in zip(cells, flagged.tolist())
+        ]
+        joined = "".join(cells)
+    raw = np.frombuffer(joined.encode("ascii"), np.uint8).reshape(
+        m, _STAMP_WIDTH
+    )
+    for pos, sep in _STAMP_SEPS:
+        flagged |= raw[:, pos] != sep
+    digits = raw[:, _STAMP_DIGITS] - ord("0")  # bytes below "0" wrap past 9
+    flagged |= (digits > 9).any(axis=1)
+    d = digits.astype(np.int64)
+    year = d[:, 0:4] @ np.array([1000, 100, 10, 1])
+    month = d[:, 4] * 10 + d[:, 5]
+    day = d[:, 6] * 10 + d[:, 7]
+    hour = d[:, 8] * 10 + d[:, 9]
+    minute = d[:, 10] * 10 + d[:, 11]
+    second = d[:, 12] * 10 + d[:, 13]
+    micro = d[:, 14:20] @ np.array([100000, 10000, 1000, 100, 10, 1])
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    month0 = np.clip(month, 1, 12) - 1
+    month_days = _DAYS_IN_MONTH[month0] + ((month0 == 1) & leap)
+    flagged |= (
+        (year < 1) | (month < 1) | (month > 12) | (day < 1)
+        | (day > month_days) | (hour > 23) | (minute > 59) | (second > 59)
+    )
+    # days from 1970-01-01 in the proleptic Gregorian calendar, counting
+    # years from March so the leap day ends the year
+    y = year - (month <= 2)
+    era = y // 400
+    year_of_era = y - era * 400
+    day_of_year = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
+    day_of_era = (
+        year_of_era * 365 + year_of_era // 4 - year_of_era // 100
+        + day_of_year
+    )
+    days = era * 146097 + day_of_era - 719468
+    micros = (
+        ((days * 24 + hour) * 60 + minute) * 60 + second
+    ) * 1_000_000 + micro
+    flagged |= np.abs(micros) > _EXACT_MICROS
+    return flagged, micros / 1e6
 
 
 def iter_ras_chunks(
@@ -190,17 +431,26 @@ def iter_ras_chunks(
     still raises: when the schema itself cannot be trusted, no policy
     can salvage the rows beneath it.
 
+    The file is read in batches of about :data:`_BATCH_CHARS`
+    characters, each classified by :func:`parse_ras_block` and checked
+    against the rows accepted before it by
+    :func:`~repro.parallel.merge.replay_cross_record`. Rows and defects
+    are then released in line order, so chunks, strict raises, aborts
+    and the report's running ``total_rows`` match a line-by-line parse.
+
     With a :class:`PartialTail`, a final line missing its newline is
     held there as pending — the tailing discipline for growing files —
     rather than classified; without one it is parsed like any other
     line, the batch reading of a file that is known to be complete.
     """
+    from repro.logs.ras import empty_ras_log
+    from repro.parallel.merge import RasRowCursor, replay_cross_record
+
     if chunk_rows <= 0:
         raise ValueError("chunk_rows must be positive")
     pol = coerce_policy(policy)
     if report is None:
         report = pol.new_report(str(path))
-    from repro.logs.ras import empty_ras_log
 
     if partial is not None:
         partial.clear()
@@ -222,43 +472,72 @@ def iter_ras_chunks(
         if tuple(names) != _DISK_COLUMNS:
             raise ValueError(f"unexpected RAS header {names}")
         cursor = RasRowCursor()
-        buffer: list[list[str]] = []
-        recids: list[int] = []
-        times: list[float] = []
+        buffer: list[RasRows] = []
+        buffered = 0
         yielded = False
         chunk_index = 0
+        first_line_no = 2  # physical number of the batch's first line
         # chunk telemetry: the window re-opens after each yield resumes,
         # so consumer time between chunks never counts as parse time
         t0, c0 = perf_counter(), thread_time()
-        for line_no, line in enumerate(fh, start=2):
-            if partial is not None and not line.endswith("\n"):
+        while True:
+            batch = fh.readlines(_BATCH_CHARS)
+            if not batch:
+                break
+            held = None
+            if partial is not None and not batch[-1].endswith("\n"):
                 # EOF landed mid-line: the writer has not flushed the
                 # rest yet. Hold it pending instead of classifying —
                 # only the file's last line can lack its newline.
-                partial.hold(line, line_no)
+                held = batch.pop()
+            # text mode has turned every line ending into "\n"
+            lines = "".join(batch).split("\n")
+            if not lines[-1]:
+                lines.pop()
+            defects, rows = parse_ras_block(lines)
+            accepted, cross = replay_cross_record(
+                rows.recids, rows.times, cursor
+            )
+            if cross:
+                defects = sorted(
+                    defects + [(int(rows.lines[k]), d) for k, d in cross],
+                    key=lambda item: item[0],
+                )
+                rows = rows.take(accepted)
+            base = report.total_rows
+            done = 0
+            # the end-of-batch sentinel flushes the rows after the last
+            # defect; rows before a defect are released (and a chunk
+            # they fill is yielded) before the defect is handled
+            for index, defect in [*defects, (len(lines), None)]:
+                stop = int(np.searchsorted(rows.lines, index))
+                while done < stop:
+                    take = min(stop - done, chunk_rows - buffered)
+                    buffer.append(rows.take(slice(done, done + take)))
+                    done += take
+                    buffered += take
+                    if buffered == chunk_rows:
+                        report.total_rows = base + int(rows.lines[done - 1]) + 1
+                        _note_serial_chunk(chunk_index, buffered, t0, c0)
+                        chunk_index += 1
+                        yield RasLog(RasRows.concat(buffer).to_frame())
+                        buffer, buffered, yielded = [], 0, True
+                        t0, c0 = perf_counter(), thread_time()
+                if defect is None:
+                    break
+                report.total_rows = base + index + 1
+                handle_bad_record(
+                    pol, report, first_line_no + index, defect, lines[index]
+                )
+            report.total_rows = base + len(lines)
+            first_line_no += len(lines)
+            if held is not None:
+                partial.hold(held, first_line_no)
                 break
-            text = line.rstrip("\r\n")
-            report.total_rows += 1
-            defect, parsed = classify_ras_line(text, cursor)
-            if defect is not None:
-                handle_bad_record(pol, report, line_no, defect, text)
-                continue
-            cells, recid, event_time = parsed
-            cursor.accept(recid, event_time)
-            buffer.append(cells)
-            recids.append(recid)
-            times.append(event_time)
-            if len(buffer) >= chunk_rows:
-                _note_serial_chunk(chunk_index, len(buffer), t0, c0)
-                chunk_index += 1
-                yield _chunk_to_log(buffer, recids, times)
-                buffer, recids, times = [], [], []
-                yielded = True
-                t0, c0 = perf_counter(), thread_time()
         finish_ingest(pol, report)
         if buffer:
-            _note_serial_chunk(chunk_index, len(buffer), t0, c0)
-            yield _chunk_to_log(buffer, recids, times)
+            _note_serial_chunk(chunk_index, buffered, t0, c0)
+            yield RasLog(RasRows.concat(buffer).to_frame())
         elif not yielded:
             _note_serial_chunk(chunk_index, 0, t0, c0)
             yield empty_ras_log()
@@ -286,25 +565,6 @@ def _note_serial_chunk(
             rows=rows,
             chunk=index,
         )
-
-
-def _chunk_to_log(
-    rows: list[list[str]], recids: list[int], times: list[float]
-) -> RasLog:
-    cols = list(zip(*rows))
-    data = {
-        "recid": np.array(recids, dtype=np.int64),
-        "msg_id": np.array(cols[1], dtype=object),
-        "component": np.array(cols[2], dtype=object),
-        "subcomponent": np.array(cols[3], dtype=object),
-        "errcode": np.array(cols[4], dtype=object),
-        "severity": np.array(cols[5], dtype=object),
-        "event_time": np.array(times, dtype=np.float64),
-        "location": np.array(cols[7], dtype=object),
-        "serialnumber": np.array(cols[8], dtype=object),
-        "message": np.array(cols[9], dtype=object),
-    }
-    return RasLog(Frame({c: data[c] for c in RAS_COLUMNS}))
 
 
 def scan_severity_counts(

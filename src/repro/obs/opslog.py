@@ -53,6 +53,9 @@ _RAS_LOCATION = "R00-M0"
 _RAS_COMPONENT = "MMCS"
 _RAS_SUBCOMPONENT = "TELEMETRY"
 
+#: bytes of the mirror's tail read first when recovering the cursor
+_TAIL_BYTES = 1 << 16
+
 _STATUS_SEVERITY = {"healthy": "INFO", "degraded": "WARN", "unhealthy": "ERROR"}
 
 _RECORD_TYPES = ("header", "sample", "heartbeat", "alert")
@@ -90,27 +93,35 @@ class OpsLog:
 
         The mirror's cross-record invariants (unique increasing recids,
         nondecreasing event times) must hold over the *whole file*, not
-        one process lifetime, so a fresh appender picks up where the
-        last line left off. recid and timestamp cells are never escaped,
-        so a plain split is safe here.
+        one process lifetime, so a fresh appender picks up after the
+        last row a reader would accept. A crash can leave a torn final
+        line; it is skipped like the header. Only the file's tail is
+        read, widened until it holds an accepted row or the whole file.
         """
-        if not self.ras_path.exists() or self.ras_path.stat().st_size == 0:
-            return 1, float("-inf")
-        last = None
-        with open(self.ras_path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    last = line
-        if last is None:  # pragma: no cover - empty-but-existing file
-            return 1, float("-inf")
-        from repro.logs.textio import parse_bgp_time
+        from repro.logs.stream import classify_ras_fields
 
-        cells = last.rstrip("\n").split("|")
-        try:
-            return int(cells[0]) + 1, parse_bgp_time(cells[6])
-        except (ValueError, IndexError):
-            # header-only file (first data row never landed)
+        if not self.ras_path.exists():
             return 1, float("-inf")
+        with open(self.ras_path, "rb") as fh:
+            size = fh.seek(0, os.SEEK_END)
+            span = _TAIL_BYTES
+            while True:
+                start = max(0, size - span)
+                fh.seek(start)
+                lines = fh.read(size - start).decode(
+                    "utf-8", errors="replace"
+                ).split("\n")
+                if start > 0:
+                    lines = lines[1:]  # may begin mid-line
+                for line in reversed(lines):
+                    defect, parsed = classify_ras_fields(line.rstrip("\r"))
+                    if defect is None:
+                        _, recid, event_time = parsed
+                        return recid + 1, event_time
+                if start == 0:
+                    # header-only, or the first data row never landed
+                    return 1, float("-inf")
+                span *= 4
 
     # -- JSONL side -----------------------------------------------------
 
@@ -198,13 +209,16 @@ class OpsLog:
             "message",
         ]
         text = to_string(frame.select(order))
-        fresh = (
-            not self.ras_path.exists() or self.ras_path.stat().st_size == 0
-        )
-        if not fresh:
-            text = text.split("\n", 1)[1]
-        with open(self.ras_path, "a", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(self.ras_path, "a+b") as fh:
+            size = fh.seek(0, os.SEEK_END)
+            if size:
+                text = text.split("\n", 1)[1]
+                fh.seek(size - 1)
+                if fh.read(1) != b"\n":
+                    # a torn final line: end it, or this row would
+                    # continue it
+                    text = "\n" + text
+            fh.write(text.encode("utf-8"))
             fh.flush()
             os.fsync(fh.fileno())
         self._next_recid = recid + 1

@@ -28,6 +28,7 @@ import numpy as np
 from repro.frame.frame import Frame
 from repro.frame.column import first_occurrence_mask
 from repro.logs.quarantine import (
+    SAMPLE_WIDTH,
     DefectClass,
     IngestPolicy,
     QuarantineReport,
@@ -36,41 +37,87 @@ from repro.logs.quarantine import (
 )
 from repro.parallel.workers import DelimChunk, RasChunk
 
-__all__ = ["merge_ras_chunks", "merge_delim_chunks", "replay_cross_record"]
+__all__ = [
+    "RasRowCursor",
+    "merge_ras_chunks",
+    "merge_delim_chunks",
+    "replay_cross_record",
+]
 
 #: first data line of a file is physical line 2 (the header is line 1)
 _FIRST_DATA_LINE = 2
 
 
+class RasRowCursor:
+    """The rows a pass has accepted so far, as the cross-record checks see them.
+
+    The serial reader carries one across its batches so each batch's
+    verdicts account for every earlier accepted row.
+    """
+
+    __slots__ = ("seen_recids", "max_recid", "max_time")
+
+    def __init__(self) -> None:
+        self.seen_recids: set[int] = set()
+        self.max_recid: int | None = None
+        self.max_time = float("-inf")
+
+    def accept(self, recids: np.ndarray, times: np.ndarray) -> None:
+        """Advance past accepted rows."""
+        if not len(recids):
+            return
+        self.seen_recids.update(recids.tolist())
+        top = int(recids.max())
+        if self.max_recid is None or top > self.max_recid:
+            self.max_recid = top
+        self.max_time = max(self.max_time, float(times.max()))
+
+
 def replay_cross_record(
-    recids: np.ndarray, times: np.ndarray
+    recids: np.ndarray,
+    times: np.ndarray,
+    cursor: RasRowCursor | None = None,
 ) -> tuple[np.ndarray, list[tuple[int, DefectClass]]]:
     """Serial acceptance verdicts for the merged candidate stream.
 
     Returns ``(accepted_mask, defects)`` where *defects* lists
-    ``(candidate_index, defect)`` for rejected candidates. Matches
-    :class:`repro.logs.stream.RasRowCursor` semantics exactly: a row is
-    a duplicate iff its recid was *accepted* earlier, out-of-order iff
-    its time precedes the max *accepted* time, and rejected rows never
-    advance the cursor. The duplicate check outranks the order check.
+    ``(candidate_index, defect)`` for rejected candidates. A row is a
+    duplicate iff its recid was *accepted* earlier, out-of-order iff its
+    time precedes the max *accepted* time, and rejected rows never
+    advance the state. The duplicate check outranks the order check.
+    With a *cursor*, rows it already accepted count as earlier and it
+    is advanced past this stream's accepted rows; without one the
+    stream is a whole file.
     """
     n = len(recids)
     accepted = np.ones(n, dtype=bool)
     if n == 0:
         return accepted, []
+    state = cursor if cursor is not None else RasRowCursor()
     # fast path: no repeated recid and no time regression anywhere means
     # every row is accepted — and up to the first naive violation the
     # naive and serial states coincide, so the replay can start there
     dup_naive = ~first_occurrence_mask(recids)
+    if state.max_recid is not None:
+        # only a recid up to the largest accepted one can repeat one
+        maybe = np.flatnonzero(recids <= state.max_recid)
+        seen = state.seen_recids
+        dup_naive[maybe] |= np.fromiter(
+            (r in seen for r in recids[maybe].tolist()), bool, len(maybe)
+        )
     prev_max = np.empty(n, dtype=np.float64)
-    prev_max[0] = -np.inf
+    prev_max[0] = state.max_time
     np.maximum.accumulate(times[:-1], out=prev_max[1:])
+    np.maximum(prev_max, state.max_time, out=prev_max)
     violation = dup_naive | (times < prev_max)
     if not violation.any():
+        if cursor is not None:
+            cursor.accept(recids, times)
         return accepted, []
     start = int(np.argmax(violation))
-    seen = set(recids[:start].tolist())
-    max_time = float(times[:start].max()) if start else float("-inf")
+    state.accept(recids[:start], times[:start])
+    seen = state.seen_recids
+    max_time = state.max_time
     defects: list[tuple[int, DefectClass]] = []
     for i in range(start, n):
         recid = int(recids[i])
@@ -85,6 +132,8 @@ def replay_cross_record(
             seen.add(recid)
             if event_time > max_time:
                 max_time = event_time
+    tail = accepted[start:]
+    state.accept(recids[start:][tail], times[start:][tail])
     return accepted, defects
 
 
@@ -128,25 +177,16 @@ def merge_ras_chunks(
     Output is bit-identical to the serial streaming parse: same row
     order, same dtypes, same quarantine report (or the same raise).
     """
+    from repro.logs.stream import RasRows
+
     bases = _line_bases([c.n_lines for c in chunks])
     total_lines = sum(c.n_lines for c in chunks)
-
-    recids = (
-        np.concatenate([c.cand_recids for c in chunks])
-        if chunks
-        else np.empty(0, dtype=np.int64)
+    rows = RasRows.concat([c.cand for c in chunks])
+    cand_lines = np.concatenate(
+        [np.empty(0, dtype=np.int64)]
+        + [base + c.cand.lines for base, c in zip(bases, chunks)]
     )
-    times = (
-        np.concatenate([c.cand_times for c in chunks])
-        if chunks
-        else np.empty(0, dtype=np.float64)
-    )
-    cand_lines = (
-        np.concatenate([base + c.cand_lines for base, c in zip(bases, chunks)])
-        if chunks
-        else np.empty(0, dtype=np.int64)
-    )
-    accepted, cross = replay_cross_record(recids, times)
+    accepted, cross = replay_cross_record(rows.recids, rows.times)
 
     defects: list[tuple[int, DefectClass, str]] = []
     for base, chunk in zip(bases, chunks):
@@ -155,34 +195,31 @@ def merge_ras_chunks(
             for idx, defect, sample in chunk.defects
         )
     if cross:
-        samples = [s for c in chunks for s in c.cand_samples]
+        stored: dict[int, str] = {}
+        offset = 0
+        for chunk in chunks:
+            stored.update(
+                (offset + k, s) for k, s in chunk.cand_samples.items()
+            )
+            offset += len(chunk.cand)
         defects.extend(
-            (int(cand_lines[i]), defect, samples[i]) for i, defect in cross
+            (int(cand_lines[i]), defect, _candidate_sample(rows, stored, i))
+            for i, defect in cross
         )
         defects.sort(key=lambda d: d[0])
     _replay_policy(defects, total_lines, policy, report)
+    return rows.take(accepted).to_frame()
 
-    cols = [
-        np.array(
-            [v for c in chunks for v in c.cand_cols[j]], dtype=object
-        )[accepted]
-        for j in range(10)
-    ]
-    data = {
-        "recid": recids[accepted],
-        "msg_id": cols[1],
-        "component": cols[2],
-        "subcomponent": cols[3],
-        "errcode": cols[4],
-        "severity": cols[5],
-        "event_time": times[accepted],
-        "location": cols[7],
-        "serialnumber": cols[8],
-        "message": cols[9],
-    }
-    from repro.logs.ras import RAS_COLUMNS
 
-    return Frame({c: data[c] for c in RAS_COLUMNS})
+def _candidate_sample(rows, stored: dict[int, str], i: int) -> str:
+    """The quarantine sample of candidate *i*: its line, rebuilt.
+
+    A line without escapes is its cells joined by the separator; the
+    workers ship the text of the others (see :class:`RasChunk`).
+    """
+    if i in stored:
+        return stored[i]
+    return "|".join(col[i] for col in rows.cells)[:SAMPLE_WIDTH]
 
 
 def merge_delim_chunks(

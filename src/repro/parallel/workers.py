@@ -16,11 +16,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter, process_time
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.logs.quarantine import SAMPLE_WIDTH, DefectClass
 from repro.parallel.chunking import split_chunk_lines
+
+if TYPE_CHECKING:
+    from repro.logs.stream import RasRows
 
 __all__ = [
     "RasChunk",
@@ -35,20 +39,18 @@ class RasChunk:
     """One parsed RAS chunk, in chunk-local coordinates.
 
     ``defects`` carries context-free bad lines as ``(local_line_index,
-    defect, sample)``; candidates are field-valid rows that still await
-    the merge-time duplicate/ordering verdict. ``cand_samples`` keeps
-    the truncated raw text of every candidate because a candidate
-    rejected at merge needs its original line for the quarantine
-    report.
+    defect, sample)``; ``cand`` holds the field-valid rows that still
+    await the merge-time duplicate/ordering verdict. A candidate the
+    merge rejects needs its original line for the quarantine report:
+    for a line without escapes that is its cells joined by the
+    separator, so ``cand_samples`` ships the truncated text of only the
+    escaped candidates, keyed by candidate index.
     """
 
     n_lines: int
     defects: list[tuple[int, DefectClass, str]]
-    cand_cols: list[list[str]]  # RAS disk-layout cells, one list per column
-    cand_recids: np.ndarray  # int64
-    cand_times: np.ndarray  # float64 epoch seconds
-    cand_lines: np.ndarray  # int64 local line indices (0-based)
-    cand_samples: list[str]
+    cand: RasRows
+    cand_samples: dict[int, str]
     # worker-side telemetry: the parent process cannot observe a fork
     # worker's clocks, so each chunk ships its own measurements home
     # and the parent re-attaches them as child spans / counters
@@ -72,7 +74,7 @@ class DelimChunk:
 
 def parse_ras_chunk(task: tuple[str, int, int]) -> RasChunk:
     """Parse one RAS data chunk: ``(path, start, end)`` byte range."""
-    from repro.logs.stream import classify_ras_fields
+    from repro.logs.stream import parse_ras_block
 
     path, start, end = task
     t0, c0 = perf_counter(), process_time()
@@ -80,33 +82,16 @@ def parse_ras_chunk(task: tuple[str, int, int]) -> RasChunk:
         fh.seek(start)
         raw = fh.read(end - start)
     lines = split_chunk_lines(raw)
-
-    defects: list[tuple[int, DefectClass, str]] = []
-    cols: list[list[str]] = [[] for _ in range(10)]
-    recids: list[int] = []
-    times: list[float] = []
-    line_idx: list[int] = []
-    samples: list[str] = []
-    for i, text in enumerate(lines):
-        defect, parsed = classify_ras_fields(text)
-        if defect is not None:
-            defects.append((i, defect, text[:SAMPLE_WIDTH]))
-            continue
-        cells, recid, event_time = parsed
-        for col, value in zip(cols, cells):
-            col.append(value)
-        recids.append(recid)
-        times.append(event_time)
-        line_idx.append(i)
-        samples.append(text[:SAMPLE_WIDTH])
+    defects, cand = parse_ras_block(lines)
     return RasChunk(
         n_lines=len(lines),
-        defects=defects,
-        cand_cols=cols,
-        cand_recids=np.array(recids, dtype=np.int64),
-        cand_times=np.array(times, dtype=np.float64),
-        cand_lines=np.array(line_idx, dtype=np.int64),
-        cand_samples=samples,
+        defects=[(i, d, lines[i][:SAMPLE_WIDTH]) for i, d in defects],
+        cand=cand,
+        cand_samples={
+            k: lines[i][:SAMPLE_WIDTH]
+            for k, i in enumerate(cand.lines.tolist())
+            if "\\" in lines[i]
+        },
         wall_s=perf_counter() - t0,
         cpu_s=process_time() - c0,
         n_bytes=end - start,

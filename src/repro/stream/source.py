@@ -53,7 +53,7 @@ from repro.logs.quarantine import (
     typed_cell_defect,
 )
 from repro.logs.ras import RasLog, empty_ras_log
-from repro.logs.stream import _DISK_COLUMNS, _chunk_to_log, classify_ras_fields
+from repro.logs.stream import _DISK_COLUMNS, parse_ras_block
 from repro.obs.metrics import get_metrics
 
 __all__ = [
@@ -461,28 +461,29 @@ class RasFeedParser(_FeedParserBase):
             raise FeedParseError(f"unexpected RAS feed header {names}")
 
     def parse(self, lines: list[str]) -> RasLog:
-        rows: list[list[str]] = []
-        recids: list[int] = []
-        times: list[float] = []
-        for text in lines:
+        defects, rows = parse_ras_block(lines)
+        verdicts = dict(defects)
+        recids = rows.recids.tolist()
+        keep: list[int] = []
+        k = 0  # candidates are the lines without a verdict, in order
+        for i, text in enumerate(lines):
             self.lines_seen += 1
+            defect = verdicts.get(i)
+            if defect is None:
+                k += 1
             if self._take_header(text):
                 continue
-            defect, parsed = classify_ras_fields(text)
             if defect is not None:
                 handle_bad_record(
                     self.policy, self.report, self.lines_seen, defect, text
                 )
                 continue
-            cells, recid, event_time = parsed
-            if self._dedup(recid):
+            if self._dedup(recids[k - 1]):
                 continue
-            rows.append(cells)
-            recids.append(recid)
-            times.append(event_time)
-        if not rows:
+            keep.append(k - 1)
+        if not keep:
             return empty_ras_log()
-        return _chunk_to_log(rows, recids, times)
+        return RasLog(rows.take(np.array(keep, dtype=np.int64)).to_frame())
 
 
 class JobFeedParser(_FeedParserBase):

@@ -1,5 +1,8 @@
 """Unit tests for log text io and BG/P timestamps."""
 
+from datetime import datetime, timezone
+
+import numpy as np
 import pytest
 
 from repro.logs import (
@@ -12,6 +15,7 @@ from repro.logs import (
     write_job_log,
     write_ras_log,
 )
+from repro.logs.stream import parse_ras_block
 from repro.logs.textio import describe_job_record, describe_ras_record
 
 from tests.logs.test_job import make_job
@@ -27,8 +31,28 @@ class TestBgpTime:
         assert s[13] == s[16] == s[19] == "."
 
     def test_roundtrip(self):
-        t = 1231161600.123456
-        assert parse_bgp_time(format_bgp_time(t)) == pytest.approx(t, abs=1e-6)
+        """Exact: random microsecond instants from 1970 to 2100 read back
+        as the very float ``strptime(...).timestamp()`` gives, through
+        the per-line parser and the block kernel alike."""
+        rng = np.random.default_rng(2011)
+        micros = rng.integers(0, 4_102_444_800 * 10**6, size=2000).tolist()
+        times = [us / 10**6 for us in micros]
+        stamps = [format_bgp_time(t) for t in times]
+        want = [
+            datetime.strptime(s, "%Y-%m-%d-%H.%M.%S.%f")
+            .replace(tzinfo=timezone.utc)
+            .timestamp()
+            for s in stamps
+        ]
+        assert want == times
+        assert [parse_bgp_time(s) for s in stamps] == want
+        lines = [
+            f"{i}|M|KERNEL|s|E|INFO|{s}|R00-M0|SN|m"
+            for i, s in enumerate(stamps)
+        ]
+        defects, rows = parse_ras_block(lines)
+        assert defects == []
+        assert rows.times.tolist() == want
 
     def test_paper_example(self):
         t = parse_bgp_time("2008-04-14-15.08.12.285324")

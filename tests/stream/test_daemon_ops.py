@@ -5,7 +5,7 @@ the RAS-mirror round trip back through the analyzer (self-co-analysis).
 import numpy as np
 import pytest
 
-from repro.logs import read_ras_log
+from repro.logs import DefectClass, read_ras_log
 from repro.obs import probe_health, read_ops_log, validate_ops_log
 from repro.obs.metrics import get_metrics
 from repro.stream.daemon import DaemonLoop
@@ -219,3 +219,25 @@ class TestRasMirror:
         assert list(recids) == [1, 2, 3]
         # t=50 would move the mirror backwards: clamped to the last time
         assert (np.diff(ras.frame["event_time"]) >= 0).all()
+
+    def test_torn_final_line_neither_resets_nor_swallows(self, tmp_path):
+        """A crash mid-append leaves a torn last line: the next lifetime
+        resumes after the last whole row and starts a fresh line, so
+        recids stay unique and only the fragment is quarantined."""
+        from repro.obs import OpsLog
+
+        log = OpsLog(tmp_path / "ops", machine="bgp")
+        for cycle in range(1, 4):
+            log.write_heartbeat({"cycle": cycle}, t=100.0 + cycle,
+                                status="healthy")
+        mirror = tmp_path / "ops" / "ops_ras.psv"
+        with open(mirror, "a", encoding="utf-8") as fh:
+            fh.write("4|OPS_00000004|MMCS|TELE")
+        again = OpsLog(tmp_path / "ops", machine="bgp")
+        again.write_heartbeat({"cycle": 4}, t=110.0, status="healthy")
+        ras = read_ras_log(mirror, policy="quarantine")
+        assert list(ras.frame["recid"]) == [1, 2, 3, 4]
+        report = ras.quarantine
+        assert report.as_dict() == {"truncated_line": 1}
+        (bad,) = report.samples[DefectClass.TRUNCATED_LINE]
+        assert (bad.line_no, bad.text) == (5, "4|OPS_00000004|MMCS|TELE")
