@@ -13,6 +13,8 @@ Another test pins the bit-identical guarantee itself at scale, on a
 corrupted file, so the speed never drifts away from correctness.
 """
 
+import math
+import statistics
 import time
 
 import numpy as np
@@ -212,6 +214,10 @@ def test_perf_read_parallel_auto(benchmark, big_ras_file):
     assert len(log) == BASE_ROWS * SCALE
 
 
+#: interleaved rounds of the telemetry gate (each arm >= 1.2 s a round)
+ROUNDS = 8
+
+
 def test_gate_telemetry_overhead_under_3pct(big_ras_file):
     """Hard gate: an active tracer adds < 3% wall to the serial parse."""
     banner("parallel ingestion: telemetry overhead gate")
@@ -226,25 +232,35 @@ def test_gate_telemetry_overhead_under_3pct(big_ras_file):
             read_ras_log(big_ras_file, policy="quarantine", workers=1)
         assert "ingest.parse.chunk" in tracer.span_names()
 
-    plain()  # warm the page cache so both arms measure the same work
-    # interleave the arms: best-of-N per arm with alternating rounds,
-    # so machine-wide drift (load, cpufreq) hits both arms equally
-    # instead of biasing whichever block ran second
-    base = tele = float("inf")
-    for _ in range(4):
+    def sample(arm, reps: int) -> float:
         t0 = time.perf_counter()
-        plain()
-        base = min(base, time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        traced()
-        tele = min(tele, time.perf_counter() - t0)
-    overhead = tele / base - 1.0
+        for _ in range(reps):
+            arm()
+        return time.perf_counter() - t0
+
+    # the first warm-up parse also warms the page cache; at the faster
+    # warm-up pace, one timed sample repeats the parse for >= 1.2 s, so
+    # a scheduler hiccup on a shared host is a small share of a sample
+    reps = max(3, math.ceil(1.2 / min(sample(plain, 1) for _ in range(2))))
+
+    # each round times both arms back to back, alternating which runs
+    # first, so machine-wide drift (load, cpufreq) cancels in the
+    # round's traced/plain ratio; the median ratio ignores the rounds a
+    # hiccup hit, where a best-of-N per arm takes each arm's luckiest
+    plain_s, traced_s = [], []
+    for i in range(ROUNDS):
+        for arm in (plain, traced) if i % 2 == 0 else (traced, plain):
+            (plain_s if arm is plain else traced_s).append(sample(arm, reps))
+    ratio = statistics.median(t / b for t, b in zip(traced_s, plain_s))
+    base = statistics.median(plain_s) / reps
+    tele = statistics.median(traced_s) / reps
     print(
-        f"plain {base * 1e3:.0f}ms vs traced {tele * 1e3:.0f}ms"
-        f" -> {100.0 * overhead:+.2f}% overhead"
+        f"plain {base * 1e3:.0f}ms vs traced {tele * 1e3:.0f}ms a parse"
+        f" ({reps} parses a sample, median of {ROUNDS} paired rounds)"
+        f" -> {100.0 * (ratio - 1.0):+.2f}% overhead"
     )
     record_bench(
-        BENCH, "telemetry_overhead_frac", overhead,
-        plain_s=base, traced_s=tele,
+        BENCH, "telemetry_overhead_frac", ratio - 1.0,
+        plain_s=base, traced_s=tele, reps=reps, rounds=ROUNDS,
     )
-    assert tele < 1.03 * base
+    assert ratio < 1.03

@@ -35,12 +35,13 @@ import enum
 import errno
 import os
 import shutil
-import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+
+from repro.durable import atomic_write
 
 __all__ = [
     "FaultKind",
@@ -264,18 +265,8 @@ class FaultyFS:
         """Replace *path* with a byte-equal copy under a fresh inode."""
         if not os.path.exists(path):
             return
-        directory = os.path.dirname(path) or "."
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".rotate")
-        try:
-            with os.fdopen(fd, "wb") as out, open(path, "rb") as src:
-                shutil.copyfileobj(src, out)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        with open(path, "rb") as src:
+            atomic_write(path, lambda out: shutil.copyfileobj(src, out))
 
     @staticmethod
     def _truncate(path: str, length: int) -> None:

@@ -1,10 +1,10 @@
 """Atomic health snapshot + the liveness/readiness evaluation.
 
-The daemon writes ``health.json`` once per cycle (temp file +
-``os.replace``, the store's json-last idiom, so a probe never reads a
-torn file). :func:`probe_health` is what ``repro health`` runs: it
-reads the snapshot, folds in wall-clock staleness, and maps the result
-onto process exit codes —
+The daemon writes ``health.json`` once per cycle with
+:func:`repro.durable.atomic_write`, so a probe never reads a torn
+file. :func:`probe_health` is what ``repro health`` runs: it reads the
+snapshot, folds in wall-clock staleness, and maps the result onto
+process exit codes —
 
 ========== ===== =======================================================
 status     exit  meaning
@@ -27,10 +27,11 @@ staleness — a finished daemon is not a dead one.
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
+
+from repro.durable import atomic_write
 
 __all__ = [
     "HEALTH_STATUSES",
@@ -154,13 +155,8 @@ def write_health(path: str | Path, snapshot: dict) -> None:
     path = Path(path)
     snapshot = dict(snapshot)
     snapshot["written_unix"] = time.time()
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(snapshot, fh, sort_keys=True)
-        fh.write("\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    payload = (json.dumps(snapshot, sort_keys=True) + "\n").encode("utf-8")
+    atomic_write(path, lambda fh: fh.write(payload))
 
 
 def read_health(path: str | Path) -> dict | None:

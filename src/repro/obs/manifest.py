@@ -23,12 +23,13 @@ directory) so perf numbers accumulate across commits.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import subprocess
 import time
 from pathlib import Path
+
+from repro.durable import atomic_write, content_hash
 
 __all__ = [
     "MANIFEST_SCHEMA_VERSION",
@@ -68,9 +69,7 @@ def config_fingerprint(config: dict) -> str:
     canonical = json.dumps(
         config, sort_keys=True, separators=(",", ":"), default=str
     )
-    return hashlib.blake2b(
-        canonical.encode("utf-8"), digest_size=12
-    ).hexdigest()
+    return content_hash(canonical.encode("utf-8"), digest_size=12)
 
 
 def _observation_record(obs) -> dict:
@@ -133,11 +132,8 @@ def write_manifest(
     if metrics is not None:
         lines.extend(metrics.snapshot(since=metrics_since))
     lines.extend(_observation_record(o) for o in observations)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for record in lines:
-            fh.write(json.dumps(record, default=str) + "\n")
-    os.replace(tmp, path)
+    payload = "".join(json.dumps(r, default=str) + "\n" for r in lines)
+    atomic_write(path, lambda fh: fh.write(payload.encode("utf-8")))
     return path
 
 
@@ -274,20 +270,28 @@ def record_bench(
     timestamp, git revision, metric name and value (plus any *extra*
     context such as scale or worker count). *directory* defaults to
     ``$REPRO_BENCH_DIR`` or the working directory.
+
+    Raises ``ValueError`` naming the file, and leaves it as it is, when
+    an existing trajectory is torn or is not a JSON list — appending to
+    an empty list would overwrite the committed records.
     """
     directory = Path(
         directory or os.environ.get("REPRO_BENCH_DIR") or "."
     )
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / f"BENCH_{name}.json"
-    records: list[dict] = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            existing = json.load(fh)
-        if isinstance(existing, list):
-            records = existing
-    except (OSError, json.JSONDecodeError):
+            records = json.load(fh)
+    except FileNotFoundError:
         records = []
+    except ValueError as exc:  # torn JSON or undecodable bytes
+        raise ValueError(f"unreadable bench trajectory {path}: {exc}")
+    if not isinstance(records, list):
+        raise ValueError(
+            f"bench trajectory {path} holds a {type(records).__name__},"
+            " not a JSON list"
+        )
     records.append(
         {
             "ts": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -297,9 +301,6 @@ def record_bench(
             **{k: _scalar(v) for k, v in extra.items()},
         }
     )
-    tmp = path.with_suffix(".json.tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(records, fh, indent=1)
-        fh.write("\n")
-    os.replace(tmp, path)
+    payload = (json.dumps(records, indent=1) + "\n").encode("utf-8")
+    atomic_write(path, lambda fh: fh.write(payload))
     return path

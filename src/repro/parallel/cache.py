@@ -21,20 +21,18 @@ abort stores nothing), as two files committed json-last:
 
 ``load`` treats *any* defect — missing file, truncated npz, schema
 drift — as a miss and returns ``None``; the caller re-parses and
-re-stores. Writes go through a temp file + ``os.replace`` so a crashed
-writer never leaves a readable half-entry.
+re-stores. Both files are written with :func:`repro.durable.atomic_write`,
+so a crashed writer never leaves a readable half-entry.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
+from repro.durable import atomic_write, content_hash
 from repro.frame.frame import Frame
 from repro.logs.quarantine import DefectClass, IngestPolicy, QuarantineReport
 from repro.obs.metrics import get_metrics
@@ -43,9 +41,6 @@ __all__ = ["PARSE_SCHEMA_VERSION", "ParseCache", "apply_report_state"]
 
 #: bump whenever the npz/sidecar layout or parse semantics change
 PARSE_SCHEMA_VERSION = 1
-
-#: block size for content hashing
-_HASH_BLOCK = 1 << 20
 
 
 def _policy_fingerprint(policy: IngestPolicy) -> str:
@@ -99,18 +94,6 @@ class ParseCache:
 
     # -- keying ---------------------------------------------------------
 
-    @staticmethod
-    def content_hash(path: str | Path) -> str:
-        """blake2b digest of the file's bytes."""
-        digest = hashlib.blake2b(digest_size=20)
-        with open(path, "rb") as fh:
-            while True:
-                block = fh.read(_HASH_BLOCK)
-                if not block:
-                    break
-                digest.update(block)
-        return digest.hexdigest()
-
     def key_for(
         self,
         path: str | Path,
@@ -121,11 +104,9 @@ class ParseCache:
         """Cache key for parsing *path* as *kind* under *policy*."""
         meta = (
             f"v{PARSE_SCHEMA_VERSION}|{kind}|{sep!r}"
-            f"|{_policy_fingerprint(policy)}|{self.content_hash(path)}"
+            f"|{_policy_fingerprint(policy)}|{content_hash(Path(path))}"
         )
-        return hashlib.blake2b(
-            meta.encode("utf-8"), digest_size=20
-        ).hexdigest()
+        return content_hash(meta.encode("utf-8"))
 
     # -- round trip -----------------------------------------------------
 
@@ -154,30 +135,12 @@ class ParseCache:
             "columns": columns,
             "report": None if report is None else _report_state(report),
         }
+        payload = json.dumps(sidecar).encode("utf-8")
         try:
-            self._write_atomic(npz_path, arrays, binary=True)
-            self._write_atomic(json_path, sidecar, binary=False)
+            atomic_write(npz_path, lambda fh: np.savez(fh, **arrays))
+            atomic_write(json_path, lambda fh: fh.write(payload))
         except OSError:
             return  # a full or read-only cache dir degrades to no cache
-
-    def _write_atomic(self, dest: Path, payload, binary: bool) -> None:
-        fd, tmp = tempfile.mkstemp(
-            dir=self.directory, prefix=dest.stem, suffix=".tmp"
-        )
-        try:
-            if binary:
-                with os.fdopen(fd, "wb") as fh:
-                    np.savez(fh, **payload)
-            else:
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    json.dump(payload, fh)
-            os.replace(tmp, dest)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
 
     def load(self, key: str) -> tuple[Frame, dict | None] | None:
         """The cached ``(frame, report_state)`` for *key*, or ``None``.

@@ -13,21 +13,18 @@ a narrow projection could skip) columns independently:
   storage would strip trailing NULs, and the pickle covers only the
   small unique set.
 
-Writes go through a temp file + ``os.replace`` (same discipline as the
-cache) so a crashed writer never leaves a readable half-column; the
+Column files are written with :func:`repro.durable.atomic_write`; the
 dataset manifest is written after every column file, json-last, so a
 shard is visible only once complete.
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
+from repro.durable import atomic_write, content_hash
 from repro.frame.frame import Frame
 from repro.obs.metrics import get_metrics
 
@@ -38,24 +35,8 @@ __all__ = [
     "shard_content_hash",
 ]
 
-#: block size for content hashing (matches the parse cache)
-_HASH_BLOCK = 1 << 20
-
-
-def _write_atomic(dest: Path, array: np.ndarray) -> None:
-    fd, tmp = tempfile.mkstemp(
-        dir=dest.parent, prefix=dest.stem, suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.save(fh, array, allow_pickle=True)
-        os.replace(tmp, dest)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+def _save(dest: Path, array: np.ndarray) -> None:
+    atomic_write(dest, lambda fh: np.save(fh, array, allow_pickle=True))
 
 
 def column_files(columns: list[list[str]]) -> list[str]:
@@ -85,13 +66,13 @@ def encode_frame(frame: Frame, directory: str | Path) -> list[list[str]]:
         col = frame[name]
         if col.dtype == object:
             values, codes = np.unique(col, return_inverse=True)
-            _write_atomic(directory / f"{j}.{name}.values.npy", values)
-            _write_atomic(
+            _save(directory / f"{j}.{name}.values.npy", values)
+            _save(
                 directory / f"{j}.{name}.codes.npy", codes.astype(np.int32)
             )
             columns.append([name, "dict", "object"])
         else:
-            _write_atomic(directory / f"{j}.{name}.npy", col)
+            _save(directory / f"{j}.{name}.npy", col)
             columns.append([name, "raw", col.dtype.str])
     return columns
 
@@ -135,15 +116,10 @@ def decode_columns(
 def shard_content_hash(
     directory: str | Path, columns: list[list[str]]
 ) -> str:
-    """blake2b digest over the shard's column files, in column order."""
+    """blake2b digest over the shard's column files, in column order:
+    each file's name, then its bytes."""
     directory = Path(directory)
-    digest = hashlib.blake2b(digest_size=20)
+    parts: list[bytes | Path] = []
     for file_name in column_files(columns):
-        digest.update(file_name.encode("utf-8"))
-        with open(directory / file_name, "rb") as fh:
-            while True:
-                block = fh.read(_HASH_BLOCK)
-                if not block:
-                    break
-                digest.update(block)
-    return digest.hexdigest()
+        parts += [file_name.encode("utf-8"), directory / file_name]
+    return content_hash(*parts)

@@ -3,7 +3,7 @@
 The manifest is the store's single source of truth — scans never list
 directories. It records the store schema version, every shard's
 ``(machine, table, window)`` key, row count, time range, column spec
-and content hash. It is written atomically (temp + ``os.replace``)
+and content hash. It is written with :func:`repro.durable.atomic_write`
 **after** all shard column files, so a reader either sees a complete
 consistent dataset or the previous one; a crashed writer leaves at
 worst orphaned column files the next manifest write supersedes.
@@ -12,10 +12,10 @@ worst orphaned column files the next manifest write supersedes.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from repro.durable import atomic_write
 
 __all__ = [
     "STORE_SCHEMA_VERSION",
@@ -128,18 +128,8 @@ def write_store_manifest(root: str | Path, manifest: StoreManifest) -> None:
     """Atomically persist *manifest* at the store *root* (json-last)."""
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
-    dest = root / MANIFEST_NAME
-    fd, tmp = tempfile.mkstemp(dir=root, prefix="manifest", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(manifest.as_payload(), fh, indent=1)
-        os.replace(tmp, dest)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    payload = json.dumps(manifest.as_payload(), indent=1).encode("utf-8")
+    atomic_write(root / MANIFEST_NAME, lambda fh: fh.write(payload))
 
 
 def read_store_manifest(root: str | Path) -> StoreManifest:

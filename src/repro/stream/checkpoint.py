@@ -32,14 +32,13 @@ checkpoint tests replay both ways and compare with
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
 from pathlib import Path
 
 import numpy as np
 
 from repro.core.pipeline import CoAnalysis
+from repro.durable import atomic_write, content_hash
 from repro.frame import Frame
 from repro.obs.manifest import config_fingerprint
 from repro.stats.weibull import WeibullFit
@@ -106,17 +105,6 @@ def _decode(directory: Path, name: str, spec) -> list[Frame]:
     return [Frame(data)]
 
 
-def _file_hash(path: Path) -> str:
-    digest = hashlib.blake2b(digest_size=20)
-    with open(path, "rb") as fh:
-        while True:
-            block = fh.read(1 << 20)
-            if not block:
-                break
-            digest.update(block)
-    return digest.hexdigest()
-
-
 def save_checkpoint(
     runner: StreamingCoAnalysis,
     directory: str | Path,
@@ -173,10 +161,9 @@ def save_checkpoint(
         "causal_tail_times": causal._tail_times,
         "gaps": _cat(runner._gap_arrays, dtype=np.float64),
     }
-    with open(directory / "arrays.npz", "wb") as fh:
-        np.savez(fh, **arrays)
+    atomic_write(directory / "arrays.npz", lambda fh: np.savez(fh, **arrays))
 
-    hashes = {"arrays.npz": _file_hash(directory / "arrays.npz")}
+    hashes = {"arrays.npz": content_hash(directory / "arrays.npz")}
     for name, spec in specs.items():
         if spec is not None:
             hashes[name] = shard_content_hash(directory / name, spec)
@@ -222,11 +209,8 @@ def save_checkpoint(
         "extra": extra_state or {},
         "extra_frames": extra_specs,
     }
-    tmp = directory / "checkpoint.json.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(index, fh, indent=1)
-        fh.write("\n")
-    os.replace(tmp, directory / "checkpoint.json")
+    payload = (json.dumps(index, indent=1) + "\n").encode("utf-8")
+    atomic_write(directory / "checkpoint.json", lambda fh: fh.write(payload))
     return directory
 
 
@@ -389,7 +373,7 @@ def validate_checkpoint(
     if not arrays_path.is_file():
         problems.append("missing-file: arrays.npz")
     elif verify_hashes and "arrays.npz" in hashes:
-        digest = _file_hash(arrays_path)
+        digest = content_hash(arrays_path)
         if digest != hashes["arrays.npz"]:
             problems.append(
                 f"hash-mismatch: arrays.npz"

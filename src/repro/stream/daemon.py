@@ -31,7 +31,6 @@ through this module and compares final results with
 
 from __future__ import annotations
 
-import os
 import shutil
 import time
 from dataclasses import dataclass, field
@@ -40,6 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.pipeline import CoAnalysis, CoAnalysisResult
+from repro.durable import atomic_write
 from repro.frame import Frame, concat
 from repro.logs.job import JobLog, empty_job_log
 from repro.logs.ras import RasLog, empty_ras_log
@@ -69,10 +69,10 @@ class CheckpointRotator:
     """Two alternating checkpoint slots behind an atomic pointer.
 
     A save always writes the slot the ``CURRENT`` pointer does *not*
-    name, then flips the pointer (temp + ``os.replace``). The previous
-    checkpoint therefore survives every save in full; if the newest one
-    is damaged — validated before any resume — :meth:`load_latest`
-    falls back to it and reports why.
+    name, then flips the pointer (:func:`repro.durable.atomic_write`).
+    The previous checkpoint therefore survives every save in full; if the
+    newest one is damaged — validated before any resume —
+    :meth:`load_latest` falls back to it and reports why.
     """
 
     def __init__(self, root: str | Path):
@@ -107,9 +107,8 @@ class CheckpointRotator:
         save_checkpoint(
             runner, slot_dir, extra_state=extra_state, extra_frames=extra_frames
         )
-        tmp = self.root / "CURRENT.tmp"
-        tmp.write_text(target + "\n", encoding="utf-8")
-        os.replace(tmp, self._pointer)
+        pointer = f"{target}\n".encode("utf-8")
+        atomic_write(self._pointer, lambda fh: fh.write(pointer))
         get_metrics().counter("daemon.checkpoints").inc()
         return slot_dir
 

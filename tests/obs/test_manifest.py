@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.core.observations import Observation
 from repro.obs import (
     MANIFEST_SCHEMA_VERSION,
@@ -142,11 +144,23 @@ class TestRecordBench:
         path = record_bench("env", "v", 1.0)
         assert path.parent == tmp_path / "b"
 
-    def test_corrupt_file_restarted(self, tmp_path):
-        (tmp_path / "BENCH_x.json").write_text("{not json")
-        record_bench("x", "v", 2.0, directory=tmp_path)
-        records = json.loads((tmp_path / "BENCH_x.json").read_text())
-        assert len(records) == 1
+    def test_torn_file_refused_and_kept(self, tmp_path):
+        """A torn trajectory must not be replaced by a one-record list:
+        the committed records would be lost."""
+        path = record_bench("x", "v", 1.0, directory=tmp_path)
+        torn = path.read_bytes()[:-3] + b',\n {"ts": "2026'
+        path.write_bytes(torn)
+        with pytest.raises(ValueError, match="BENCH_x.json"):
+            record_bench("x", "v", 2.0, directory=tmp_path)
+        assert path.read_bytes() == torn
+        assert sorted(tmp_path.iterdir()) == [path]
+
+    def test_non_list_file_refused_and_kept(self, tmp_path):
+        path = tmp_path / "BENCH_x.json"
+        path.write_text('{"metric": "v", "value": 1.0}\n')
+        with pytest.raises(ValueError, match="BENCH_x.json"):
+            record_bench("x", "v", 2.0, directory=tmp_path)
+        assert path.read_text() == '{"metric": "v", "value": 1.0}\n'
 
 
 class TestPerRunMetricDeltas:
