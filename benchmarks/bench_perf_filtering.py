@@ -14,19 +14,21 @@ from repro.core.events import FatalEventTable
 from repro.core.filtering import (
     CausalityFilter,
     FilterChain,
-    ReferenceCausalityFilter,
-    ReferenceSpatialFilter,
-    ReferenceTemporalFilter,
     SpatialFilter,
     TemporalFilter,
 )
 from repro.core.matching import InterruptionMatcher
-from repro.core.matching_reference import ReferenceInterruptionMatcher
 from repro.frame import Frame
 from repro.logs.job import JobLog
 from repro.machine.partition import PartitionPool
 from repro.obs import record_bench
 from repro.perf import render_timings
+from tests.core.filtering_reference import (
+    ReferenceCausalityFilter,
+    ReferenceSpatialFilter,
+    ReferenceTemporalFilter,
+)
+from tests.core.matching_reference import ReferenceInterruptionMatcher
 
 
 def make_stream(n: int, n_types: int, n_locations: int, seed: int = 0):

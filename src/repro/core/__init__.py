@@ -25,9 +25,6 @@ from repro.core.filtering import (
     CausalityFilter,
     FilterChain,
     JobRelatedFilter,
-    ReferenceCausalityFilter,
-    ReferenceSpatialFilter,
-    ReferenceTemporalFilter,
     SpatialFilter,
     TemporalFilter,
 )
@@ -36,7 +33,6 @@ from repro.core.matching import (
     InterruptionMatcher,
     MatchResult,
 )
-from repro.core.matching_reference import ReferenceInterruptionMatcher
 from repro.core.identify import EventTypeIdentifier, TypeBehavior
 from repro.core.classify import FailureClassifier, FailureOrigin
 from repro.core.pipeline import CoAnalysis, CoAnalysisResult, StageFailure
@@ -49,12 +45,8 @@ __all__ = [
     "CausalityFilter",
     "JobRelatedFilter",
     "FilterChain",
-    "ReferenceTemporalFilter",
-    "ReferenceSpatialFilter",
-    "ReferenceCausalityFilter",
     "DEFAULT_TOLERANCE",
     "InterruptionMatcher",
-    "ReferenceInterruptionMatcher",
     "MatchResult",
     "EventTypeIdentifier",
     "TypeBehavior",

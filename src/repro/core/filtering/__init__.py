@@ -3,10 +3,9 @@
 Three record-level filters (temporal, spatial, causality-related) are
 prior art the paper builds on; the job-related filter is its
 contribution and runs after interruption matching because it needs to
-know which jobs each event killed. Each record-level filter ships as a
-columnar kernel plus a row-at-a-time reference implementation
-(:mod:`repro.core.filtering.reference`) the kernel is golden-tested
-against.
+know which jobs each event killed. Each record-level filter is a
+columnar kernel, golden-tested against a row-at-a-time reference
+implementation kept with the tests (``tests/core/filtering_reference.py``).
 """
 
 from repro.core.filtering.temporal import TemporalFilter
@@ -14,11 +13,6 @@ from repro.core.filtering.spatial import SpatialFilter
 from repro.core.filtering.causal import CausalityFilter, CausalRule
 from repro.core.filtering.job_related import JobRelatedFilter
 from repro.core.filtering.chain import FilterChain, FilterStats
-from repro.core.filtering.reference import (
-    ReferenceCausalityFilter,
-    ReferenceSpatialFilter,
-    ReferenceTemporalFilter,
-)
 
 __all__ = [
     "TemporalFilter",
@@ -28,7 +22,4 @@ __all__ = [
     "JobRelatedFilter",
     "FilterChain",
     "FilterStats",
-    "ReferenceTemporalFilter",
-    "ReferenceSpatialFilter",
-    "ReferenceCausalityFilter",
 ]

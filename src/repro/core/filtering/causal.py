@@ -14,11 +14,11 @@ This module holds the **columnar kernel**: with events time-sorted, one
 preceding type* sets of the mining step collapse to a ``np.unique`` over
 composite ``event × type`` keys. Rule lookup during the drop phase is a
 ``searchsorted`` membership probe against the sorted rule keys. The
-row-at-a-time original is kept in
-:mod:`repro.core.filtering.reference` and golden-tested for bit-identical
-output (rules included). Candidate volume matches the reference's work:
-both are linear in the number of (predecessor, event) pairs inside the
-window, so dense storms cost both the same.
+row-at-a-time original is kept with the tests
+(``tests/core/filtering_reference.py``) and golden-tested for
+bit-identical output (rules included). Candidate volume matches the
+reference's work: both are linear in the number of (predecessor, event)
+pairs inside the window, so dense storms cost both the same.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ time-ordered stream, location-agnostic.
 Columnar kernel: identical shape to the temporal filter's, with the
 group key reduced to the errcode alone — one ``lexsort`` plus a
 segment-boundary chain collapse (:func:`repro.frame.column.chain_collapse_mask`).
-Row-at-a-time original in :mod:`repro.core.filtering.reference`.
+Row-at-a-time original in ``tests/core/filtering_reference.py``.
 """
 
 from __future__ import annotations

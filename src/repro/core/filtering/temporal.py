@@ -9,8 +9,8 @@ This module holds the **columnar kernel**: one grouped ``lexsort`` over
 (errcode × location) codes and event times, then a shifted
 segment-boundary comparison (:func:`repro.frame.column.chain_collapse_mask`)
 marks chain starts for every group at once. The row-at-a-time original
-is kept in :mod:`repro.core.filtering.reference` and golden-tested for
-bit-identical output.
+is kept with the tests (``tests/core/filtering_reference.py``) and
+golden-tested for bit-identical output.
 """
 
 from __future__ import annotations

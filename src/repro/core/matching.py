@@ -11,8 +11,8 @@ This module holds the **vectorized interval-join kernel**: each event is
 broadcast across its midplane span into an (event, midplane) table, and
 ``np.searchsorted`` windows over per-midplane end-time arrays produce
 all (event, job) pairs in bulk; pairs are assembled column-wise with
-``take``. The row-at-a-time original is kept in
-:mod:`repro.core.matching_reference` and golden-tested for equivalence.
+``take``. The row-at-a-time original is kept with the tests
+(``tests/core/matching_reference.py``) and golden-tested for equivalence.
 Per-stage wall/row counters are recorded via :mod:`repro.perf` into
 ``MatchResult.timings``.
 """

@@ -8,10 +8,10 @@ is reported alongside for readers who prefer a non-test criterion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _sps
 
 from repro.stats.exponential import ExponentialFit, fit_exponential
 from repro.stats.weibull import WeibullFit, fit_weibull
@@ -50,6 +50,14 @@ class ModelComparison:
         )
 
 
+def _chi2_sf_1df(x: float) -> float:
+    """Survival function of χ² with one degree of freedom.
+
+    ``P(χ²₁ > x) = P(|Z| > √x) = erfc(√(x/2))`` for a standard normal Z.
+    """
+    return math.erfc(math.sqrt(x / 2.0))
+
+
 def compare_interarrival_models(samples: np.ndarray) -> ModelComparison:
     """Fit both models to positive interarrival *samples* and test.
 
@@ -59,5 +67,6 @@ def compare_interarrival_models(samples: np.ndarray) -> ModelComparison:
     w = fit_weibull(samples)
     e = fit_exponential(samples)
     lr = max(0.0, 2.0 * (w.log_likelihood - e.log_likelihood))
-    p = float(_sps.chi2.sf(lr, df=1))
-    return ModelComparison(weibull=w, exponential=e, lr_statistic=lr, p_value=p)
+    return ModelComparison(
+        weibull=w, exponential=e, lr_statistic=lr, p_value=_chi2_sf_1df(lr)
+    )

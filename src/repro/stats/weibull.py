@@ -9,10 +9,25 @@ means a decreasing hazard rate, the property driving Observation 10.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-from scipy import optimize, special
+
+
+def _gamma(x: float) -> np.float64:
+    """Γ(x) for x > 1, saturating to ``inf`` past x ≈ 171.6.
+
+    ``math.gamma`` raises ``OverflowError`` there; a shape below ~0.006
+    (samples spanning hundreds of decades) makes the moments infinite.
+    A numpy scalar keeps ``inf`` arithmetic in the moment formulas
+    (``inf - inf`` is ``nan``, not an exception).
+    """
+    try:
+        return np.float64(math.gamma(x))
+    except OverflowError:
+        return np.float64(np.inf)
 
 
 @dataclass(frozen=True)
@@ -27,12 +42,12 @@ class WeibullFit:
     @property
     def mean(self) -> float:
         """Distribution mean ``λ Γ(1 + 1/k)`` (the MTBF/MTTI columns)."""
-        return self.scale * special.gamma(1.0 + 1.0 / self.shape)
+        return self.scale * _gamma(1.0 + 1.0 / self.shape)
 
     @property
     def variance(self) -> float:
-        g1 = special.gamma(1.0 + 1.0 / self.shape)
-        g2 = special.gamma(1.0 + 2.0 / self.shape)
+        g1 = _gamma(1.0 + 1.0 / self.shape)
+        g2 = _gamma(1.0 + 2.0 / self.shape)
         return self.scale**2 * (g2 - g1**2)
 
     @property
@@ -70,6 +85,76 @@ class WeibullFit:
         if s0 <= 0.0:
             return 1.0
         return 1.0 - s1 / s0
+
+
+def _brentq(
+    f: Callable[[float], float],
+    xa: float,
+    xb: float,
+    xtol: float,
+    rtol: float,
+    maxiter: int = 100,
+) -> float:
+    """Root of *f* in the sign-changing bracket ``[xa, xb]`` by Brent's method.
+
+    A line-for-line port of SciPy's C ``brentq`` (``optimize/Zeros/
+    brentq.c``; BSD-3-Clause, Copyright (c) 2001-2002 Enthought, Inc.
+    and 2003 onwards SciPy Developers), so it returns the same root, bit
+    for bit, as SciPy's ``optimize.brentq`` with the same tolerances.
+    Raises ``ValueError`` when ``f(xa)`` and ``f(xb)`` have the same
+    sign and ``RuntimeError`` when *maxiter* steps do not converge.
+    """
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (
+            math.copysign(1.0, fpre) != math.copysign(1.0, fcur)
+        ):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (
+                    -fcur * (fblk * dblk - fpre * dpre)
+                    / (dblk * dpre * (fblk - fpre))
+                )
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise RuntimeError(f"failed to converge after {maxiter} iterations")
 
 
 def fit_weibull(samples: np.ndarray) -> WeibullFit:
@@ -113,14 +198,12 @@ def fit_weibull(samples: np.ndarray) -> WeibullFit:
         # equation has no root below the cap (the MLE shape diverges the
         # same way truly identical samples make it diverge). Clamp to
         # the cap — a near-degenerate spike distribution — instead of
-        # handing brentq two same-signed endpoints.
+        # handing _brentq two same-signed endpoints.
         k = hi
     elif shape_equation(lo) > 0.0:
         k = lo
     else:
-        k = float(
-            optimize.brentq(shape_equation, lo, hi, xtol=1e-12, rtol=1e-12)
-        )
+        k = _brentq(shape_equation, lo, hi, xtol=1e-12, rtol=1e-12)
     # scale^k = mean(x^k); evaluated in log space for the same reason.
     w = np.exp(k * (logx - log_max))
     scale = float(np.exp(log_max + np.log(w.mean()) / k))

@@ -6,11 +6,13 @@ from repro.core.events import fatal_event_table
 from repro.core.filtering import (
     CausalityFilter,
     FilterChain,
+    SpatialFilter,
+    TemporalFilter,
+)
+from tests.core.filtering_reference import (
     ReferenceCausalityFilter,
     ReferenceSpatialFilter,
     ReferenceTemporalFilter,
-    SpatialFilter,
-    TemporalFilter,
 )
 from tests.core.helpers import ras
 

@@ -1,7 +1,7 @@
 """Golden equivalence: the columnar filter kernels must reproduce the
 row-at-a-time references bit for bit.
 
-The references (:mod:`repro.core.filtering.reference`) are independent
+The references (``tests/core/filtering_reference.py``) are independent
 statements of the chain-collapse and causality-mining semantics; these
 tests drive both implementations over randomized synthetic streams
 (several seeds × thresholds) and a simulated Intrepid trace, demanding
@@ -16,13 +16,15 @@ from repro.core.events import fatal_event_table
 from repro.core.filtering import (
     CausalityFilter,
     FilterChain,
-    ReferenceCausalityFilter,
-    ReferenceSpatialFilter,
-    ReferenceTemporalFilter,
     SpatialFilter,
     TemporalFilter,
 )
 from repro.simulate import CalibrationProfile, IntrepidSimulation
+from tests.core.filtering_reference import (
+    ReferenceCausalityFilter,
+    ReferenceSpatialFilter,
+    ReferenceTemporalFilter,
+)
 
 
 def assert_tables_equal(ref, vec):

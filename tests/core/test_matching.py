@@ -221,7 +221,7 @@ class TestToleranceBoundary:
         assert matcher.match(ev, jl).num_interrupted_jobs == 0
 
     def test_negative_tolerance_rejected(self):
-        from repro.core import ReferenceInterruptionMatcher
+        from tests.core.matching_reference import ReferenceInterruptionMatcher
 
         ev = events([(1, "A", "FATAL", 1000.0, "R00-M0")])
         jl = jobs([(7, "/x", 500.0, 1000.0, "R00-M0", 1)])

@@ -1,7 +1,7 @@
 """Golden equivalence: the vectorized matching kernel must reproduce
 the row-at-a-time reference bit for bit.
 
-The reference (:mod:`repro.core.matching_reference`) is an independent
+The reference (``tests/core/matching_reference.py``) is an independent
 restatement of the §IV join semantics; these tests drive both matchers
 over randomized synthetic workloads and a simulated Intrepid trace and
 demand identical pairs, case labels, and type-case tables.
@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 from benchmarks.bench_perf_filtering import make_match_workload
-from repro.core import InterruptionMatcher, ReferenceInterruptionMatcher
+from repro.core import InterruptionMatcher
 from repro.core.events import fatal_event_table
 from repro.core.filtering import FilterChain
 from repro.simulate import CalibrationProfile, IntrepidSimulation
+from tests.core.matching_reference import ReferenceInterruptionMatcher
 
 
 def assert_match_results_equal(ref, vec):

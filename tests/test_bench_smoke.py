@@ -8,8 +8,9 @@ comparison) honest on every test run at a tiny scale.
 import numpy as np
 
 from benchmarks.bench_perf_filtering import make_match_workload, make_stream
-from repro.core import InterruptionMatcher, ReferenceInterruptionMatcher
+from repro.core import InterruptionMatcher
 from repro.perf import render_timings
+from tests.core.matching_reference import ReferenceInterruptionMatcher
 
 
 class TestMatchWorkloadGenerator:

@@ -1,8 +1,14 @@
 """Package-level API hygiene: imports, __all__, version."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 PACKAGES = [
     "repro",
@@ -32,6 +38,20 @@ class TestImports:
         module = importlib.import_module(name)
         for symbol in getattr(module, "__all__", []):
             assert hasattr(module, symbol), f"{name}.{symbol} missing"
+
+    def test_cli_import_loads_no_scipy(self):
+        """``repro.stats`` is numpy + ``math`` only: the CLI must start
+        without importing SciPy (it cost ~0.9 s a process)."""
+        code = (
+            "import repro.cli, sys; "
+            "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], "
+            "sorted(m for m in sys.modules if m.startswith('scipy'))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_version(self):
         import repro
