@@ -21,8 +21,8 @@ from repro.core.matching import InterruptionMatcher
 from repro.frame import Frame
 from repro.logs.job import JobLog
 from repro.machine.partition import PartitionPool
-from repro.obs import record_bench
-from repro.perf import render_timings
+from repro.obs import Tracer, record_bench
+from repro.viz.trace import render_timings
 from tests.core.filtering_reference import (
     ReferenceCausalityFilter,
     ReferenceSpatialFilter,
@@ -95,13 +95,15 @@ def test_filter_speedup_10x(filter_10x):
         causal=ReferenceCausalityFilter(window=120.0),
     )
     vec_chain = FilterChain()
+    tracer = Tracer()
 
     t0 = time.perf_counter()
     ref = ref_chain.apply(filter_10x)
     t_ref = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    vec = vec_chain.apply(filter_10x)
+    with tracer.activate(root=None):
+        vec = vec_chain.apply(filter_10x)
     t_vec = time.perf_counter() - t0
 
     for col in ref.frame.columns:
@@ -112,7 +114,7 @@ def test_filter_speedup_10x(filter_10x):
     print(f"\nreference: {t_ref:.3f}s  vectorized: {t_vec:.3f}s  "
           f"speedup: {t_ref / t_vec:.1f}x "
           f"({ref_chain.stats.raw} -> {ref_chain.stats.after_causal} events)")
-    print(render_timings(vec_chain.timings, title="filter chain stage timings"))
+    print(render_timings(tracer.spans, title="filter chain stage timings"))
     record_bench(
         "perf_filtering", "filter_speedup_10x", t_ref / t_vec,
         reference_s=t_ref, vectorized_s=t_vec,
@@ -229,13 +231,15 @@ def test_match_speedup_10x(match_10x):
     """The vectorized kernel must beat the row-loop reference >= 5x at
     10x scale while producing identical results (ISSUE acceptance)."""
     ev, jl = match_10x
+    tracer = Tracer()
 
     t0 = time.perf_counter()
     ref = ReferenceInterruptionMatcher().match(ev, jl, raw_events=ev)
     t_ref = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    vec = InterruptionMatcher().match(ev, jl, raw_events=ev)
+    with tracer.activate(root=None):
+        vec = InterruptionMatcher().match(ev, jl, raw_events=ev)
     t_vec = time.perf_counter() - t0
 
     for col in ref.pairs.columns:
@@ -245,7 +249,7 @@ def test_match_speedup_10x(match_10x):
     print(f"\nreference: {t_ref:.3f}s  vectorized: {t_vec:.3f}s  "
           f"speedup: {t_ref / t_vec:.1f}x "
           f"({vec.pairs.num_rows} pairs)")
-    print(render_timings(vec.timings, title="match kernel stage timings"))
+    print(render_timings(tracer.spans, title="match kernel stage timings"))
     record_bench(
         "perf_filtering", "match_speedup_10x", t_ref / t_vec,
         reference_s=t_ref, vectorized_s=t_vec,

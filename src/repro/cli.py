@@ -90,7 +90,6 @@ from repro.logs import (
     write_ras_log,
 )
 from repro.logs.quarantine import INGEST_MODES
-from repro.perf import render_timings
 from repro.simulate import CalibrationProfile, IntrepidSimulation
 
 
@@ -312,7 +311,7 @@ def _pipeline_from_args(args: argparse.Namespace) -> CoAnalysis:
 
 
 def _run_analysis(
-    args: argparse.Namespace, ras_log, job_log, extra_timings=(),
+    args: argparse.Namespace, ras_log, job_log, ingest_spans=(),
     telemetry: _TelemetryRun | None = None, source: str = "",
 ) -> int:
     result = _pipeline_from_args(args).run(ras_log, job_log, source=source)
@@ -325,10 +324,11 @@ def _run_analysis(
             print()
             print(report.render(label))
     if args.timings:
+        from repro.viz.trace import render_timings
+
         print()
         print(render_timings(
-            tuple(extra_timings) + result.timings,
-            title="stage timings (full)",
+            (*ingest_spans, *result.timings), title="stage timings (full)"
         ))
     return 0
 
@@ -361,7 +361,7 @@ def _ingest_note(log, workers: int) -> str:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    from repro.perf import StageTimer
+    from repro.obs import Tracer, maybe_span
 
     policy = _ingest_policy(args)
     cache = None
@@ -370,23 +370,27 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
         cache = ParseCache(args.cache_dir)
     telemetry = _telemetry(args)
-    timer = StageTimer()
-    with telemetry.activate() if telemetry else nullcontext():
+    # ingest and analysis share one tracer, so the --timings rows are
+    # the very spans a --telemetry-out manifest records
+    tracing = (
+        telemetry.activate() if telemetry else Tracer().activate(root=None)
+    )
+    with tracing:
         try:
-            with timer.stage("ingest.ras") as st:
+            with maybe_span("ingest.ras") as ras_span:
                 ras_log = read_ras_log(
                     args.ras, policy=policy, workers=args.workers,
                     cache=cache,
                 )
-                st.rows = len(ras_log)
-                st.note = _ingest_note(ras_log, args.workers)
-            with timer.stage("ingest.job") as st:
+                ras_span.rows = len(ras_log)
+                ras_span.note = _ingest_note(ras_log, args.workers)
+            with maybe_span("ingest.job") as job_span:
                 job_log = read_job_log(
                     args.job, policy=policy, workers=args.workers,
                     cache=cache,
                 )
-                st.rows = job_log.num_jobs
-                st.note = _ingest_note(job_log, args.workers)
+                job_span.rows = job_log.num_jobs
+                job_span.note = _ingest_note(job_log, args.workers)
         except IngestAbortError as exc:
             print(f"ingestion aborted: {exc}", file=sys.stderr)
             print(exc.report.render(), file=sys.stderr)
@@ -405,7 +409,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 f" job={job_log.cache_status}"
             )
         rc = _run_analysis(
-            args, ras_log, job_log, extra_timings=timer.timings,
+            args, ras_log, job_log, ingest_spans=(ras_span, job_span),
             telemetry=telemetry, source=f"{args.ras} + {args.job}",
         )
     if telemetry is not None and rc == 0:

@@ -9,7 +9,7 @@ from repro.core.filtering.causal import CausalityFilter
 from repro.core.filtering.spatial import SpatialFilter
 from repro.core.filtering.temporal import TemporalFilter
 from repro.obs.metrics import get_metrics
-from repro.perf import StageTimer, StageTiming
+from repro.obs.trace import maybe_span
 
 
 @dataclass(frozen=True)
@@ -40,22 +40,20 @@ class FilterChain:
     #: the post-temporal record table, kept for the matcher's
     #: cross-location attribution (shared-file-system propagation)
     temporal_table: FatalEventTable | None = None
-    #: per-stage wall/row counters of the last ``apply`` (``filter.*``
-    #: sub-stages; they nest under the pipeline's ``filter`` stage)
-    timings: tuple[StageTiming, ...] = ()
 
     def apply(self, events: FatalEventTable) -> FatalEventTable:
+        """Run the three filters; each is a ``filter.*`` span that nests
+        under the pipeline's ``filter`` stage."""
         raw = len(events)
-        timer = StageTimer()
-        with timer.stage("filter.temporal") as st:
+        with maybe_span("filter.temporal") as sp:
             t = self.temporal.apply(events)
-            st.rows = len(t)
-        with timer.stage("filter.spatial") as st:
+            sp.rows = len(t)
+        with maybe_span("filter.spatial") as sp:
             s = self.spatial.apply(t)
-            st.rows = len(s)
-        with timer.stage("filter.causal") as st:
+            sp.rows = len(s)
+        with maybe_span("filter.causal") as sp:
             c = self.causal.apply(s)
-            st.rows = len(c)
+            sp.rows = len(c)
         self.stats = FilterStats(
             raw=raw,
             after_temporal=len(t),
@@ -72,5 +70,4 @@ class FilterChain:
         ):
             registry.counter("kernel.filter.kept", stage=stage).inc(kept)
         self.temporal_table = t
-        self.timings = timer.timings
         return c

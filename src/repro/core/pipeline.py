@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from time import perf_counter
 
 import numpy as np
 
@@ -33,8 +33,19 @@ from repro.frame import Frame
 from repro.frame.column import factorize, factorize_many, first_occurrence_mask
 from repro.logs.job import JobLog
 from repro.logs.ras import RasLog
-from repro.obs.trace import maybe_span
-from repro.perf import StageTimer, StageTiming
+from repro.obs.trace import Span, collect_spans, maybe_span
+
+#: the per-study ``studies.<name>`` stages, in the canonical serial
+#: order that failures and timings are reported in
+_STUDY_ORDER = (
+    "interarrivals",
+    "rates",
+    "midplane_profile",
+    "skew",
+    "bursts",
+    "propagation",
+    "vulnerability",
+)
 
 
 @dataclass(frozen=True)
@@ -87,10 +98,10 @@ class CoAnalysisResult:
 
     observations: list[Observation] = field(default_factory=list)
 
-    #: per-stage wall/row counters (pipeline stages plus the
-    #: ``filter.*`` chain and ``match.*`` kernel sub-stages), in
-    #: execution order
-    timings: tuple[StageTiming, ...] = ()
+    #: the stage spans of the call that produced this result: the
+    #: pipeline stages, each followed by its ``filter.*`` / ``match.*``
+    #: / ``studies.*`` sub-stages (studies in the canonical order)
+    timings: tuple[Span, ...] = ()
 
     #: the degradation report: downstream stages that raised and were
     #: captured instead of killing the co-analysis
@@ -144,6 +155,41 @@ class CoAnalysisResult:
         return render_report(self)
 
 
+def _stage_timed(method):
+    """Run a :class:`CoAnalysis` entry point under
+    :func:`~repro.obs.trace.collect_spans` and set the result's
+    ``timings`` to the stage spans the call closed.
+
+    The spans come in start order, so each stage precedes its
+    sub-stages; only the per-study spans, whose start order depends on
+    thread scheduling, are put back into :data:`_STUDY_ORDER` right
+    after ``studies``. ``studies.categorize`` (the error boundary
+    around categorization) stays in the span tree and counts as part
+    of ``studies``.
+    """
+
+    @functools.wraps(method)
+    def timed(*args, **kwargs) -> CoAnalysisResult:
+        with collect_spans() as spans:
+            result = method(*args, **kwargs)
+        by_name = {sp.name: sp for sp in spans}
+        rows: list[Span] = []
+        for sp in spans:
+            if sp.name.startswith("studies."):
+                continue
+            rows.append(sp)
+            if sp.name == "studies":
+                rows.extend(
+                    by_name[f"studies.{name}"]
+                    for name in _STUDY_ORDER
+                    if f"studies.{name}" in by_name
+                )
+        result.timings = tuple(rows)
+        return result
+
+    return timed
+
+
 @dataclass
 class CoAnalysis:
     """Configurable pipeline front end.
@@ -170,6 +216,7 @@ class CoAnalysis:
     #: order either way
     study_workers: int = 0
 
+    @_stage_timed
     def run(
         self, ras_log: RasLog, job_log: JobLog, source: str = ""
     ) -> CoAnalysisResult:
@@ -178,22 +225,19 @@ class CoAnalysis:
         *source* is provenance only (stamped onto the result and shown
         in the report header) — it never affects the analysis.
         """
-        timer = StageTimer()
-        with timer.stage("extract") as st:
+        with maybe_span("extract") as sp:
             events_raw = fatal_event_table(ras_log)
-            st.rows = len(events_raw)
-        with timer.stage("filter") as st:
+            sp.rows = len(events_raw)
+        with maybe_span("filter") as sp:
             events_filtered = self.filters.apply(events_raw)
-            st.rows = len(events_filtered)
+            sp.rows = len(events_filtered)
         assert self.filters.stats is not None
-        timer.extend(self.filters.timings)
 
-        with timer.stage("match") as st:
+        with maybe_span("match") as sp:
             match = self.matcher.match(
                 events_filtered, job_log, raw_events=self.filters.temporal_table
             )
-            st.rows = match.pairs.num_rows
-        timer.extend(match.timings)
+            sp.rows = match.pairs.num_rows
 
         return self.complete(
             events_filtered=events_filtered,
@@ -201,10 +245,10 @@ class CoAnalysis:
             job_log=job_log,
             filter_stats=self.filters.stats,
             window=_window(ras_log, job_log),
-            timer=timer,
             source=source,
         )
 
+    @_stage_timed
     def complete(
         self,
         *,
@@ -213,7 +257,6 @@ class CoAnalysis:
         job_log: JobLog,
         filter_stats: FilterStats,
         window: tuple[float, float],
-        timer: StageTimer | None = None,
         source: str = "",
     ) -> CoAnalysisResult:
         """Everything downstream of matching: identify → classify →
@@ -227,16 +270,14 @@ class CoAnalysis:
         ``(t_start, duration)`` pair :func:`_window` derives from the
         logs (streaming tracks the spans across increments instead).
         """
-        if timer is None:
-            timer = StageTimer()
         t_start, duration = window
 
-        with timer.stage("identify") as st:
+        with maybe_span("identify") as sp:
             identification = self.identifier.identify(match.type_cases)
-            st.rows = match.type_cases.num_rows
+            sp.rows = match.type_cases.num_rows
         from repro.core.jobindex import CompletedRunIndex
 
-        with timer.stage("classify") as st:
+        with maybe_span("classify") as sp:
             clean_runs = CompletedRunIndex(
                 job_log, set(int(j) for j in match.interrupted_job_ids())
             )
@@ -247,13 +288,13 @@ class CoAnalysis:
                 nonfatal_types=set(identification.nonfatal_types()),
                 clean_runs=clean_runs,
             )
-        with timer.stage("job_filter") as st:
+        with maybe_span("job_filter") as sp:
             event_rows = _first_job_per_event(match.pairs)
             redundant = self.job_filter.redundant_ids(
                 event_rows, job_log, classification.origins, clean_runs=clean_runs
             )
             events_final = events_filtered.drop_ids(redundant)
-            st.rows = len(events_final)
+            sp.rows = len(events_final)
 
         failures: list[StageFailure] = []
 
@@ -278,7 +319,7 @@ class CoAnalysis:
                 )
                 return fallback
 
-        with timer.stage("studies") as st:
+        with maybe_span("studies") as sp:
             interruptions = guarded(
                 "studies.categorize",
                 lambda: categorize_interruptions(
@@ -295,7 +336,6 @@ class CoAnalysis:
                 t_start=t_start,
                 duration=duration,
                 failures=failures,
-                timer=timer,
             )
             interarrivals = studies["interarrivals"]
             rates = studies["rates"]
@@ -304,9 +344,9 @@ class CoAnalysis:
             bursts = studies["bursts"]
             propagation = studies["propagation"]
             vulnerability = studies["vulnerability"]
-            st.rows = interruptions.num_rows
+            sp.rows = interruptions.num_rows
             if workers_used > 1:
-                st.note = f"{workers_used} workers"
+                sp.note = f"{workers_used} workers"
 
         result = CoAnalysisResult(
             filter_stats=filter_stats,
@@ -335,14 +375,12 @@ class CoAnalysis:
         )
         result.stage_failures = tuple(failures)
         if self.compute_observations_flag:
-            with timer.stage("observations"):
-                result.observations = guarded(
-                    "observations",
-                    lambda: compute_observations(result),
-                    fallback=[],
-                )
-                result.stage_failures = tuple(failures)
-        result.timings = timer.timings
+            result.observations = guarded(
+                "observations",
+                lambda: compute_observations(result),
+                fallback=[],
+            )
+            result.stage_failures = tuple(failures)
         return result
 
     # ------------------------------------------------------------------
@@ -358,7 +396,6 @@ class CoAnalysis:
         t_start,
         duration,
         failures,
-        timer,
     ) -> tuple[dict, int]:
         """Run the seven downstream studies, concurrently when allowed.
 
@@ -398,15 +435,13 @@ class CoAnalysis:
         ]
 
         def attempt(name, fn):
-            t0 = perf_counter()
             try:
                 with maybe_span(f"studies.{name}"):
-                    result = fn()
-                return result, None, perf_counter() - t0
+                    return fn(), None
             except Exception as exc:  # noqa: BLE001 - boundary's job
                 if not self.error_boundaries:
                     raise
-                return None, exc, perf_counter() - t0
+                return None, exc
 
         from repro.parallel.ingest import resolve_workers
 
@@ -452,16 +487,7 @@ class CoAnalysis:
             outcomes["skew"] = None  # skipped, not failed
 
         studies: dict[str, object] = {}
-        order = (
-            "interarrivals",
-            "rates",
-            "midplane_profile",
-            "skew",
-            "bursts",
-            "propagation",
-            "vulnerability",
-        )
-        for name in order:
+        for name in _STUDY_ORDER:
             outcome = outcomes[name]
             if outcome is None:  # skew skipped on degraded profile
                 studies[name] = None
@@ -473,7 +499,7 @@ class CoAnalysis:
                     )
                 )
                 continue
-            result, exc, wall = outcome
+            result, exc = outcome
             if exc is not None:
                 failures.append(
                     StageFailure(
@@ -483,7 +509,6 @@ class CoAnalysis:
                     )
                 )
             studies[name] = result
-            timer.record(f"studies.{name}", wall)
         return studies, (n if concurrent else 1)
 
 

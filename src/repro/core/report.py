@@ -72,11 +72,12 @@ def _degradation_section(r) -> str:
 
 
 def _timings_section(r) -> str:
-    """Top-level stage timings; the ``filter.*`` / ``match.*`` sub-stage
-    breakdown is printed by ``--timings`` in the CLI."""
-    from repro.perf import render_timings
+    """Top-level stage timings (spans whose parent is not a stage); the
+    sub-stage breakdown is printed by ``--timings`` in the CLI."""
+    from repro.viz.trace import render_timings
 
-    top = [t for t in r.timings if "." not in t.stage]
+    ids = {sp.span_id for sp in r.timings}
+    top = [sp for sp in r.timings if sp.parent_id not in ids]
     return render_timings(top, title="Stage timings (perf)")
 
 

@@ -63,6 +63,7 @@ from repro.obs.opslog import (
 from repro.obs.trace import (
     Span,
     Tracer,
+    collect_spans,
     current_span_id,
     current_tracer,
     maybe_span,
@@ -90,6 +91,7 @@ __all__ = [
     "write_health",
     "Span",
     "Tracer",
+    "collect_spans",
     "current_span_id",
     "current_tracer",
     "maybe_span",

@@ -2,18 +2,30 @@
 
 A :class:`Tracer` collects a tree of :class:`Span` records — name, wall
 and CPU seconds, row count, free-form attributes, parent linkage — for
-one run. The tracer is **ambient**: :meth:`Tracer.activate` installs it
-in a :mod:`contextvars` context, and every instrumentation point in the
-codebase (``StageTimer.stage``, the chunk parsers, the study waves)
-asks :func:`current_tracer` whether anyone is listening. With no active
-tracer the probe is a single ``ContextVar.get`` returning ``None``, so
-disabled telemetry costs effectively nothing.
+one run. The span is the codebase's one timing primitive: every
+pipeline stage (``extract``, ``filter.temporal``, ``match.join``,
+``studies.bursts``, ...) is a span, and the flat ``--timings`` table
+(:func:`repro.viz.trace.render_timings`) is a view over the same
+records that ``repro trace`` renders as a tree.
+
+The tracer is **ambient**: :meth:`Tracer.activate` installs it in a
+:mod:`contextvars` context, and every instrumentation point asks
+:func:`current_tracer` whether anyone is listening. :func:`maybe_span`
+always times its body and yields the :class:`Span`, so a caller can
+read ``sp.wall_s`` either way; the span joins a tree only when a tracer
+is active. :func:`collect_spans` gathers the spans a call closed, under
+a private tracer when none is active — that is how
+``CoAnalysisResult.timings`` is filled.
 
 Propagation rules:
 
 * **same thread** — nesting follows the ``with tracer.span(...)`` stack
   via a ContextVar, so ``filter.temporal`` opened inside ``filter``
-  becomes its child without either site knowing about the other;
+  becomes its child without either site knowing about the other. Each
+  tracer keeps its own current-span variable, so a span takes its
+  parent only from its own tracer: spans of an inactive tracer (the
+  e2e benchmark's outside-in recorder) and of the active one interleave
+  without adopting each other;
 * **thread pools** — ContextVars do not flow into pool threads by
   themselves; submitters capture ``contextvars.copy_context()`` per
   task (see ``CoAnalysis._run_studies``) and the copied context carries
@@ -33,6 +45,7 @@ from __future__ import annotations
 
 import contextvars
 import itertools
+import math
 import threading
 import time
 from contextlib import contextmanager
@@ -42,6 +55,7 @@ from typing import Iterator
 __all__ = [
     "Span",
     "Tracer",
+    "collect_spans",
     "current_tracer",
     "current_span_id",
     "maybe_span",
@@ -52,9 +66,6 @@ _ACTIVE: contextvars.ContextVar["Tracer | None"] = contextvars.ContextVar(
 )
 #: distinguishes "parent not given" from an explicit ``parent_id=None``
 _UNSET = object()
-_CURRENT: contextvars.ContextVar["int | None"] = contextvars.ContextVar(
-    "repro_obs_current_span", default=None
-)
 
 
 @dataclass
@@ -75,6 +86,19 @@ class Span:
     #: the exception type lands in ``attrs["error.type"]``
     status: str = "ok"
     attrs: dict = field(default_factory=dict)
+
+    @property
+    def stage(self) -> str:
+        """The stage label of the flat timing view (the span name)."""
+        return self.name
+
+    @property
+    def rows_per_s(self) -> float:
+        """Rows per second; NaN when no rows were recorded or the span
+        closed in zero wall time (the timing view prints ``-``)."""
+        if self.rows < 0 or self.wall_s <= 0.0:
+            return math.nan
+        return self.rows / self.wall_s
 
     def as_record(self) -> dict:
         """The manifest line for this span (JSON-safe)."""
@@ -111,6 +135,11 @@ class Tracer:
         self._lock = threading.Lock()
         self._ids = itertools.count(1)
         self._epoch = time.perf_counter()
+        # this tracer's innermost open span; per tracer, so spans of two
+        # tracers never become each other's parents
+        self._current: contextvars.ContextVar[int | None] = (
+            contextvars.ContextVar("repro_obs_current_span", default=None)
+        )
         self.sample_resources = sample_resources
 
     @property
@@ -146,30 +175,21 @@ class Tracer:
 
     @contextmanager
     def span(self, name: str, note: str = "", **attrs) -> Iterator[Span]:
-        """Open a child of the current span for the body's duration."""
+        """Open a child of this tracer's current span for the body."""
         sp = Span(
             span_id=next(self._ids),
-            parent_id=_CURRENT.get(),
+            parent_id=self._current.get(),
             name=name,
             start_s=time.perf_counter() - self._epoch,
             note=note,
             attrs=dict(attrs),
         )
-        token = _CURRENT.set(sp.span_id)
-        t0 = time.perf_counter()
-        c0 = time.thread_time()
+        token = self._current.set(sp.span_id)
         try:
-            yield sp
-        except BaseException as exc:
-            # the stage failed through this span: record it, then let
-            # the error boundary (or the caller) decide what to do
-            sp.status = "error"
-            sp.attrs.setdefault("error.type", type(exc).__name__)
-            raise
+            with _timed(sp):
+                yield sp
         finally:
-            sp.wall_s = time.perf_counter() - t0
-            sp.cpu_s = time.thread_time() - c0
-            _CURRENT.reset(token)
+            self._current.reset(token)
             if self.sample_resources:
                 _sample_resources(sp)
             with self._lock:
@@ -195,7 +215,9 @@ class Tracer:
         """
         sp = Span(
             span_id=next(self._ids),
-            parent_id=_CURRENT.get() if parent_id is _UNSET else parent_id,
+            parent_id=(
+                self._current.get() if parent_id is _UNSET else parent_id
+            ),
             name=name,
             start_s=max(0.0, time.perf_counter() - self._epoch - wall_s),
             wall_s=wall_s,
@@ -228,22 +250,84 @@ def _sample_resources(span: Span) -> None:
         span.attrs["traced_peak_kb"] = peak // 1024
 
 
+@contextmanager
+def _timed(sp: Span) -> Iterator[Span]:
+    """Time the body into *sp*; a body that raises marks it ``error``."""
+    t0 = time.perf_counter()
+    c0 = time.thread_time()
+    try:
+        yield sp
+    except BaseException as exc:
+        # the stage failed through this span: record it, then let the
+        # error boundary (or the caller) decide what to do
+        sp.status = "error"
+        sp.attrs.setdefault("error.type", type(exc).__name__)
+        raise
+    finally:
+        sp.wall_s = time.perf_counter() - t0
+        sp.cpu_s = time.thread_time() - c0
+
+
 def current_tracer() -> Tracer | None:
     """The ambient tracer, or ``None`` when telemetry is off."""
     return _ACTIVE.get()
 
 
 def current_span_id() -> int | None:
-    """The id of the innermost open span in this context, if any."""
-    return _CURRENT.get()
+    """The id of the ambient tracer's innermost open span, if any."""
+    tracer = _ACTIVE.get()
+    return None if tracer is None else tracer._current.get()
 
 
 @contextmanager
-def maybe_span(name: str, note: str = "", **attrs) -> Iterator[Span | None]:
-    """A span when a tracer is active, a no-op (yielding None) otherwise."""
+def maybe_span(name: str, note: str = "", **attrs) -> Iterator[Span]:
+    """A timed span of the ambient tracer, or, with none active, a
+    timed :class:`Span` that joins no tree (``span_id`` 0)."""
     tracer = _ACTIVE.get()
-    if tracer is None:
-        yield None
-    else:
+    if tracer is not None:
         with tracer.span(name, note=note, **attrs) as sp:
             yield sp
+        return
+    sp = Span(0, None, name, 0.0, note=note, attrs=dict(attrs))
+    with _timed(sp):
+        yield sp
+
+
+@contextmanager
+def collect_spans() -> Iterator[list[Span]]:
+    """Yield a list that, when the body exits, holds the spans the body
+    closed below the ambient tracer's current span, in start order.
+
+    With no tracer active a private one is activated for the body,
+    without a root span, so the body's spans are still recorded. Spans
+    other threads closed meanwhile elsewhere in the tree are left out:
+    a span counts only if its parent chain reaches the span that was
+    current at entry.
+    """
+    tracer = _ACTIVE.get()
+    if tracer is None:
+        with Tracer().activate(root=None), collect_spans() as spans:
+            yield spans
+        return
+    entry = tracer._current.get()
+    with tracer._lock:
+        mark = len(tracer._spans)
+    out: list[Span] = []
+    try:
+        yield out
+    finally:
+        with tracer._lock:
+            closed = tracer._spans[mark:]
+        by_id = {sp.span_id: sp for sp in closed}
+
+        def below_entry(sp: Span) -> bool:
+            while sp.parent_id in by_id:
+                sp = by_id[sp.parent_id]
+            return sp.parent_id == entry
+
+        out.extend(
+            sorted(
+                filter(below_entry, closed),
+                key=lambda sp: (sp.start_s, sp.span_id),
+            )
+        )

@@ -25,7 +25,6 @@ from __future__ import annotations
 import contextvars
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from time import perf_counter
 
 import numpy as np
 
@@ -184,18 +183,16 @@ def _analyze_machine(
     pipeline_factory,
     mmap: bool,
 ) -> MachineAnalysis:
-    t0 = perf_counter()
     metrics = get_metrics()
     try:
         with maybe_span("fleet.machine", machine=machine) as sp:
             ras = dataset.load_ras(machine, time_range=time_range, mmap=mmap)
             job = dataset.load_job(machine, time_range=time_range, mmap=mmap)
             result = pipeline_factory().run(ras, job, source=machine)
-            if sp is not None:
-                sp.rows = len(ras)
+            sp.rows = len(ras)
         metrics.counter("fleet.machines", status="ok").inc()
         return MachineAnalysis(
-            machine=machine, result=result, wall_s=perf_counter() - t0
+            machine=machine, result=result, wall_s=sp.wall_s
         )
     except Exception as exc:  # noqa: BLE001 - per-machine boundary
         metrics.counter("fleet.machines", status="failed").inc()
@@ -203,7 +200,7 @@ def _analyze_machine(
             machine=machine,
             result=None,
             error=f"{type(exc).__name__}: {exc}",
-            wall_s=perf_counter() - t0,
+            wall_s=sp.wall_s,
         )
 
 

@@ -258,5 +258,4 @@ class StreamMatcher:
             interruptions=interruptions,
             event_cases=event_cases,
             type_cases=type_cases,
-            timings=(),
         )

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from time import perf_counter
 
 import numpy as np
 
@@ -150,8 +149,7 @@ class StreamingCoAnalysis:
         self._validate_keys(ras.frame["event_time"], watermark, "RAS event")
         self._validate_keys(job.frame["start_time"], watermark, "job start")
 
-        t0 = perf_counter()
-        with maybe_span("stream.increment", increment=self.increments):
+        with maybe_span("stream.increment", increment=self.increments) as sp:
             if len(ras):
                 self._ras_span = _merge_span(self._ras_span, ras.time_span())
             if len(job):
@@ -187,8 +185,7 @@ class StreamingCoAnalysis:
 
             self.watermark = watermark
             self.increments += 1
-        wall = perf_counter() - t0
-        update = self._rolling_update(wall)
+        update = self._rolling_update(sp.wall_s)
         self._record_metrics(update)
         self._prev_fit = update.fit
         return update

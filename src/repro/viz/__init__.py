@@ -20,6 +20,7 @@ from repro.viz.trace import (
     hot_stages,
     render_gauges,
     render_span_tree,
+    render_timings,
     render_trace,
 )
 
@@ -34,6 +35,7 @@ __all__ = [
     "render_prometheus",
     "render_trace",
     "render_span_tree",
+    "render_timings",
     "render_fleet_report",
     "hot_stages",
 ]

@@ -1,19 +1,25 @@
-"""Terminal rendering of a telemetry run manifest.
+"""Terminal rendering of spans: the flat stage-timing table and a
+telemetry run manifest.
 
-``python -m repro trace run.jsonl`` prints the span tree with per-span
-total and self time (self = wall minus the wall of direct children),
-CPU time and row counts, followed by a top-N "hot stages" table that
-aggregates self time by span name — the quickest answer to "where did
-this run actually spend its time?" — and, when the manifest carries
-gauge metrics, a levels table (watermark position, checkpoint age,
-feed lag; monotonic gauges are flagged ``^``).
+:func:`render_timings` is the flat view over :class:`repro.obs.Span`
+records that ``--timings`` and the report's ``Stage timings (perf)``
+section print. ``python -m repro trace run.jsonl`` prints the span tree
+with per-span total and self time (self = wall minus the wall of direct
+children), CPU time and row counts, followed by a top-N "hot stages"
+table that aggregates self time by span name — the quickest answer to
+"where did this run actually spend its time?" — and, when the manifest
+carries gauge metrics, a levels table (watermark position, checkpoint
+age, feed lag; monotonic gauges are flagged ``^``).
 """
 
 from __future__ import annotations
 
+import math
+
 __all__ = [
     "render_gauges",
     "render_span_tree",
+    "render_timings",
     "render_trace",
     "hot_stages",
 ]
@@ -77,6 +83,34 @@ def render_span_tree(spans: list[dict], title: str = "span tree") -> str:
             f" {1e3 * span.get('cpu_s', 0.0):>8.2f}ms"
             f" {rows_text:>10}"
         )
+    return "\n".join(lines)
+
+
+def render_timings(spans, title: str = "stage timings") -> str:
+    """An aligned flat table of :class:`repro.obs.Span` records.
+
+    One row per span, labelled ``stage[note]``; the stage column widens
+    to the longest label. The total sums the wall time of the spans
+    whose parent is not in *spans*, so a nested span never counts twice.
+    """
+    spans = list(spans)
+    labels = [f"{s.name}[{s.note}]" if s.note else s.name for s in spans]
+    width = max([28, *(len(label) for label in labels)])
+    lines = [f"-- {title} " + "-" * max(1, 58 - len(title))]
+    lines.append(
+        f"{'stage':<{width}} {'wall':>10} {'rows':>10} {'rows/s':>12}"
+    )
+    for span, label in zip(spans, labels):
+        rows = str(span.rows) if span.rows >= 0 else "-"
+        rate = span.rows_per_s
+        rate_text = "-" if math.isnan(rate) else f"{rate:,.0f}"
+        lines.append(
+            f"{label:<{width}} {1e3 * span.wall_s:>8.2f}ms {rows:>10}"
+            f" {rate_text:>12}"
+        )
+    ids = {s.span_id for s in spans}
+    total = sum(s.wall_s for s in spans if s.parent_id not in ids)
+    lines.append(f"{'total':<{width}} {1e3 * total:>8.2f}ms")
     return "\n".join(lines)
 
 

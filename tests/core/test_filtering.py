@@ -9,6 +9,7 @@ from repro.core.filtering import (
     SpatialFilter,
     TemporalFilter,
 )
+from repro.obs import Tracer
 from tests.core.filtering_reference import (
     ReferenceCausalityFilter,
     ReferenceSpatialFilter,
@@ -289,8 +290,10 @@ class TestFilterChain:
 
     def test_stage_timings_recorded(self):
         chain = FilterChain()
-        chain.apply(table([(1, "A", "FATAL", 0.0, "R00-M0")]))
-        stages = [t.stage for t in chain.timings]
+        tracer = Tracer()
+        with tracer.activate(root=None):
+            chain.apply(table([(1, "A", "FATAL", 0.0, "R00-M0")]))
+        stages = [s.name for s in tracer.spans]
         assert stages == ["filter.temporal", "filter.spatial", "filter.causal"]
-        assert all(t.rows == 1 for t in chain.timings)
-        assert all(t.wall_s >= 0.0 for t in chain.timings)
+        assert all(s.rows == 1 for s in tracer.spans)
+        assert all(s.wall_s >= 0.0 for s in tracer.spans)

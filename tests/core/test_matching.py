@@ -14,6 +14,7 @@ from repro.core.matching import (
     InterruptionMatcher,
 )
 from repro.machine.partition import parse_partition
+from repro.obs import Tracer
 from tests.core.helpers import jobs, ras
 
 
@@ -265,8 +266,10 @@ class TestTimings:
     def test_match_records_stage_timings(self, matcher):
         ev = events([(1, "A", "FATAL", 1000.0, "R00-M0")])
         jl = jobs([(7, "/x", 500.0, 1000.0, "R00-M0", 1)])
-        m = matcher.match(ev, jl, raw_events=ev)
-        stages = [t.stage for t in m.timings]
+        tracer = Tracer()
+        with tracer.activate(root=None):
+            matcher.match(ev, jl, raw_events=ev)
+        stages = [s.name for s in tracer.spans]
         assert stages == [
             "match.index",
             "match.join",
@@ -274,4 +277,5 @@ class TestTimings:
             "match.cases",
             "match.assemble",
         ]
-        assert all(t.wall_s >= 0.0 for t in m.timings)
+        assert [s.rows for s in tracer.spans] == [1, 1, 0, 1, 1]
+        assert all(s.wall_s >= 0.0 for s in tracer.spans)

@@ -124,3 +124,27 @@ class TestStudyWavePropagation:
                 )
             names.append(tracer.span_names())
         assert names[0] == names[1]
+
+
+class TestOneSpanPerStage:
+    def test_no_stage_nests_in_its_namesake_and_timings_are_the_spans(self):
+        """Each stage is timed once: no span sits inside a span of the
+        same name (``observations`` used to), and every timing row is
+        the very span object the tracer recorded."""
+        profile = CalibrationProfile(seed=3, scale=0.02)
+        trace = IntrepidSimulation(profile).run()
+        tracer = Tracer()
+        with tracer.activate(root="run"):
+            result = CoAnalysis(study_workers=1).run(
+                trace.ras_log, trace.job_log
+            )
+        by_id = {s.span_id: s for s in tracer.spans}
+        nested = [
+            s.name
+            for s in tracer.spans
+            if s.parent_id in by_id and by_id[s.parent_id].name == s.name
+        ]
+        assert nested == []
+        recorded = {id(s) for s in tracer.spans}
+        assert result.timings
+        assert all(id(t) in recorded for t in result.timings)

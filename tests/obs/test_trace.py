@@ -16,9 +16,14 @@ class TestAmbient:
         assert current_tracer() is None
         assert current_span_id() is None
 
-    def test_maybe_span_is_noop_without_tracer(self):
-        with maybe_span("anything") as sp:
-            assert sp is None
+    def test_maybe_span_times_but_records_nothing_without_tracer(self):
+        with maybe_span("anything", note="n", k=1) as sp:
+            sp.rows = 3
+            assert current_span_id() is None
+        assert (sp.name, sp.rows, sp.note, sp.attrs) == (
+            "anything", 3, "n", {"k": 1}
+        )
+        assert sp.wall_s >= 0.0 and sp.span_id == 0
 
     def test_activate_installs_and_uninstalls(self):
         tracer = Tracer()
@@ -89,6 +94,23 @@ class TestNesting:
             with tracer.span("x"):
                 pass
         assert tracer.span_names() == {"run", "x"}
+
+
+class TestIsolation:
+    def test_spans_take_parents_only_from_their_own_tracer(self):
+        """An inactive tracer's spans interleaved with an active one's
+        (the e2e benchmark's outside-in recorder around the program's
+        own spans) link only to spans of the same tracer."""
+        a, b = Tracer(), Tracer()
+        with b.activate(root=None):
+            with b.span("warmup"):  # the two tracers' ids now differ
+                pass
+            with a.span("core.run") as run:
+                with b.span("extract") as extract:
+                    with a.span("core.extract") as inner:
+                        pass
+        assert inner.parent_id == run.span_id
+        assert extract.parent_id is None
 
 
 class TestAttach:

@@ -9,7 +9,8 @@ import numpy as np
 
 from benchmarks.bench_perf_filtering import make_match_workload, make_stream
 from repro.core import InterruptionMatcher
-from repro.perf import render_timings
+from repro.obs import Tracer
+from repro.viz.trace import render_timings
 from tests.core.matching_reference import ReferenceInterruptionMatcher
 
 
@@ -51,14 +52,16 @@ class TestTinyScaleEquivalence:
 
     def test_vectorized_records_timings(self):
         ev, jl = make_match_workload(120, 300, seed=5)
-        m = InterruptionMatcher().match(ev, jl, raw_events=ev)
-        assert {t.stage for t in m.timings} >= {
+        tracer = Tracer()
+        with tracer.activate(root=None):
+            InterruptionMatcher().match(ev, jl, raw_events=ev)
+        assert tracer.span_names() >= {
             "match.index",
             "match.join",
             "match.cases",
             "match.assemble",
         }
-        table = render_timings(m.timings)
+        table = render_timings(tracer.spans)
         assert "match.join" in table and "total" in table
 
 

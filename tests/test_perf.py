@@ -1,30 +1,34 @@
-"""StageTimer/render_timings: rates, zero-duration stages, wide labels,
-and the tracer bridge."""
+"""The flat stage-timing view over spans (``render_timings``): rates,
+zero-duration stages, wide labels, notes and the nested total."""
 
 import math
 
-from repro.obs import Tracer
-from repro.perf import StageTimer, StageTiming, render_timings
+from repro.obs import Span, Tracer
+from repro.viz.trace import render_timings
+
+
+def span(name, wall_s, rows=-1, note="", span_id=0, parent_id=None):
+    return Span(span_id, parent_id, name, 0.0, wall_s=wall_s, rows=rows,
+                note=note)
 
 
 class TestRowsPerS:
     def test_normal_rate(self):
-        t = StageTiming("s", wall_s=2.0, rows=100)
-        assert t.rows_per_s == 50.0
+        assert span("s", wall_s=2.0, rows=100).rows_per_s == 50.0
 
     def test_no_rows_is_nan(self):
-        assert math.isnan(StageTiming("s", wall_s=1.0).rows_per_s)
+        assert math.isnan(span("s", wall_s=1.0).rows_per_s)
 
     def test_zero_duration_is_nan(self):
         # a stage can finish inside one clock tick; the rate must not
         # divide by zero or render as "inf"
-        assert math.isnan(StageTiming("s", wall_s=0.0, rows=100).rows_per_s)
+        assert math.isnan(span("s", wall_s=0.0, rows=100).rows_per_s)
 
     def test_render_matches_nan_semantics(self):
         out = render_timings([
-            StageTiming("instant", wall_s=0.0, rows=100),
-            StageTiming("counted", wall_s=2.0, rows=100),
-            StageTiming("uncounted", wall_s=1.0),
+            span("instant", wall_s=0.0, rows=100, span_id=1),
+            span("counted", wall_s=2.0, rows=100, span_id=2),
+            span("uncounted", wall_s=1.0, span_id=3),
         ])
         lines = {line.split()[0]: line for line in out.splitlines()}
         assert lines["instant"].rstrip().endswith("-")
@@ -37,8 +41,8 @@ class TestRenderWidth:
     def test_long_labels_widen_the_column(self):
         long = "a.particularly.long.stage.name.well.past.the.default"
         out = render_timings([
-            StageTiming(long, wall_s=0.5, rows=10),
-            StageTiming("short", wall_s=0.5, rows=10),
+            span(long, wall_s=0.5, rows=10, span_id=1),
+            span("short", wall_s=0.5, rows=10, span_id=2),
         ])
         header, first, second, total = out.splitlines()[1:]
         width = len(long)
@@ -51,39 +55,34 @@ class TestRenderWidth:
     def test_note_counts_toward_width(self):
         label = "stage.with.a.long.note"
         note = "forty.two.workers.on.a.rainy.day"
-        out = render_timings([StageTiming(label, 0.1, note=note)])
+        out = render_timings([span(label, 0.1, note=note)])
         assert f"{label}[{note}]" in out
 
 
-class TestTracerBridge:
-    def test_stage_records_and_spans(self):
-        tracer = Tracer()
-        timer = StageTimer()
-        with tracer.activate(root="run"):
-            with timer.stage("work") as st:
-                st.rows = 5
-                st.note = "cached"
-        (timing,) = timer.timings
-        assert (timing.stage, timing.rows, timing.note) == (
-            "work", 5, "cached"
-        )
-        span = next(s for s in tracer.spans if s.name == "work")
-        assert (span.rows, span.note) == (5, "cached")
-        assert abs(span.wall_s - timing.wall_s) < 1e-9
+class TestTotal:
+    @staticmethod
+    def total_ms(out):
+        return float(out.splitlines()[-1].split()[1].removesuffix("ms"))
 
-    def test_stage_without_tracer_unchanged(self):
-        timer = StageTimer()
-        with timer.stage("plain") as st:
-            st.rows = 3
-        (timing,) = timer.timings
-        assert timing.rows == 3 and timing.wall_s >= 0.0
-
-    def test_nested_stages_nest_spans(self):
+    def test_nested_spans_count_once(self):
         tracer = Tracer()
-        timer = StageTimer()
-        with tracer.activate(root="run"):
-            with timer.stage("outer"):
-                with timer.stage("inner"):
+        with tracer.activate(root=None):
+            with tracer.span("outer"):
+                with tracer.span("outer.inner"):
                     pass
-        by_name = {s.name: s for s in tracer.spans}
-        assert by_name["inner"].parent_id == by_name["outer"].span_id
+            with tracer.span("other"):
+                pass
+        spans = tracer.spans
+        walls = {s.name: s.wall_s for s in spans}
+        expected = 1e3 * (walls["outer"] + walls["other"])
+        assert abs(self.total_ms(render_timings(spans)) - expected) < 0.01
+
+    def test_total_follows_parent_links_not_names(self):
+        # a dotted name whose parent span is absent still counts, and a
+        # child with an undotted name does not
+        out = render_timings([
+            span("match.join", 0.25, span_id=1),
+            span("studies", 1.0, span_id=2),
+            span("bursts", 0.5, span_id=3, parent_id=2),
+        ])
+        assert self.total_ms(out) == 1250.0
