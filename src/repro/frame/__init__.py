@@ -7,7 +7,8 @@ sorting, hash group-by with vectorized aggregations, equi-joins, and
 delimited text io — all vectorized over numpy arrays.
 
 The public entry point is :class:`Frame`; :func:`concat` stacks frames
-row-wise, and :mod:`repro.frame.io` reads/writes delimited text.
+row-wise, :mod:`repro.frame.io` reads/writes delimited text, and
+:mod:`repro.frame.npz` is the one on-disk frame file format.
 """
 
 from repro.frame.column import (

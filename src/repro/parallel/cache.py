@@ -10,14 +10,14 @@ to go stale.
 Entries hold only **successful** parses (a strict raise or an ingest
 abort stores nothing), as two files committed json-last:
 
-* ``<key>.npz`` — the columns. Numeric columns are stored raw; object
-  (string) columns are dictionary-encoded as pickled unique values plus
-  ``int32`` codes, which loads an order of magnitude faster than
-  pickling the full column and round-trips bit-identically (fixed-width
-  ``U`` storage would strip trailing NULs and bloat on long messages).
-* ``<key>.json`` — column order + per-column encoding, and the
-  quarantine-report state (counts, bounded samples, total rows) so a
-  cache hit can replay the report exactly as the parse produced it.
+* ``<key>.npz`` — the frame, in the one frame file format
+  (:mod:`repro.frame.npz`): numeric columns raw, string columns as
+  sorted distinct values plus ``int32`` codes, which loads an order of
+  magnitude faster than pickling the full column and round-trips
+  bit-identically;
+* ``<key>.json`` — the frame's column spec, and the quarantine-report
+  state (counts, bounded samples, total rows) so a cache hit can replay
+  the report exactly as the parse produced it.
 
 ``load`` treats *any* defect — missing file, truncated npz, schema
 drift — as a miss and returns ``None``; the caller re-parses and
@@ -30,17 +30,16 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import numpy as np
-
 from repro.durable import atomic_write, content_hash
 from repro.frame.frame import Frame
+from repro.frame.npz import FrameFileError, read_frame, write_frame
 from repro.logs.quarantine import DefectClass, IngestPolicy, QuarantineReport
 from repro.obs.metrics import get_metrics
 
 __all__ = ["PARSE_SCHEMA_VERSION", "ParseCache", "apply_report_state"]
 
 #: bump whenever the npz/sidecar layout or parse semantics change
-PARSE_SCHEMA_VERSION = 1
+PARSE_SCHEMA_VERSION = 2
 
 
 def _policy_fingerprint(policy: IngestPolicy) -> str:
@@ -118,26 +117,14 @@ class ParseCache:
     ) -> None:
         """Persist one successful parse; failures here never propagate."""
         npz_path, json_path = self._paths(key)
-        arrays: dict[str, np.ndarray] = {}
-        columns: list[list[str]] = []
-        for j, name in enumerate(frame.columns):
-            col = frame[name]
-            if col.dtype == object:
-                values, codes = np.unique(col, return_inverse=True)
-                arrays[f"{j}.values"] = values
-                arrays[f"{j}.codes"] = codes.astype(np.int32)
-                columns.append([name, "dict"])
-            else:
-                arrays[f"{j}.raw"] = col
-                columns.append([name, "raw"])
-        sidecar = {
-            "version": PARSE_SCHEMA_VERSION,
-            "columns": columns,
-            "report": None if report is None else _report_state(report),
-        }
-        payload = json.dumps(sidecar).encode("utf-8")
         try:
-            atomic_write(npz_path, lambda fh: np.savez(fh, **arrays))
+            columns = write_frame(npz_path, frame)
+            sidecar = {
+                "version": PARSE_SCHEMA_VERSION,
+                "columns": columns,
+                "report": None if report is None else _report_state(report),
+            }
+            payload = json.dumps(sidecar).encode("utf-8")
             atomic_write(json_path, lambda fh: fh.write(payload))
         except OSError:
             return  # a full or read-only cache dir degrades to no cache
@@ -173,37 +160,12 @@ class ParseCache:
             return None, "corrupt"
         if sidecar.get("version") != PARSE_SCHEMA_VERSION:
             return None, "stale"
-        # Stage 2: the columns. A truncated npz (partial atomic-write
-        # survivor, disk-full artifact) can fail anywhere — zip central
-        # directory gone, a member cut short, pickled values garbled —
-        # and np.load surfaces that zoo as zipfile/OS/value/pickle
-        # errors, sometimes only when the member is actually read. All
-        # of it is one condition: the entry is corrupt, fall through to
-        # a re-parse. The structural checks behind the decode catch the
-        # nastier survivors that *do* unpickle: short columns and codes
-        # pointing past their dictionary.
+        # Stage 2: the columns. Any defect the frame codec finds —
+        # torn npz, codes past their dictionary, ragged columns — is a
+        # corrupt entry; fall through to a re-parse.
         try:
-            data = {}
-            n_rows = None
-            with np.load(npz_path, allow_pickle=True) as npz:
-                for j, (name, encoding) in enumerate(sidecar["columns"]):
-                    if encoding == "dict":
-                        values = npz[f"{j}.values"]
-                        codes = npz[f"{j}.codes"]
-                        if len(codes) and (
-                            codes.min() < 0 or codes.max() >= len(values)
-                        ):
-                            return None, "corrupt"
-                        column = values[codes]
-                    else:
-                        column = npz[f"{j}.raw"]
-                    if column.ndim != 1:
-                        return None, "corrupt"
-                    if n_rows is None:
-                        n_rows = len(column)
-                    elif len(column) != n_rows:
-                        return None, "corrupt"
-                    data[name] = column
-            return (Frame(data), sidecar["report"]), "hit"
-        except Exception:
+            frame = read_frame(npz_path, sidecar["columns"])
+            report = sidecar["report"]
+        except (FrameFileError, KeyError):
             return None, "corrupt"
+        return (frame, report), "hit"

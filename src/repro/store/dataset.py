@@ -12,10 +12,11 @@ row runs and concatenating the shards in window order restores the
 original arrays exactly.
 
 Scans prune: a shard whose ``[time_min, time_max]`` envelope misses the
-query range is never opened — no column file read, no mmap — and the
+query range is never opened — its shard file is not read — and the
 ``store.scan.shards`` counter records it as ``pruned`` rather than
 ``opened``, which is how the tests *prove* pruning (spy on
-``store.shard.column_loads``) instead of trusting it.
+``store.shard.loads``, one count per shard file read) instead of
+trusting it.
 """
 
 from __future__ import annotations
@@ -24,12 +25,13 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.durable import content_hash
 from repro.frame.frame import Frame, concat
+from repro.frame.npz import FrameFileError, read_frame, write_frame
 from repro.logs.job import JOB_COLUMNS, JobLog
 from repro.logs.ras import RAS_COLUMNS, RasLog
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import maybe_span
-from repro.store.codec import decode_columns, encode_frame, shard_content_hash
 from repro.store.manifest import (
     ShardInfo,
     StoreError,
@@ -108,7 +110,7 @@ class ShardedDataset:
 
         Both tables share one edge grid spanning the union of their time
         ranges, so a given wall-clock window means the same thing for
-        RAS events and job starts. All column files are written before
+        RAS events and job starts. All shard files are written before
         the manifest (json-last): a crash mid-write leaves the previous
         manifest authoritative.
         """
@@ -211,9 +213,10 @@ class ShardedDataset:
     def _write_shard(
         self, machine: str, table: str, window: int, frame: Frame
     ) -> ShardInfo:
-        rel = Path(machine) / table / f"w{window:03d}"
-        shard_dir = self.root / rel
-        columns = encode_frame(frame, shard_dir)
+        rel = Path(machine) / table / f"w{window:03d}.npz"
+        shard_path = self.root / rel
+        shard_path.parent.mkdir(parents=True, exist_ok=True)
+        columns = write_frame(shard_path, frame)
         t = frame[TIME_COLUMN[table]]
         metrics = get_metrics()
         metrics.counter("store.shards.written", table=table).inc()
@@ -227,7 +230,7 @@ class ShardedDataset:
             time_min=float(t.min()) if len(t) else float("nan"),
             time_max=float(t.max()) if len(t) else float("nan"),
             columns=columns,
-            content_hash=shard_content_hash(shard_dir, columns),
+            content_hash=content_hash(shard_path),
         )
 
     # -- read path ------------------------------------------------------
@@ -240,7 +243,6 @@ class ShardedDataset:
         machine: str,
         table: str,
         time_range: tuple[float, float] | None = None,
-        mmap: bool = True,
     ) -> Frame:
         """Reassemble one machine's *table*, pruned to *time_range*.
 
@@ -276,11 +278,15 @@ class ShardedDataset:
                 with maybe_span(
                     "store.scan.shard", shard=shard.path
                 ) as shard_sp:
-                    part = Frame(
-                        decode_columns(
-                            self.root / shard.path, shard.columns, mmap=mmap
+                    metrics.counter("store.shard.loads").inc()
+                    try:
+                        part = read_frame(
+                            self.root / shard.path, shard.columns
                         )
-                    )
+                    except FrameFileError as exc:
+                        raise StoreError(
+                            f"shard {shard.path} unreadable: {exc}"
+                        ) from exc
                     if time_range is not None:
                         t = part[time_col]
                         part = part.filter(
@@ -308,10 +314,9 @@ class ShardedDataset:
         self,
         machine: str,
         time_range: tuple[float, float] | None = None,
-        mmap: bool = True,
     ) -> RasLog:
         """The machine's RAS log, reassembled (and pruned) from shards."""
-        frame = self.scan(machine, "ras", time_range=time_range, mmap=mmap)
+        frame = self.scan(machine, "ras", time_range=time_range)
         missing = [c for c in RAS_COLUMNS if c not in frame]
         if missing:
             raise StoreError(f"ras shards missing columns {missing}")
@@ -321,10 +326,9 @@ class ShardedDataset:
         self,
         machine: str,
         time_range: tuple[float, float] | None = None,
-        mmap: bool = True,
     ) -> JobLog:
         """The machine's job log, reassembled (and pruned) from shards."""
-        frame = self.scan(machine, "job", time_range=time_range, mmap=mmap)
+        frame = self.scan(machine, "job", time_range=time_range)
         missing = [c for c in JOB_COLUMNS if c not in frame]
         if missing:
             raise StoreError(f"job shards missing columns {missing}")

@@ -4,9 +4,9 @@ The manifest is the store's single source of truth — scans never list
 directories. It records the store schema version, every shard's
 ``(machine, table, window)`` key, row count, time range, column spec
 and content hash. It is written with :func:`repro.durable.atomic_write`
-**after** all shard column files, so a reader either sees a complete
+**after** all shard files, so a reader either sees a complete
 consistent dataset or the previous one; a crashed writer leaves at
-worst orphaned column files the next manifest write supersedes.
+worst orphaned shard files the next manifest write supersedes.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.durable import atomic_write
+from repro.durable import atomic_write, content_hash
 
 __all__ = [
     "STORE_SCHEMA_VERSION",
@@ -27,7 +27,7 @@ __all__ = [
 ]
 
 #: bump whenever the shard layout or manifest fields change
-STORE_SCHEMA_VERSION = 1
+STORE_SCHEMA_VERSION = 2
 
 MANIFEST_NAME = "manifest.json"
 
@@ -43,14 +43,14 @@ class ShardInfo:
     machine: str
     table: str  # "ras" | "job"
     window: int  # 0-based time-window ordinal within the machine
-    path: str  # shard directory, relative to the store root
+    path: str  # shard frame file, relative to the store root
     rows: int
     #: min/max of the shard's partition time column over its rows
     #: (``event_time`` for ras, ``start_time`` for job); NaN when empty
     time_min: float
     time_max: float
-    columns: list[list[str]]  # [name, "raw" | "dict", dtype] per column
-    content_hash: str
+    columns: list[list[str]]  # the shard file's repro.frame.npz spec
+    content_hash: str  # of the shard file
 
     def overlaps(self, t0: float, t1: float) -> bool:
         """Whether any row's partition time can fall in ``[t0, t1)``.
@@ -166,11 +166,9 @@ def validate_store_manifest(
     """Cross-check *manifest* against the files on disk.
 
     Returns a list of human-readable problems (empty = healthy):
-    missing shard directories or column files, duplicate shard keys,
-    and — with *verify_hashes* — content digests that no longer match.
+    missing shard files, duplicate shard keys, and — with
+    *verify_hashes* — content digests that no longer match.
     """
-    from repro.store.codec import column_files, shard_content_hash
-
     root = Path(root)
     problems: list[str] = []
     seen: set[tuple] = set()
@@ -179,22 +177,11 @@ def validate_store_manifest(
         if key in seen:
             problems.append(f"duplicate shard key {key}")
         seen.add(key)
-        shard_dir = root / shard.path
-        if not shard_dir.is_dir():
-            problems.append(f"missing shard directory {shard.path}")
-            continue
-        missing = [
-            f
-            for f in column_files(shard.columns)
-            if not (shard_dir / f).is_file()
-        ]
-        if missing:
-            problems.append(
-                f"shard {shard.path} missing column files {missing}"
-            )
-            continue
-        if verify_hashes:
-            digest = shard_content_hash(shard_dir, shard.columns)
+        shard_path = root / shard.path
+        if not shard_path.is_file():
+            problems.append(f"missing shard file {shard.path}")
+        elif verify_hashes:
+            digest = content_hash(shard_path)
             if digest != shard.content_hash:
                 problems.append(
                     f"shard {shard.path} content hash mismatch "

@@ -181,13 +181,12 @@ def _analyze_machine(
     machine: str,
     time_range: tuple[float, float] | None,
     pipeline_factory,
-    mmap: bool,
 ) -> MachineAnalysis:
     metrics = get_metrics()
     try:
         with maybe_span("fleet.machine", machine=machine) as sp:
-            ras = dataset.load_ras(machine, time_range=time_range, mmap=mmap)
-            job = dataset.load_job(machine, time_range=time_range, mmap=mmap)
+            ras = dataset.load_ras(machine, time_range=time_range)
+            job = dataset.load_job(machine, time_range=time_range)
             result = pipeline_factory().run(ras, job, source=machine)
             sp.rows = len(ras)
         metrics.counter("fleet.machines", status="ok").inc()
@@ -269,7 +268,6 @@ def analyze_fleet(
     workers: int = 0,
     seed: int = 2011,
     pipeline_factory=None,
-    mmap: bool = True,
 ) -> FleetResult:
     """Run the co-analysis over every machine in *dataset* and merge.
 
@@ -301,7 +299,6 @@ def analyze_fleet(
                         machine,
                         time_range,
                         pipeline_factory,
-                        mmap,
                     )
                     for machine in machines
                 ]
@@ -309,7 +306,7 @@ def analyze_fleet(
         else:
             analyses = [
                 _analyze_machine(
-                    dataset, machine, time_range, pipeline_factory, mmap
+                    dataset, machine, time_range, pipeline_factory
                 )
                 for machine in machines
             ]

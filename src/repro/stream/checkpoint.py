@@ -8,21 +8,20 @@ A checkpoint is a directory (the format DESIGN.md §12 documents):
   vocabulary — everything scalar or small;
 * ``arrays.npz`` — the numeric state arrays (causal accumulator,
   window tails, flushed case labels, interarrival gaps);
-* one column-file subdirectory per buffered frame (pending events, job
-  and raw frontiers, accumulated pairs, survivors, jobs), written with
-  the store's codec (:mod:`repro.store.codec`).
+* one ``<name>.npz`` frame file per buffered frame (pending events, job
+  and raw frontiers, accumulated pairs, survivors, jobs), in the one
+  frame file format (:mod:`repro.frame.npz`).
 
-Version 2 adds **content integrity**: the index records a blake2b
-digest for every frame directory and for ``arrays.npz``, and
+The index records a blake2b digest for every file it names, and
 :func:`validate_checkpoint` cross-checks them the way
 :func:`repro.store.manifest.validate_store_manifest` audits a store —
 classifying each problem (``unreadable-index``, ``version-mismatch``,
 ``fingerprint-mismatch``, ``missing-file``, ``hash-mismatch``) so the
 daemon's rotation logic can fall back to the previous checkpoint on
-any corruption instead of resuming from damaged state. Version 2 also
-carries optional **extra sections** (``extra`` scalars plus ``x_*``
-frame directories) for state the daemon owns above the core runner:
-the lateness reorder buffer, feed cursors and the store-append backlog.
+any corruption instead of resuming from damaged state. Optional
+**extra sections** (``extra`` scalars plus ``x_<name>.npz`` frame
+files) carry state the daemon owns above the core runner: the lateness
+reorder buffer, feed cursors and the store-append backlog.
 
 Resuming from a checkpoint and ingesting the remaining increments is
 bit-identical to having run the whole stream in one process — the
@@ -40,14 +39,9 @@ import numpy as np
 from repro.core.pipeline import CoAnalysis
 from repro.durable import atomic_write, content_hash
 from repro.frame import Frame
+from repro.frame.npz import FrameFileError, read_frame, write_frame
 from repro.obs.manifest import config_fingerprint
 from repro.stats.weibull import WeibullFit
-from repro.store.codec import (
-    column_files,
-    decode_columns,
-    encode_frame,
-    shard_content_hash,
-)
 from repro.stream.runner import StreamError, StreamingCoAnalysis
 
 __all__ = [
@@ -58,17 +52,7 @@ __all__ = [
     "validate_checkpoint",
 ]
 
-CHECKPOINT_VERSION = 2
-
-_FRAME_DIRS = (
-    "survivors",
-    "jobs_all",
-    "pending",
-    "jobs_buffer",
-    "raw_tail",
-    "pairs",
-    "flushed",
-)
+CHECKPOINT_VERSION = 3
 
 
 def stream_config(pipeline: CoAnalysis) -> dict:
@@ -92,17 +76,32 @@ def _concat_or_none(frames: list[Frame]) -> Frame | None:
     return frames[0] if len(frames) == 1 else concat(frames)
 
 
-def _encode(directory: Path, name: str, frame: Frame | None):
-    if frame is None:
-        return None
-    return encode_frame(frame, directory / name)
+def _read_index(directory: Path) -> dict:
+    """The checkpoint's JSON index; raises on an unreadable or
+    other-version one."""
+    try:
+        with open(directory / "checkpoint.json", "r", encoding="utf-8") as fh:
+            index = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise StreamError(f"unreadable checkpoint at {directory}: {exc}")
+    if index.get("version") != CHECKPOINT_VERSION:
+        raise StreamError(
+            f"unsupported checkpoint version {index.get('version')!r}"
+        )
+    return index
+
+
+def _read(directory: Path, file_name: str, spec) -> Frame:
+    try:
+        return read_frame(directory / file_name, spec)
+    except FrameFileError as exc:
+        raise StreamError(f"corrupt checkpoint frame {file_name}: {exc}")
 
 
 def _decode(directory: Path, name: str, spec) -> list[Frame]:
     if spec is None:
         return []
-    data = decode_columns(directory / name, spec, mmap=False)
-    return [Frame(data)]
+    return [_read(directory, f"{name}.npz", spec)]
 
 
 def save_checkpoint(
@@ -115,10 +114,10 @@ def save_checkpoint(
 
     The JSON index is written last (atomically), so a torn write leaves
     no checkpoint rather than a corrupt one. *extra_state* (JSON
-    scalars) and *extra_frames* (frames, written as ``x_<name>``
-    column directories) carry daemon-level state — lateness buffers,
-    feed cursors, the store-append backlog — hashed and validated
-    alongside the core sections.
+    scalars) and *extra_frames* (frames, written as ``x_<name>.npz``)
+    carry daemon-level state — lateness buffers, feed cursors, the
+    store-append backlog — hashed and validated alongside the core
+    sections.
     """
     if runner._result is not None:
         raise StreamError("cannot checkpoint a finalized stream")
@@ -146,10 +145,13 @@ def save_checkpoint(
         "flushed": flushed,
     }
     specs = {
-        name: _encode(directory, name, frame) for name, frame in frames.items()
+        name: None
+        if frame is None
+        else write_frame(directory / f"{name}.npz", frame)
+        for name, frame in frames.items()
     }
     extra_specs = {
-        name: encode_frame(frame, directory / f"x_{name}")
+        name: write_frame(directory / f"x_{name}.npz", frame)
         for name, frame in (extra_frames or {}).items()
     }
 
@@ -163,14 +165,12 @@ def save_checkpoint(
     }
     atomic_write(directory / "arrays.npz", lambda fh: np.savez(fh, **arrays))
 
-    hashes = {"arrays.npz": content_hash(directory / "arrays.npz")}
-    for name, spec in specs.items():
-        if spec is not None:
-            hashes[name] = shard_content_hash(directory / name, spec)
-    for name, spec in extra_specs.items():
-        hashes[f"x_{name}"] = shard_content_hash(
-            directory / f"x_{name}", spec
-        )
+    hashed = [
+        "arrays.npz",
+        *(f"{name}.npz" for name, spec in specs.items() if spec is not None),
+        *(f"x_{name}.npz" for name in extra_specs),
+    ]
+    hashes = {name: content_hash(directory / name) for name in hashed}
 
     config = stream_config(runner.pipeline)
     prev_fit = runner._prev_fit
@@ -224,15 +224,7 @@ def load_checkpoint(
     defaults, which the fingerprint check validates too.
     """
     directory = Path(directory)
-    try:
-        with open(directory / "checkpoint.json", "r", encoding="utf-8") as fh:
-            index = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise StreamError(f"unreadable checkpoint at {directory}: {exc}")
-    if index.get("version") != CHECKPOINT_VERSION:
-        raise StreamError(
-            f"unsupported checkpoint version {index.get('version')!r}"
-        )
+    index = _read_index(directory)
     runner = StreamingCoAnalysis(
         pipeline=pipeline if pipeline is not None else CoAnalysis()
     )
@@ -300,13 +292,9 @@ def load_checkpoint(
 def load_extras(directory: str | Path) -> tuple[dict, dict[str, Frame]]:
     """The daemon-level sections of a checkpoint: scalars and frames."""
     directory = Path(directory)
-    try:
-        with open(directory / "checkpoint.json", "r", encoding="utf-8") as fh:
-            index = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise StreamError(f"unreadable checkpoint at {directory}: {exc}")
+    index = _read_index(directory)
     frames = {
-        name: Frame(decode_columns(directory / f"x_{name}", spec, mmap=False))
+        name: _read(directory, f"x_{name}.npz", spec)
         for name, spec in index.get("extra_frames", {}).items()
     }
     return index.get("extra", {}), frames
@@ -344,45 +332,16 @@ def validate_checkpoint(
             "fingerprint-mismatch: stored config does not hash to the"
             " stored fingerprint"
         )
-    hashes = index.get("hashes", {})
-
-    def check_dir(name: str, spec) -> None:
-        if spec is None:
-            return
-        frame_dir = directory / name
-        if not frame_dir.is_dir():
-            problems.append(f"missing-file: frame directory {name}")
-            return
-        missing = [
-            f for f in column_files(spec) if not (frame_dir / f).is_file()
-        ]
-        if missing:
-            problems.append(
-                f"missing-file: frame {name} column files {missing}"
-            )
-            return
-        if verify_hashes and name in hashes:
-            digest = shard_content_hash(frame_dir, spec)
-            if digest != hashes[name]:
+    for name, expected in index.get("hashes", {}).items():
+        path = directory / name
+        if not path.is_file():
+            problems.append(f"missing-file: {name}")
+        elif verify_hashes:
+            digest = content_hash(path)
+            if digest != expected:
                 problems.append(
-                    f"hash-mismatch: frame {name}"
-                    f" ({digest} != {hashes[name]})"
+                    f"hash-mismatch: {name} ({digest} != {expected})"
                 )
-
-    arrays_path = directory / "arrays.npz"
-    if not arrays_path.is_file():
-        problems.append("missing-file: arrays.npz")
-    elif verify_hashes and "arrays.npz" in hashes:
-        digest = content_hash(arrays_path)
-        if digest != hashes["arrays.npz"]:
-            problems.append(
-                f"hash-mismatch: arrays.npz"
-                f" ({digest} != {hashes['arrays.npz']})"
-            )
-    for name, spec in index.get("frames", {}).items():
-        check_dir(name, spec)
-    for name, spec in index.get("extra_frames", {}).items():
-        check_dir(f"x_{name}", spec)
     return problems
 
 

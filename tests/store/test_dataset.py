@@ -16,6 +16,7 @@ from repro.store import (
     partition_edges,
 )
 from repro.store.manifest import MANIFEST_NAME, StoreError
+from tests.frame.npz_reference import rewrite_npz
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +29,12 @@ def machine():
 def metric(name, **labels):
     """Counter value, 0 when never incremented."""
     return get_metrics().value(name, **labels) or 0
+
+
+def _first_dict_column(shard):
+    return next(
+        j for j, (_, enc, _) in enumerate(shard.columns) if enc == "dict"
+    )
 
 
 def make_store(tmp_path, machine, windows):
@@ -54,14 +61,6 @@ class TestRoundtrip:
         )
         assert_frames_identical(
             ds.load_job(machine.machine).frame, machine.job_log.frame
-        )
-
-    @pytest.mark.parametrize("mmap", [True, False])
-    def test_mmap_and_memory_agree(self, tmp_path, machine, mmap):
-        ds = make_store(tmp_path, machine, 3)
-        assert_frames_identical(
-            ds.scan(machine.machine, "ras", mmap=mmap),
-            machine.ras_log.frame,
         )
 
     def test_reopen_and_scan(self, tmp_path, machine):
@@ -109,12 +108,8 @@ class TestPruning:
         )
         assert metric("store.scan.shards", table="ras", status="opened") == 1
         assert metric("store.scan.shards", table="ras", status="pruned") == 9
-        # the spy that proves it: pruned shards cause zero column loads
-        loads = metric("store.shard.column_loads", mode="mmap") + metric(
-            "store.shard.column_loads", mode="memory"
-        )
-        spec = ds.manifest.select(machine.machine, "ras")[0].columns
-        assert loads == len(spec)
+        # the spy that proves it: pruned shard files are never read
+        assert metric("store.shard.loads") == 1
 
     def test_all_pruned_scan_touches_no_disk(self, tmp_path, machine):
         ds = make_store(tmp_path, machine, self.WINDOWS)
@@ -125,8 +120,7 @@ class TestPruning:
         )
         assert out.num_rows == 0
         assert metric("store.scan.shards", table="ras", status="pruned") == 10
-        assert metric("store.shard.column_loads", mode="mmap") == 0
-        assert metric("store.shard.column_loads", mode="memory") == 0
+        assert metric("store.shard.loads") == 0
         # typed empty: dtypes come from the manifest spec, not the disk
         batch = machine.ras_log.frame
         for col in batch.columns:
@@ -174,23 +168,35 @@ class TestFailureModes:
             ds.scan(machine.machine, "events")
 
     def test_validate_flags_missing_column_file(self, tmp_path, machine):
+        """The shard file holds every column; deleting it is flagged."""
         ds = make_store(tmp_path, machine, 2)
-        victim = next(
-            f for f in ds.root.rglob("*.npy") if f.is_file()
-        )
-        victim.unlink()
+        shard = ds.manifest.select(machine.machine, "ras")[1]
+        (ds.root / shard.path).unlink()
         problems = ds.validate()
-        assert any(victim.name in p for p in problems)
+        assert any(shard.path in p for p in problems)
 
     def test_validate_flags_hash_mismatch(self, tmp_path, machine):
         ds = make_store(tmp_path, machine, 1)
-        victim = next(iter(sorted(ds.root.rglob("*.codes.npy"))))
-        codes = np.load(victim)
-        codes[0] = codes[0] ^ 1
-        np.save(victim, codes)
+        shard = ds.manifest.select(machine.machine, "ras")[0]
+        j = _first_dict_column(shard)
+        with rewrite_npz(ds.root / shard.path) as arrays:
+            arrays[f"{j}.codes"][0] ^= 1
         assert ds.validate(verify_hashes=False) == []
         problems = ds.validate(verify_hashes=True)
         assert any("hash" in p for p in problems)
+
+    def test_out_of_range_codes_raise_naming_the_shard(
+        self, tmp_path, machine
+    ):
+        """numpy reads ``values[-1]`` as the last value: a code of -1
+        must fail the scan, not decode to the wrong strings."""
+        ds = make_store(tmp_path, machine, 2)
+        shard = ds.manifest.select(machine.machine, "ras")[1]
+        j = _first_dict_column(shard)
+        with rewrite_npz(ds.root / shard.path) as arrays:
+            arrays[f"{j}.codes"][0] = -1
+        with pytest.raises(StoreError, match=shard.path):
+            ds.scan(machine.machine, "ras")
 
 
 class TestPartitionEdges:

@@ -18,6 +18,8 @@ from repro.stream import (
     split_trace,
     validate_checkpoint,
 )
+from repro.stream.checkpoint import load_extras
+from tests.frame.npz_reference import rewrite_npz
 
 
 def ingest_first(trace, k, upto):
@@ -74,6 +76,13 @@ class TestSaveResume:
             assert a.interrupted_jobs == b.interrupted_jobs
 
 
+def _bump_version(directory):
+    path = directory / "checkpoint.json"
+    index = json.loads(path.read_text())
+    index["version"] = 99
+    path.write_text(json.dumps(index))
+
+
 def _flip_last_byte(path):
     raw = bytearray(path.read_bytes())
     raw[-1] ^= 0xFF
@@ -94,8 +103,7 @@ class TestValidateCheckpoint:
         assert validate_checkpoint(ckpt) == []
 
     def test_bit_flip_in_frame_shard_is_hash_mismatch(self, ckpt):
-        victim = sorted((ckpt / "survivors").glob("*.npy"))[0]
-        _flip_last_byte(victim)
+        _flip_last_byte(ckpt / "survivors.npz")
         problems = validate_checkpoint(ckpt)
         assert problems
         assert all(p.startswith("hash-mismatch") for p in problems)
@@ -110,9 +118,7 @@ class TestValidateCheckpoint:
         )
 
     def test_deleted_frame_dir_is_missing_file(self, ckpt):
-        import shutil
-
-        shutil.rmtree(ckpt / "jobs_all")
+        (ckpt / "jobs_all.npz").unlink()
         problems = validate_checkpoint(ckpt)
         assert any(p.startswith("missing-file") for p in problems)
 
@@ -139,8 +145,7 @@ class TestValidateCheckpoint:
 
     def test_without_hash_verification_bit_flip_passes(self, ckpt):
         """verify_hashes=False is the cheap structural-only audit."""
-        victim = sorted((ckpt / "survivors").glob("*.npy"))[0]
-        _flip_last_byte(victim)
+        _flip_last_byte(ckpt / "survivors.npz")
         assert validate_checkpoint(ckpt, verify_hashes=False) == []
 
 
@@ -158,12 +163,34 @@ class TestFailureModes:
     def test_wrong_version_raises(self, trace, tmp_path):
         runner, _ = ingest_first(trace, 3, 1)
         save_checkpoint(runner, tmp_path / "ckpt")
-        path = tmp_path / "ckpt" / "checkpoint.json"
-        index = json.loads(path.read_text())
-        index["version"] = 99
-        path.write_text(json.dumps(index))
+        _bump_version(tmp_path / "ckpt")
         with pytest.raises(StreamError, match="version"):
             load_checkpoint(tmp_path / "ckpt")
+
+    def test_load_extras_checks_the_version(self, trace, tmp_path):
+        runner, _ = ingest_first(trace, 3, 1)
+        save_checkpoint(runner, tmp_path / "ckpt", extra_state={"k": 1})
+        _bump_version(tmp_path / "ckpt")
+        with pytest.raises(StreamError, match="version"):
+            load_extras(tmp_path / "ckpt")
+
+    @pytest.mark.parametrize("extra", [False, True])
+    def test_out_of_range_codes_raise_naming_the_frame(
+        self, trace, tmp_path, extra
+    ):
+        """numpy reads ``values[-1]`` as the last value: a code of -1
+        must fail the load, not decode to the wrong strings."""
+        runner, _ = ingest_first(trace, 3, 2)
+        ckpt = tmp_path / "ckpt"
+        survivors = runner._survivors[0]
+        save_checkpoint(runner, ckpt, extra_frames={"late": survivors})
+        name = "x_late.npz" if extra else "survivors.npz"
+        j = survivors.columns.index("location")
+        with rewrite_npz(ckpt / name) as arrays:
+            arrays[f"{j}.codes"][0] = -1
+        load = load_extras if extra else load_checkpoint
+        with pytest.raises(StreamError, match=name):
+            load(ckpt)
 
     def test_threshold_mismatch_raises(self, trace, tmp_path):
         runner, _ = ingest_first(trace, 3, 1)

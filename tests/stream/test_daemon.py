@@ -209,7 +209,7 @@ class TestCheckpointRotation:
         rotator = CheckpointRotator(tmp_path / "ckpt")
         rotator.save(small_runner())
         newest = rotator.save(small_runner())
-        victim = sorted(newest.glob("survivors/*.npy"))[0]
+        victim = newest / "survivors.npz"
         raw = bytearray(victim.read_bytes())
         raw[-1] ^= 0xFF
         victim.write_bytes(bytes(raw))

@@ -368,7 +368,7 @@ class TestValidateCheckpointCLI:
         assert "OK" in capsys.readouterr().out
 
     def test_bit_flipped_checkpoint_corrupt_exit_1(self, ckpt, capsys):
-        victim = sorted((ckpt / "survivors").glob("*.npy"))[0]
+        victim = ckpt / "survivors.npz"
         raw = bytearray(victim.read_bytes())
         raw[-1] ^= 0xFF
         victim.write_bytes(bytes(raw))

@@ -5,6 +5,7 @@ validate and hit."""
 
 import hashlib
 import os
+import time
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from repro.frame import Frame
 from repro.logs.quarantine import IngestPolicy
 from repro.obs import config_fingerprint
 from repro.parallel.cache import ParseCache
-from repro.store.codec import encode_frame, shard_content_hash
+from repro.frame.npz import write_frame
 
 #: 1.15 MB: the file digest crosses the 1 MiB read block
 DATA = bytes(range(256)) * 4500
@@ -86,7 +87,14 @@ class TestPinnedDigests:
         np.lib.NumpyVersion(np.__version__) < "2.0.0",
         reason="the shard's object column is a pickle naming numpy._core",
     )
-    def test_shard(self, tmp_path):
+    def test_shard(self, tmp_path, monkeypatch):
+        """A shard's digest is its frame file's; ``np.savez`` stamps zip
+        members with the write time, so the clock is pinned."""
+        gmtime = time.gmtime
+        monkeypatch.setattr(time, "time", lambda: 1_300_000_000.0)
+        monkeypatch.setattr(
+            time, "localtime", lambda secs=None: gmtime(1_300_000_000.0)
+        )
         frame = Frame(
             {
                 "t": np.array([1.5, 2.5, -0.0]),
@@ -94,10 +102,10 @@ class TestPinnedDigests:
                 "s": np.array(["b", "a", "b\x00"], dtype=object),
             }
         )
-        spec = encode_frame(frame, tmp_path)
+        write_frame(tmp_path / "w000.npz", frame)
         assert (
-            shard_content_hash(tmp_path, spec)
-            == "efd64cc602f95257d38dbc3d85d9b1e3f254251c"
+            content_hash(tmp_path / "w000.npz")
+            == "cf9f257d75ad7eb9ba20d70dac4d911177d46e27"
         )
 
     def test_cache_key(self, tmp_path):
@@ -105,7 +113,7 @@ class TestPinnedDigests:
         path.write_bytes(DATA)
         policy = IngestPolicy(mode="quarantine", max_bad_fraction=0.25)
         key = ParseCache(tmp_path / "cache").key_for(path, "ras", policy)
-        assert key == "4367061b65bbda3b77b907c70a7179787257231d"
+        assert key == "eb8b55924ebc4507871f4a1986bceb74cf8f1b3e"
 
     def test_config_fingerprint(self):
         config = {"b": [1, 2.5], "a": "x", "c": {"z": None}}

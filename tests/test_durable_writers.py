@@ -1,7 +1,7 @@
 """Every file ``repro`` persists, checked writer by writer.
 
-The writers are the store's column files and manifest, the parse
-cache, the streaming checkpoint (its ``arrays.npz`` and index), the
+The writers are the frame file codec (the store's shards) and the
+store manifest, the parse cache, the streaming checkpoint (its ``arrays.npz`` and index), the
 daemon's ``CURRENT`` slot pointer, the run manifest, the bench
 trajectory, the health snapshot and the fault injector's log rotation.
 For each one:
@@ -31,7 +31,7 @@ from repro.logs.quarantine import DefectClass, QuarantineReport
 from repro.obs import record_bench, write_manifest
 from repro.obs.health import write_health
 from repro.parallel.cache import ParseCache
-from repro.store.codec import encode_frame
+from repro.frame.npz import write_frame
 from repro.store.manifest import ShardInfo, StoreManifest, write_store_manifest
 from repro.stream import StreamingCoAnalysis, save_checkpoint, split_trace
 from repro.stream.daemon import CheckpointRotator
@@ -82,7 +82,7 @@ def frozen(monkeypatch):
 
 
 def _codec(root, runner):
-    encode_frame(_frame(), root / "shard")
+    write_frame(root / "shard.npz", _frame())
 
 
 def _store_manifest(root, runner):
@@ -149,22 +149,21 @@ def _snapshot(root: Path) -> dict[str, bytes | None]:
 
 #: blake2b-160 of each file the writers produce for the inputs above
 PINS = {
+    # the parse cache entry and the shard hold the same frame in the
+    # same frame file format, so their .npz bytes agree
     "store.codec": {
-        "shard/0.t.npy": "d5c33400e7bce0cd91c55de32b83ddd89c6e80ef",
-        "shard/1.n.npy": "5580efa21d503864c369423093c4cf228b6c9976",
-        "shard/2.s.codes.npy": "f19070ebb6adeb21fea1ad513367161d904b92e1",
-        "shard/2.s.values.npy": "868385b570c9b68f6c780eeb806054805bc876a2",
+        "shard.npz": "cf9f257d75ad7eb9ba20d70dac4d911177d46e27",
     },
     "store.manifest": {
-        "manifest.json": "0aedfd8cead401f0ac776c809b2b3ff2ff4538ac",
+        "manifest.json": "a78799958778cbfcbbb09fd81516a9b4755168c1",
     },
     "parallel.cache": {
-        "entry.json": "ef6f113220a37282a72b8ce6a275050904ff8317",
+        "entry.json": "b4d7fb634e74858d6bd6ec5a5f124837b13cb092",
         "entry.npz": "cf9f257d75ad7eb9ba20d70dac4d911177d46e27",
     },
     "stream.checkpoint": {
         "ckpt/arrays.npz": "773e98359481a0608f842efbb0eccb163f682438",
-        "ckpt/checkpoint.json": "70897c8ad410d695d03726435caa75f0aeb1155c",
+        "ckpt/checkpoint.json": "487802493a0478212e4ae7fe5f82881464116fb5",
     },
     "stream.daemon.pointer": {
         "CURRENT": "10c9d810d287c7b1812e305da80ea56efffa8806",
@@ -188,7 +187,7 @@ PINS = {
 #: unique values, or the digest of one): the pickle names
 #: ``numpy._core`` under numpy >= 2 and ``numpy.core`` before
 PICKLED = {
-    ("store.codec", "shard/2.s.values.npy"),
+    ("store.codec", "shard.npz"),
     ("parallel.cache", "entry.npz"),
     ("stream.checkpoint", "ckpt/checkpoint.json"),
 }
