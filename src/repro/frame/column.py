@@ -96,6 +96,21 @@ def factorize(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return codes.astype(np.int64, copy=False), uniques
 
 
+def shared_strings(cells: Sequence[str], table: dict | None = None) -> np.ndarray:
+    """*cells* as an object column holding one ``str`` per distinct value.
+
+    Each cell is looked up in *table* (a fresh dict when ``None``) and
+    replaced by the first equal string the table saw, so equal cells
+    share one object: a log column with a few thousand distinct values
+    costs a pointer per row instead of a string per row. Pass the same
+    table to several calls to share strings across them; the table
+    grows by one entry per distinct value.
+    """
+    if table is None:
+        table = {}
+    return np.fromiter(map(table.setdefault, cells, cells), object, len(cells))
+
+
 def first_occurrence_mask(values: np.ndarray) -> np.ndarray:
     """Boolean mask marking the first occurrence of each distinct value,
     in array order.

@@ -29,17 +29,21 @@ from typing import IO
 
 import numpy as np
 
+from repro.frame.column import shared_strings
 from repro.frame.frame import Frame
 
 if False:  # import-time cycle guard: quarantine lives above frame
     from repro.logs.quarantine import IngestPolicy, QuarantineReport
 
 _TAGS = {"i": "int", "u": "int", "f": "float", "b": "bool", "O": "str", "U": "str"}
+#: typed column from a list of cells, by header tag; a ``str`` column
+#: holds one object per distinct value, shared by its equal cells
+#: (a fresh table per call, so no reader keeps one that keeps growing)
 _PARSERS = {
     "int": lambda col: np.array([int(v) for v in col], dtype=np.int64),
     "float": lambda col: np.array([float(v) for v in col], dtype=np.float64),
     "bool": lambda col: np.array([v == "True" for v in col], dtype=bool),
-    "str": lambda col: np.array(list(col), dtype=object),
+    "str": shared_strings,
 }
 
 _BOM = "\ufeff"

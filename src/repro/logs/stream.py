@@ -42,7 +42,8 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.frame import Frame
+from repro.frame import Frame, concat
+from repro.frame.column import shared_strings
 from repro.frame.io import unescape_cell
 from repro.logs.quarantine import (
     REPLACEMENT_CHAR,
@@ -78,6 +79,9 @@ _SEVERITY_IDX = 5
 _TIME_IDX = 6
 #: disk-layout indices of the free-text fields (no semantic check)
 _FREE_COLUMNS = (1, 3, 7, 8, 9)
+#: disk-layout indices of the frame's string columns: every field but the
+#: recid and the timestamp, whose nearly unique text is not worth sharing
+_SHARED_COLUMNS = frozenset(range(len(_DISK_COLUMNS))) - {_RECID_IDX, _TIME_IDX}
 
 _SEP = "|"
 _NUM_SEPS = len(_DISK_COLUMNS) - 1
@@ -146,10 +150,15 @@ class RasRows:
     """Field-valid RAS rows in line order: the block kernel's candidates.
 
     ``cells`` holds the ten disk-layout columns as object arrays of
-    unescaped text (the recid and timestamp cells keep their text as
-    well); ``recids`` and ``times`` are the typed recid and event-time
-    columns, and ``lines`` gives each row's 0-based index in the block
-    of lines it was parsed from.
+    unescaped text; ``recids`` and ``times`` are the typed recid and
+    event-time columns, and ``lines`` gives each row's 0-based index in
+    the block of lines it was parsed from. The eight columns that become
+    frame string columns hold one ``str`` per distinct value per string
+    table (see :func:`parse_ras_block`). The recid and timestamp cells
+    keep their own text, one string per row: the chunk-parallel merge
+    rebuilds a rejected candidate's line from them
+    (:func:`repro.parallel.merge.merge_ras_chunks`), and
+    :meth:`to_frame` drops them.
     """
 
     lines: np.ndarray  # int64
@@ -248,7 +257,7 @@ def classify_ras_fields(
 
 
 def parse_ras_block(
-    lines: list[str],
+    lines: list[str], table: dict | None = None
 ) -> tuple[list[tuple[int, DefectClass]], RasRows]:
     """Classify a block of RAS data lines a column at a time.
 
@@ -265,7 +274,14 @@ def parse_ras_block(
     ERRCODE is checked once. Every line a check flags goes through
     :func:`classify_ras_fields` instead, so the fast path only ever
     accepts what that function accepts, with the same values.
+
+    The accepted rows' string columns (all but recid and timestamp) are
+    built with :func:`~repro.frame.column.shared_strings`, so equal
+    cells are one object: through *table* when given — a reader passes
+    one table to every block of a file — and a fresh table otherwise.
     """
+    if table is None:
+        table = {}
     n = len(lines)
     # nine separators also rule out a blank line
     counts = np.fromiter(map(str.count, lines, repeat(_SEP, n)), np.int64, n)
@@ -303,13 +319,14 @@ def parse_ras_block(
             for j in _FREE_COLUMNS:
                 cols[j][k] = unescape_cell(cols[j][k], _SEP)
 
-    sel = np.logical_not(flagged) if flagged.any() else slice(None)
-    rows = RasRows(
-        keep[sel],
-        recids[sel],
-        times[sel],
-        [np.fromiter(col, object, len(col))[sel] for col in cols],
-    )
+    if flagged.any():
+        # drop flagged rows before sharing, so no rejected value joins
+        # a table that lives as long as the file's read
+        good = np.flatnonzero(~flagged)
+        index = good.tolist()
+        cols = [[col[i] for i in index] for col in cols]
+        keep, recids, times = keep[good], recids[good], times[good]
+    rows = RasRows(keep, recids, times, _cell_columns(cols, table))
     on_fast_path = np.zeros(n, dtype=bool)
     on_fast_path[rows.lines] = True
     defects: list[tuple[int, DefectClass]] = []
@@ -328,11 +345,20 @@ def parse_ras_block(
                 np.array(index, dtype=np.int64),
                 np.array(slow_recids, dtype=np.int64),
                 np.array(slow_times, dtype=np.float64),
-                [np.array(col, dtype=object) for col in zip(*slow_cells)],
+                _cell_columns(list(zip(*slow_cells)), table),
             ),
         ])
         rows = rows.take(np.argsort(rows.lines, kind="stable"))
     return defects, rows
+
+
+def _cell_columns(cols: list, table: dict) -> list[np.ndarray]:
+    """Object arrays of the disk-layout cell columns, string columns shared."""
+    return [
+        shared_strings(col, table) if j in _SHARED_COLUMNS
+        else np.fromiter(col, object, len(col))
+        for j, col in enumerate(cols)
+    ]
 
 
 def _recid_column(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -437,6 +463,11 @@ def iter_ras_chunks(
     :func:`~repro.parallel.merge.replay_cross_record`. Rows and defects
     are then released in line order, so chunks, strict raises, aborts
     and the report's running ``total_rows`` match a line-by-line parse.
+    Until its chunk is full, the buffer holds a batch's released rows
+    as frame slices: the batch's recid and timestamp text is dropped
+    with the batch. All batches share one string table, so each string
+    column of every chunk holds one object per distinct value of the
+    file.
 
     With a :class:`PartialTail`, a final line missing its newline is
     held there as pending — the tailing discipline for growing files —
@@ -472,14 +503,13 @@ def iter_ras_chunks(
         if tuple(names) != _DISK_COLUMNS:
             raise ValueError(f"unexpected RAS header {names}")
         cursor = RasRowCursor()
-        buffer: list[RasRows] = []
+        table: dict = {}  # one string table for the whole file
+        buffer: list[Frame] = []
         buffered = 0
         yielded = False
-        chunk_index = 0
         first_line_no = 2  # physical number of the batch's first line
-        # chunk telemetry: the window re-opens after each yield resumes,
-        # so consumer time between chunks never counts as parse time
-        t0, c0 = perf_counter(), thread_time()
+        window = _ChunkWindow(report.total_rows)
+        read_bytes = 0  # bytes of the data lines read so far
         while True:
             batch = fh.readlines(_BATCH_CHARS)
             if not batch:
@@ -491,10 +521,14 @@ def iter_ras_chunks(
                 # only the file's last line can lack its newline.
                 held = batch.pop()
             # text mode has turned every line ending into "\n"
-            lines = "".join(batch).split("\n")
+            text = "".join(batch)
+            lines = text.split("\n")
             if not lines[-1]:
                 lines.pop()
-            defects, rows = parse_ras_block(lines)
+            # bytes read through the end of each line
+            line_ends = read_bytes + np.cumsum(_line_sizes(text, lines))
+            del text, batch
+            defects, rows = parse_ras_block(lines, table)
             accepted, cross = replay_cross_record(
                 rows.recids, rows.times, cursor
             )
@@ -513,16 +547,18 @@ def iter_ras_chunks(
                 stop = int(np.searchsorted(rows.lines, index))
                 while done < stop:
                     take = min(stop - done, chunk_rows - buffered)
-                    buffer.append(rows.take(slice(done, done + take)))
+                    # a frame slice holds no recid or timestamp text, so
+                    # that text goes with the batch, not with the chunk
+                    buffer.append(rows.take(slice(done, done + take)).to_frame())
                     done += take
                     buffered += take
                     if buffered == chunk_rows:
-                        report.total_rows = base + int(rows.lines[done - 1]) + 1
-                        _note_serial_chunk(chunk_index, buffered, t0, c0)
-                        chunk_index += 1
-                        yield RasLog(RasRows.concat(buffer).to_frame())
+                        last = int(rows.lines[done - 1])
+                        report.total_rows = base + last + 1
+                        window.close(report.total_rows, int(line_ends[last]))
+                        yield RasLog(concat(buffer))
                         buffer, buffered, yielded = [], 0, True
-                        t0, c0 = perf_counter(), thread_time()
+                        window.open()
                 if defect is None:
                     break
                 report.total_rows = base + index + 1
@@ -531,40 +567,72 @@ def iter_ras_chunks(
                 )
             report.total_rows = base + len(lines)
             first_line_no += len(lines)
+            if len(lines):
+                read_bytes = int(line_ends[-1])
             if held is not None:
                 partial.hold(held, first_line_no)
                 break
         finish_ingest(pol, report)
-        if buffer:
-            _note_serial_chunk(chunk_index, buffered, t0, c0)
-            yield RasLog(RasRows.concat(buffer).to_frame())
-        elif not yielded:
-            _note_serial_chunk(chunk_index, 0, t0, c0)
-            yield empty_ras_log()
+        if not yielded or report.total_rows > window.lines:
+            # the lines after the last full chunk, even if none was kept
+            window.close(report.total_rows, read_bytes)
+        if buffer or not yielded:
+            yield RasLog(concat(buffer)) if buffer else empty_ras_log()
 
 
-def _note_serial_chunk(
-    index: int, rows: int, t0: float, c0: float
-) -> None:
-    """Per-chunk telemetry for the streaming (serial) parse path.
+def _line_sizes(text: str, lines: list[str]) -> np.ndarray:
+    """UTF-8 bytes of each line of *text*, its newline included.
 
-    Mirrors the chunk-parallel reader's ``ingest.parse.chunk`` spans
-    and counters so a serial and a parallel run produce the same span
-    *names* and the same metric families.
+    Text mode has turned a ``\\r\\n`` ending into ``\\n`` and undecodable
+    bytes into U+FFFD, so for such a file this is the size of what was
+    decoded rather than of the raw bytes; for a UTF-8 file with ``\\n``
+    endings it is exact.
     """
-    wall_s = perf_counter() - t0
-    registry = get_metrics()
-    registry.counter("ingest.chunk.records").inc(rows)
-    registry.histogram("ingest.chunk.wall_s").observe(wall_s)
-    tracer = current_tracer()
-    if tracer is not None:
-        tracer.attach(
-            "ingest.parse.chunk",
-            wall_s=wall_s,
-            cpu_s=thread_time() - c0,
-            rows=rows,
-            chunk=index,
+    n = len(lines)
+    if text.isascii():
+        sizes = np.fromiter(map(len, lines), np.int64, n)
+    else:
+        sizes = np.fromiter((len(v.encode()) for v in lines), np.int64, n)
+    sizes += 1
+    if n and not text.endswith("\n"):
+        sizes[-1] -= 1  # the final line of a file that lacks one
+    return sizes
+
+
+class _ChunkWindow:
+    """Telemetry of the serial reader's chunks, one window per chunk.
+
+    Each chunk is noted like a chunk-parallel reader's
+    (:func:`repro.parallel.ingest.note_parse_chunk`): the data lines and
+    bytes read since the previous chunk, bad lines included, and the
+    wall and CPU time spent. The window re-opens after each yield
+    resumes, so consumer time between chunks never counts as parse time.
+    """
+
+    __slots__ = ("index", "lines", "n_bytes", "t0", "c0")
+
+    def __init__(self, lines: int) -> None:
+        self.index = 0
+        self.lines = lines
+        self.n_bytes = 0
+        self.open()
+
+    def open(self) -> None:
+        self.t0, self.c0 = perf_counter(), thread_time()
+
+    def close(self, lines: int, n_bytes: int) -> None:
+        """Note the chunk that ends after *lines* lines, *n_bytes* bytes."""
+        from repro.parallel.ingest import note_parse_chunk
+
+        note_parse_chunk(
+            self.index,
+            lines - self.lines,
+            n_bytes - self.n_bytes,
+            wall_s=perf_counter() - self.t0,
+            cpu_s=thread_time() - self.c0,
         )
+        self.index += 1
+        self.lines, self.n_bytes = lines, n_bytes
 
 
 def scan_severity_counts(

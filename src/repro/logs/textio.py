@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.frame import Frame
-from repro.frame.io import read_delimited, write_delimited
+from repro.frame.io import write_delimited
 from repro.logs.job import JOB_COLUMNS, JobLog
 from repro.logs.quarantine import IngestPolicy, coerce_policy
 from repro.logs.ras import RAS_COLUMNS, RasLog
@@ -102,17 +102,12 @@ def read_log_frame(
         if not frame.num_rows:
             frame = empty_ras_log().frame
     else:
-        from repro.parallel.ingest import (
-            parallel_read_delimited,
-            resolve_workers,
-        )
+        from repro.parallel.ingest import parallel_read_delimited
 
-        if resolve_workers(workers) > 1:
-            frame = parallel_read_delimited(
-                path, policy=pol, report=report, workers=workers
-            )
-        else:
-            frame = read_delimited(path, policy=pol, report=report)
+        # one worker reads the file as one chunk, inline
+        frame = parallel_read_delimited(
+            path, policy=pol, report=report, workers=workers
+        )
 
     status = None if cache is None else cache.last_status
     if key is not None:

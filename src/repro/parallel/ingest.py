@@ -32,6 +32,7 @@ from repro.parallel.workers import parse_delim_chunk, parse_ras_chunk
 
 __all__ = [
     "effective_cpu_count",
+    "note_parse_chunk",
     "resolve_workers",
     "parallel_read_ras_frame",
     "parallel_read_delimited",
@@ -67,35 +68,48 @@ def _run_chunks(worker, tasks: list, workers: int) -> list:
         )
         with ctx.Pool(processes=n) as pool:
             chunks = pool.map(worker, tasks)
-    _note_chunks(chunks, n)
+    # fork workers cannot reach this process's tracer or registry, so
+    # each chunk carries its own measurements home to be noted here
+    note = f"{n} workers" if n > 1 else ""
+    for i, chunk in enumerate(chunks):
+        note_parse_chunk(
+            i, chunk.n_lines, chunk.n_bytes, chunk.wall_s, chunk.cpu_s, note
+        )
     return chunks
 
 
-def _note_chunks(chunks: list, workers: int) -> None:
-    """Re-attach the workers' self-measurements in the parent process.
+def note_parse_chunk(
+    index: int,
+    lines: int,
+    n_bytes: int,
+    wall_s: float,
+    cpu_s: float,
+    note: str = "",
+) -> None:
+    """Telemetry of one parsed chunk of a log's data lines.
 
-    Fork workers cannot write to the parent's tracer or registry, so
-    each chunk carries its own wall/CPU/row/byte numbers home; here
-    they become ``ingest.parse.chunk`` child spans of the current span
-    plus per-chunk counters — the merged telemetry looks the same
-    whether the chunks ran pooled or inline.
+    Every text reader notes its chunks here — the pool's, and the serial
+    RAS reader's 100k-row chunks — so a serial and a parallel parse of
+    the same file give the same ``ingest.chunk.records`` (data lines
+    read, bad ones included) and ``ingest.chunk.bytes`` totals, one
+    ``ingest.chunk.wall_s`` sample per chunk, and one
+    ``ingest.parse.chunk`` child span of the current span per chunk.
     """
     registry = get_metrics()
+    registry.counter("ingest.chunk.records").inc(lines)
+    registry.counter("ingest.chunk.bytes").inc(n_bytes)
+    registry.histogram("ingest.chunk.wall_s").observe(wall_s)
     tracer = current_tracer()
-    for i, chunk in enumerate(chunks):
-        registry.counter("ingest.chunk.records").inc(chunk.n_lines)
-        registry.counter("ingest.chunk.bytes").inc(chunk.n_bytes)
-        registry.histogram("ingest.chunk.wall_s").observe(chunk.wall_s)
-        if tracer is not None:
-            tracer.attach(
-                "ingest.parse.chunk",
-                wall_s=chunk.wall_s,
-                cpu_s=chunk.cpu_s,
-                rows=chunk.n_lines,
-                note=f"{workers} workers" if workers > 1 else "",
-                chunk=i,
-                bytes=chunk.n_bytes,
-            )
+    if tracer is not None:
+        tracer.attach(
+            "ingest.parse.chunk",
+            wall_s=wall_s,
+            cpu_s=cpu_s,
+            rows=lines,
+            note=note,
+            chunk=index,
+            bytes=n_bytes,
+        )
 
 
 def parallel_read_ras_frame(
@@ -147,7 +161,8 @@ def parallel_read_delimited(
     coerces to the strict policy here, which classifies the same lines
     as bad but raises the typed :class:`IngestError` instead of a plain
     ``ValueError``; callers who need the legacy exception must use the
-    serial reader.
+    serial reader. With one worker the file is one chunk, parsed inline:
+    that is how :func:`repro.logs.textio.read_job_log` reads serially.
     """
     from repro.frame.io import _parse_header
 
