@@ -183,13 +183,19 @@ def _workers_arg(text: str) -> int:
     return value
 
 
-def _add_workers_arg(p: argparse.ArgumentParser) -> None:
+def _add_workers_arg(p: argparse.ArgumentParser, what: str) -> None:
     p.add_argument(
         "--workers", type=_workers_arg, default=1, metavar="N",
-        help="parallelism for ingestion chunks and downstream studies: "
-             "0 = one per available CPU, 1 = serial (default); output "
-             "is bit-identical at any width",
+        help=f"{what}: 0 = one per available CPU, 1 = serial (default); "
+             "output is bit-identical at any width",
     )
+
+
+#: what ``--workers`` widens for the commands that parse log files
+_LOG_WORKERS = (
+    "RAS-log parse processes and study threads (the job log is always "
+    "parsed serially)"
+)
 
 
 def _add_cache_args(p: argparse.ArgumentParser) -> None:
@@ -351,7 +357,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _ingest_note(log, workers: int) -> str:
+def _ingest_note(log, workers: int = 1) -> str:
     status = getattr(log, "cache_status", None)
     if status is not None:
         return f"cache {status}"
@@ -385,12 +391,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 ras_span.rows = len(ras_log)
                 ras_span.note = _ingest_note(ras_log, args.workers)
             with maybe_span("ingest.job") as job_span:
-                job_log = read_job_log(
-                    args.job, policy=policy, workers=args.workers,
-                    cache=cache,
-                )
+                job_log = read_job_log(args.job, policy=policy, cache=cache)
                 job_span.rows = job_log.num_jobs
-                job_span.note = _ingest_note(job_log, args.workers)
+                job_span.note = _ingest_note(job_log)
         except IngestAbortError as exc:
             print(f"ingestion aborted: {exc}", file=sys.stderr)
             print(exc.report.render(), file=sys.stderr)
@@ -493,7 +496,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
             result = analyze_fleet(
                 dataset,
                 time_range=args.time_range,
-                workers=args.workers,
                 seed=args.seed,
                 pipeline_factory=lambda: _pipeline_from_args(args),
             )
@@ -601,9 +603,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
                 ras_log = read_ras_log(
                     args.ras, policy=policy, workers=args.workers
                 )
-                job_log = read_job_log(
-                    args.job, policy=policy, workers=args.workers
-                )
+                job_log = read_job_log(args.job, policy=policy)
             except IngestAbortError as exc:
                 print(f"ingestion aborted: {exc}", file=sys.stderr)
                 return 2
@@ -991,7 +991,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--job", required=True)
     _add_analysis_args(p_an)
     _add_ingest_args(p_an)
-    _add_workers_arg(p_an)
+    _add_workers_arg(p_an, _LOG_WORKERS)
     _add_cache_args(p_an)
     _add_telemetry_args(p_an)
     p_an.set_defaults(func=cmd_analyze)
@@ -999,7 +999,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo = sub.add_parser("demo", help="simulate + analyze in memory")
     _add_profile_args(p_demo)
     _add_analysis_args(p_demo)
-    _add_workers_arg(p_demo)
+    _add_workers_arg(p_demo, "study threads")
     _add_telemetry_args(p_demo)
     p_demo.set_defaults(func=cmd_demo)
 
@@ -1034,7 +1034,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_profile_args(p_fl)
     _add_analysis_args(p_fl)
-    _add_workers_arg(p_fl)
     _add_telemetry_args(p_fl)
     p_fl.set_defaults(func=cmd_fleet)
 
@@ -1088,7 +1087,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_profile_args(p_st)
     _add_analysis_args(p_st)
     _add_ingest_args(p_st)
-    _add_workers_arg(p_st)
+    _add_workers_arg(p_st, _LOG_WORKERS)
     _add_telemetry_args(p_st)
     p_st.set_defaults(func=cmd_stream)
 

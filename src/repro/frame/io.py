@@ -12,11 +12,14 @@ round-trip losslessly. Readers tolerate a UTF-8 BOM and CRLF line
 endings, both of which real exports grown on other platforms carry.
 
 Passing an :class:`repro.logs.quarantine.IngestPolicy` switches
-:func:`read_delimited` to a per-line validating path that classifies
-structural damage (blank/truncated/garbled/encoding) and typed-cell
-failures into the defect taxonomy: strict policies raise an
+:func:`read_delimited` to a validating path that classifies structural
+damage (blank/truncated/garbled/encoding) and typed-cell failures into
+the defect taxonomy: strict policies raise an
 :class:`~repro.logs.quarantine.IngestError` with the line number, while
-quarantine/skip policies divert bad rows and keep parsing.
+quarantine/skip policies divert bad rows and keep parsing. Every
+validating reader of delimited text — this one and the live job feed
+(:mod:`repro.stream.source`) — classifies lines with one block kernel,
+:func:`parse_delimited_block`.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import io as _io
 import math
 import re
+from itertools import repeat
 from pathlib import Path
 from typing import IO
 
@@ -33,7 +37,7 @@ from repro.frame.column import shared_strings
 from repro.frame.frame import Frame
 
 if False:  # import-time cycle guard: quarantine lives above frame
-    from repro.logs.quarantine import IngestPolicy, QuarantineReport
+    from repro.logs.quarantine import DefectClass, IngestPolicy, QuarantineReport
 
 _TAGS = {"i": "int", "u": "int", "f": "float", "b": "bool", "O": "str", "U": "str"}
 #: typed column from a list of cells, by header tag; a ``str`` column
@@ -45,6 +49,8 @@ _PARSERS = {
     "bool": lambda col: np.array([v == "True" for v in col], dtype=bool),
     "str": shared_strings,
 }
+#: the cells a validating read accepts in a ``bool`` column
+_BOOL_CELLS = frozenset({"True", "False"})
 
 _BOM = "\ufeff"
 _ESCAPE_RE = re.compile(r"\\(.)")
@@ -165,42 +171,118 @@ def _parse_header(header_line: str, sep: str) -> tuple[list[str], list[str]]:
     return names, tags
 
 
+def parse_delimited_block(
+    lines: list[str],
+    names: list[str] | tuple[str, ...],
+    tags: list[str] | tuple[str, ...],
+    sep: str = "|",
+) -> tuple[list[tuple[int, DefectClass]], list[np.ndarray]]:
+    """Classify and type a block of delimited data lines.
+
+    The result is the defect taxonomy applied line by line:
+    ``(index, defect)`` for every line that
+    :func:`~repro.logs.quarantine.structural_defect` or
+    :func:`~repro.logs.quarantine.typed_cell_defect` rejects, in line
+    order, and one typed array per column (header order) holding the
+    lines it accepts. The checks run a column at a time: lines with the
+    header's separator count are split at once, and each typed column is
+    converted whole, with a per-cell check only when a conversion fails.
+    String cells are unescaped and shared per column (:data:`_PARSERS`).
+    """
+    from repro.logs.quarantine import (
+        REPLACEMENT_CHAR,
+        DefectClass,
+        structural_defect,
+        typed_cell_defect,
+    )
+
+    n, width = len(lines), len(names)
+    counts = np.fromiter(map(str.count, lines, repeat(sep, n)), np.int64, n)
+    keep = np.flatnonzero(counts == width - 1)
+    kept = lines if len(keep) == n else [lines[i] for i in keep.tolist()]
+    text = sep.join(kept)
+    if REPLACEMENT_CHAR in text or width == 1 or not sep.strip():
+        # the structural checks a separator count cannot stand in for:
+        # encoding damage, and blank lines whose cells hold no separator
+        # or only a blank one
+        fine = np.fromiter(
+            (structural_defect(v, width, width) is None for v in kept),
+            bool,
+            len(kept),
+        )
+        keep = keep[fine]
+        kept = [lines[i] for i in keep.tolist()]
+        text = sep.join(kept)
+    cells = text.split(sep) if kept else []
+    cols = [cells[j::width] for j in range(width)]
+    del cells
+
+    m = len(keep)
+    arrays: list[np.ndarray | None] = [None] * width
+    flagged = np.zeros(m, dtype=bool)
+    for j, tag in enumerate(tags):
+        if tag == "str":
+            continue
+        try:
+            if tag == "bool" and not _BOOL_CELLS.issuperset(cols[j]):
+                raise ValueError("not a bool")
+            arrays[j] = _PARSERS[tag](cols[j])
+        except ValueError:
+            flagged |= np.fromiter(
+                (typed_cell_defect(v, tag) is not None for v in cols[j]),
+                bool,
+                m,
+            )
+    typed_bad = keep[flagged]
+    if len(typed_bad):
+        good = np.flatnonzero(~flagged)
+        index = good.tolist()
+        for j, array in enumerate(arrays):
+            if array is None:
+                cols[j] = [cols[j][i] for i in index]
+            else:
+                arrays[j] = array[good]
+        keep = keep[good]
+    for j, tag in enumerate(tags):
+        if arrays[j] is None:
+            col = cols[j]
+            if tag == "str" and "\\" in text:
+                col = [unescape_cell(v, sep) for v in col]
+            arrays[j] = _PARSERS[tag](col)
+
+    rejected = np.ones(n, dtype=bool)
+    rejected[keep] = False
+    rejected[typed_bad] = False
+    defects = [
+        (i, structural_defect(lines[i], int(counts[i]) + 1, width))
+        for i in np.flatnonzero(rejected).tolist()
+    ]
+    if len(typed_bad):
+        defects += [(i, DefectClass.BAD_FIELD) for i in typed_bad.tolist()]
+        defects.sort(key=lambda item: item[0])
+    return defects, arrays
+
+
 def read_delimited(
     source: str | Path | IO[str],
     sep: str = "|",
     policy: "IngestPolicy | str | None" = None,
     report: "QuarantineReport | None" = None,
-    workers: int = 1,
 ) -> Frame:
     """Read a frame written by :func:`write_delimited`.
 
     With *policy* ``None`` (the default) any malformed line raises a
-    plain :class:`ValueError` — the legacy fast path. Passing a policy
-    (or a mode string ``"strict"``/``"quarantine"``/``"skip"``) enables
-    per-line defect classification; bad rows are routed through the
-    policy and, for non-strict modes, tallied into *report*.
-
-    *workers* > 1 (or 0 for one per CPU) parses a validating file
-    source in parallel byte-range chunks with bit-identical results;
-    stream sources and the legacy path always read serially.
+    plain :class:`ValueError` — the legacy path, a lossless round-trip
+    for any frame. Passing a policy (or a mode string
+    ``"strict"``/``"quarantine"``/``"skip"``) classifies every line with
+    :func:`parse_delimited_block`; bad rows are routed through the
+    policy in line order and, for non-strict modes, tallied into
+    *report*.
     """
-    from repro.logs.quarantine import (
-        coerce_policy,
-        finish_ingest,
-        handle_bad_record,
-        structural_defect,
-        typed_cell_defect,
-    )
+    from repro.logs.quarantine import coerce_policy, replay_defects
 
     validating = policy is not None
     pol = coerce_policy(policy)
-    if validating and isinstance(source, (str, Path)):
-        from repro.parallel.ingest import parallel_read_delimited, resolve_workers
-
-        if resolve_workers(workers) > 1:
-            return parallel_read_delimited(
-                source, sep=sep, policy=pol, report=report, workers=workers
-            )
     fh, close = _open_for_read(source, tolerant=validating)
     if report is None:
         report = pol.new_report(str(source) if close else "")
@@ -209,33 +291,25 @@ def read_delimited(
         if not header_line:
             return Frame()
         names, tags = _parse_header(header_line, sep)
+        if validating:
+            lines = [line.rstrip("\r\n") for line in fh]
+            defects, arrays = parse_delimited_block(lines, names, tags, sep)
+            replay_defects(
+                pol,
+                report,
+                [(i + 2, defect, lines[i]) for i, defect in defects],
+                len(lines),
+            )
+            return Frame(dict(zip(names, arrays)))
         raw_cols: list[list[str]] = [[] for _ in names]
-        if not validating:
-            for line in fh:
-                parts = line.rstrip("\r\n").split(sep)
-                if len(parts) != len(names):
-                    raise ValueError(
-                        f"row has {len(parts)} cells, expected {len(names)}: {line!r}"
-                    )
-                for c, v in zip(raw_cols, parts):
-                    c.append(v)
-        else:
-            for line_no, line in enumerate(fh, start=2):
-                text = line.rstrip("\r\n")
-                report.total_rows += 1
-                parts = text.split(sep)
-                defect = structural_defect(text, len(parts), len(names))
-                if defect is None:
-                    for v, tag in zip(parts, tags):
-                        defect = typed_cell_defect(v, tag)
-                        if defect is not None:
-                            break
-                if defect is not None:
-                    handle_bad_record(pol, report, line_no, defect, text)
-                    continue
-                for c, v in zip(raw_cols, parts):
-                    c.append(v)
-            finish_ingest(pol, report)
+        for line in fh:
+            parts = line.rstrip("\r\n").split(sep)
+            if len(parts) != len(names):
+                raise ValueError(
+                    f"row has {len(parts)} cells, expected {len(names)}: {line!r}"
+                )
+            for c, v in zip(raw_cols, parts):
+                c.append(v)
         data = {}
         for name, tag, col in zip(names, tags, raw_cols):
             if tag == "str":

@@ -9,20 +9,35 @@ import numpy as np
 
 from repro.frame import Frame
 
-#: canonical job frame columns, Table III fields plus the size in
-#: midplanes (recoverable from location, materialized for analysis).
-JOB_COLUMNS = (
-    "job_id",
-    "job_name",
-    "executable",
-    "queued_time",
-    "start_time",
-    "end_time",
-    "location",
-    "user",
-    "project",
-    "size_midplanes",
+#: the job log's typed header, as :func:`repro.logs.textio.write_job_log`
+#: writes it: Table III fields plus the size in midplanes (recoverable
+#: from location, materialized for analysis), each with the dtype tag
+#: its header cell carries. Both job readers hold a header to it.
+JOB_SCHEMA = (
+    ("job_id", "int"),
+    ("job_name", "str"),
+    ("executable", "str"),
+    ("queued_time", "float"),
+    ("start_time", "float"),
+    ("end_time", "float"),
+    ("location", "str"),
+    ("user", "str"),
+    ("project", "str"),
+    ("size_midplanes", "int"),
 )
+#: canonical job frame columns
+JOB_COLUMNS = tuple(name for name, _ in JOB_SCHEMA)
+
+
+def check_job_header(header: str) -> None:
+    """Raise ``ValueError`` unless *header* is the :data:`JOB_SCHEMA` header.
+
+    A job log whose header names other columns, or types one of them
+    differently (``job_id:str``), cannot be trusted row by row.
+    """
+    cells = header.split("|")
+    if tuple(tuple(cell.rpartition(":")[::2]) for cell in cells) != JOB_SCHEMA:
+        raise ValueError(f"unexpected job header {cells}")
 
 
 @dataclass(frozen=True)

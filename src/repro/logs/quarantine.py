@@ -44,6 +44,7 @@ __all__ = [
     "typed_cell_defect",
     "handle_bad_record",
     "finish_ingest",
+    "replay_defects",
 ]
 
 #: Unicode replacement character emitted by ``errors="replace"`` decode;
@@ -339,3 +340,26 @@ def finish_ingest(policy: IngestPolicy, report: QuarantineReport) -> None:
             f" max_bad_fraction={policy.max_bad_fraction:g}"
             f" (log too damaged to trust)",
         )
+
+
+def replay_defects(
+    policy: IngestPolicy,
+    report: QuarantineReport,
+    defects: list[tuple[int, DefectClass, str]],
+    total_lines: int,
+) -> None:
+    """Route a whole parse's defects through *policy*, in line order.
+
+    *defects* are ``(line_no, defect, text)`` over *total_lines* data
+    lines, the first of them line 2 (after the header).
+    ``report.total_rows`` is set to a line-by-line read's running count
+    before each defect is handled, so a strict raise or a
+    ``max_bad_records`` abort leaves the report that read would leave;
+    then the whole count is added and the end-of-file check runs.
+    """
+    base = report.total_rows
+    for line_no, defect, text in defects:
+        report.total_rows = base + line_no - 1
+        handle_bad_record(policy, report, line_no, defect, text)
+    report.total_rows = base + total_lines
+    finish_ingest(policy, report)

@@ -9,14 +9,15 @@ on disk and back to epoch seconds in memory.
 
 from __future__ import annotations
 
+import os
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from repro.frame import Frame
-from repro.frame.io import write_delimited
-from repro.logs.job import JOB_COLUMNS, JobLog
+from repro.frame.io import read_delimited, write_delimited
+from repro.logs.job import JOB_COLUMNS, JobLog, check_job_header
 from repro.logs.quarantine import IngestPolicy, coerce_policy
 from repro.logs.ras import RAS_COLUMNS, RasLog
 
@@ -60,7 +61,8 @@ def read_log_frame(
     Returns ``(frame, report, cache_status)`` where *report* is the
     parse's :class:`~repro.logs.quarantine.QuarantineReport` (present
     under every policy; callers decide whether to surface it) and
-    *cache_status* resolves as in :func:`read_ras_log`.
+    *cache_status* resolves as in :func:`read_ras_log`. *workers*
+    applies to the RAS log only; the job log is read serially.
     """
     if table not in ("ras", "job"):
         raise ValueError(f"unknown log table {table!r}")
@@ -102,12 +104,17 @@ def read_log_frame(
         if not frame.num_rows:
             frame = empty_ras_log().frame
     else:
-        from repro.parallel.ingest import parallel_read_delimited
+        from repro.logs.stream import _ChunkWindow
+        from repro.parallel.chunking import scan_header
 
-        # one worker reads the file as one chunk, inline
-        frame = parallel_read_delimited(
-            path, policy=pol, report=report, workers=workers
-        )
+        header, data_start = scan_header(path)
+        if header:
+            check_job_header(header)
+        # the job log is one chunk: every data line and byte after the
+        # header, noted like the RAS reader's chunks
+        window = _ChunkWindow(report.total_rows)
+        frame = read_delimited(path, policy=pol, report=report)
+        window.close(report.total_rows, os.path.getsize(path) - data_start)
 
     status = None if cache is None else cache.last_status
     if key is not None:
@@ -155,19 +162,20 @@ def write_job_log(log: JobLog, path: str | Path) -> None:
 def read_job_log(
     path: str | Path,
     policy: IngestPolicy | str | None = None,
-    workers: int = 1,
     cache: "ParseCache | None" = None,
 ) -> JobLog:
     """Read a job log written by :func:`write_job_log`.
 
-    Job-log damage is structural/typed only (blank, truncated, garbled,
-    encoding garbage, unparseable numeric cells); the defect taxonomy
-    and policy semantics match the RAS reader's. *workers* and *cache*
-    behave as in :func:`read_ras_log`.
+    The header must be the :data:`~repro.logs.job.JOB_SCHEMA` header
+    (``ValueError`` otherwise, as for a RAS header). Job-log damage is
+    structural/typed only (blank, truncated, garbled, encoding garbage,
+    unparseable numeric cells); the defect taxonomy and policy semantics
+    match the RAS reader's. The file is parsed serially, as one block;
+    *cache* behaves as in :func:`read_ras_log`.
     """
     pol = coerce_policy(policy)
     frame, report, status = read_log_frame(
-        path, "job", policy=pol, workers=workers, cache=cache
+        path, "job", policy=pol, cache=cache
     )
     log = JobLog(frame)
     log.quarantine = None if pol.is_strict else report

@@ -26,11 +26,11 @@ Propagation rules:
   parent only from its own tracer: spans of an inactive tracer (the
   e2e benchmark's outside-in recorder) and of the active one interleave
   without adopting each other;
-* **thread pools** — ContextVars do not flow into pool threads by
-  themselves; submitters capture ``contextvars.copy_context()`` per
-  task (see ``CoAnalysis._run_studies``) and the copied context carries
+* **the study thread pool** — ContextVars do not flow into pool threads
+  by themselves; ``CoAnalysis._run_studies`` captures
+  ``contextvars.copy_context()`` per task and the copied context carries
   both the active tracer and the current parent span;
-* **fork workers** — a ``multiprocessing`` worker cannot append to the
+* **fork workers** — a RAS parse worker process cannot append to the
   parent's span list; workers measure themselves (wall, CPU, rows,
   bytes) and ship the numbers back in their result payload, which the
   parent re-attaches under the current span via :meth:`Tracer.attach`.

@@ -4,12 +4,12 @@ Three cooperating pieces speed up the ingest-bound half of the
 pipeline without changing a single observable bit of its output:
 
 * :mod:`repro.parallel.chunking` / :mod:`repro.parallel.workers` /
-  :mod:`repro.parallel.merge` — split a log into line-aligned byte
+  :mod:`repro.parallel.merge` — split a RAS log into line-aligned byte
   ranges, parse each in a worker process, and deterministically merge
   candidates + defects back into the serial reader's exact result
   (same frame, same quarantine report, same raises, every policy);
-* :mod:`repro.parallel.ingest` — the pool orchestration and the
-  ``parallel_read_*`` entry points the readers dispatch to;
+* :mod:`repro.parallel.ingest` — the pool orchestration and
+  :func:`parallel_read_ras_frame`, which the RAS reader dispatches to;
 * :mod:`repro.parallel.cache` — a content-addressed on-disk cache of
   parsed frames so reruns over unchanged logs skip parsing entirely.
 """
@@ -18,16 +18,11 @@ from repro.parallel.cache import PARSE_SCHEMA_VERSION, ParseCache
 from repro.parallel.chunking import plan_chunks, scan_header, split_chunk_lines
 from repro.parallel.ingest import (
     effective_cpu_count,
-    parallel_read_delimited,
     parallel_read_ras_frame,
     resolve_workers,
 )
-from repro.parallel.merge import (
-    merge_delim_chunks,
-    merge_ras_chunks,
-    replay_cross_record,
-)
-from repro.parallel.workers import parse_delim_chunk, parse_ras_chunk
+from repro.parallel.merge import merge_ras_chunks, replay_cross_record
+from repro.parallel.workers import parse_ras_chunk
 
 __all__ = [
     "PARSE_SCHEMA_VERSION",
@@ -38,10 +33,7 @@ __all__ = [
     "effective_cpu_count",
     "resolve_workers",
     "parallel_read_ras_frame",
-    "parallel_read_delimited",
     "merge_ras_chunks",
-    "merge_delim_chunks",
     "replay_cross_record",
     "parse_ras_chunk",
-    "parse_delim_chunk",
 ]

@@ -2,7 +2,7 @@
 
 A cache entry is keyed by a blake2b digest over the *file content* plus
 everything that can change the parse result: the cache schema version,
-the reader kind (``ras`` / ``delim``), the cell separator and the full
+the reader kind (``ras`` / ``job``), the cell separator and the full
 ingest-policy fingerprint. Any edit to the log, bump of the layout, or
 change of policy therefore misses cleanly — there is no mtime heuristic
 to go stale.

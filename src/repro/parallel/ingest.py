@@ -1,15 +1,14 @@
-"""Chunk-parallel ingestion: fan line-aligned chunks out to a pool.
+"""Chunk-parallel RAS ingestion: fan line-aligned chunks out to a pool.
 
-The entry points mirror the serial validating readers exactly —
-:func:`parallel_read_ras_frame` corresponds to one full pass of
-:func:`repro.logs.stream.iter_ras_chunks`, and
-:func:`parallel_read_delimited` to the validating path of
-:func:`repro.frame.io.read_delimited` — but split the file into
-byte-range chunks (:mod:`repro.parallel.chunking`), parse each in a
-``multiprocessing`` worker (:mod:`repro.parallel.workers`), and merge
-deterministically (:mod:`repro.parallel.merge`). The result — frame,
-quarantine report, or raised ``IngestError``/``IngestAbortError`` — is
-bit-identical to the serial parse under every policy.
+:func:`parallel_read_ras_frame` mirrors one full pass of the serial
+validating reader, :func:`repro.logs.stream.iter_ras_chunks`, exactly,
+but splits the file into byte-range chunks
+(:mod:`repro.parallel.chunking`), parses each in a ``multiprocessing``
+worker (:mod:`repro.parallel.workers`), and merges deterministically
+(:mod:`repro.parallel.merge`). The result — frame, quarantine report,
+or raised ``IngestError``/``IngestAbortError`` — is bit-identical to
+the serial parse under every policy. The job log has no pool: it is
+read serially, as one block.
 """
 
 from __future__ import annotations
@@ -27,15 +26,14 @@ from repro.logs.quarantine import (
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import current_tracer
 from repro.parallel.chunking import plan_chunks, scan_header
-from repro.parallel.merge import merge_delim_chunks, merge_ras_chunks
-from repro.parallel.workers import parse_delim_chunk, parse_ras_chunk
+from repro.parallel.merge import merge_ras_chunks
+from repro.parallel.workers import parse_ras_chunk
 
 __all__ = [
     "effective_cpu_count",
     "note_parse_chunk",
     "resolve_workers",
     "parallel_read_ras_frame",
-    "parallel_read_delimited",
 ]
 
 
@@ -88,10 +86,11 @@ def note_parse_chunk(
 ) -> None:
     """Telemetry of one parsed chunk of a log's data lines.
 
-    Every text reader notes its chunks here — the pool's, and the serial
-    RAS reader's 100k-row chunks — so a serial and a parallel parse of
-    the same file give the same ``ingest.chunk.records`` (data lines
-    read, bad ones included) and ``ingest.chunk.bytes`` totals, one
+    Every text reader notes its chunks here — the pool's, the serial
+    RAS reader's 100k-row chunks and the job reader's one chunk — so a
+    serial and a parallel parse of the same file give the same
+    ``ingest.chunk.records`` (data lines read, bad ones included) and
+    ``ingest.chunk.bytes`` totals, one
     ``ingest.chunk.wall_s`` sample per chunk, and one
     ``ingest.parse.chunk`` child span of the current span per chunk.
     """
@@ -144,42 +143,3 @@ def parallel_read_ras_frame(
     tasks = [(str(path), start, end) for start, end in chunk_bounds]
     chunks = _run_chunks(parse_ras_chunk, tasks, n_workers)
     return merge_ras_chunks(chunks, pol, report)
-
-
-def parallel_read_delimited(
-    path: str | Path,
-    sep: str = "|",
-    policy: "IngestPolicy | str | None" = None,
-    report: QuarantineReport | None = None,
-    workers: int = 0,
-    chunk_bounds: list[tuple[int, int]] | None = None,
-) -> Frame:
-    """Parse a typed-header delimited file in parallel (validating path).
-
-    Matches ``read_delimited(path, sep, policy=...)`` bit for bit. The
-    legacy non-validating path (``policy=None``) stays serial — it
-    coerces to the strict policy here, which classifies the same lines
-    as bad but raises the typed :class:`IngestError` instead of a plain
-    ``ValueError``; callers who need the legacy exception must use the
-    serial reader. With one worker the file is one chunk, parsed inline:
-    that is how :func:`repro.logs.textio.read_job_log` reads serially.
-    """
-    from repro.frame.io import _parse_header
-
-    pol = coerce_policy(policy)
-    if report is None:
-        report = pol.new_report(str(path))
-    n_workers = resolve_workers(workers)
-
-    header, data_start = scan_header(path)
-    if not header:
-        return Frame()
-    names, tags = _parse_header(header, sep)
-    if chunk_bounds is None:
-        chunk_bounds = plan_chunks(str(path), n_workers, data_start)
-    tasks = [
-        (str(path), start, end, sep, tuple(names), tuple(tags))
-        for start, end in chunk_bounds
-    ]
-    chunks = _run_chunks(parse_delim_chunk, tasks, n_workers)
-    return merge_delim_chunks(chunks, names, tags, pol, report)

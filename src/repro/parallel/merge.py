@@ -14,11 +14,11 @@ from chunk-local worker output, for every ingest policy:
   semantics from the first violation on;
 * **policy replay** — all defects (context-free ones from the workers
   plus cross-record ones from the replay) are routed through
-  :func:`~repro.logs.quarantine.handle_bad_record` in global line
-  order, with the report's running ``total_rows`` reconstructed at
-  every step, so strict raises, quarantine samples, mid-stream
-  ``max_bad_records`` aborts and end-of-file ``max_bad_fraction``
-  checks all fire exactly where the serial parse would fire them.
+  :func:`~repro.logs.quarantine.replay_defects` in global line order,
+  with the report's running ``total_rows`` reconstructed at every step,
+  so strict raises, quarantine samples, mid-stream ``max_bad_records``
+  aborts and end-of-file ``max_bad_fraction`` checks all fire exactly
+  where the serial parse would fire them.
 """
 
 from __future__ import annotations
@@ -32,15 +32,13 @@ from repro.logs.quarantine import (
     DefectClass,
     IngestPolicy,
     QuarantineReport,
-    finish_ingest,
-    handle_bad_record,
+    replay_defects,
 )
-from repro.parallel.workers import DelimChunk, RasChunk
+from repro.parallel.workers import RasChunk
 
 __all__ = [
     "RasRowCursor",
     "merge_ras_chunks",
-    "merge_delim_chunks",
     "replay_cross_record",
 ]
 
@@ -147,28 +145,6 @@ def _line_bases(chunk_lines: list[int]) -> list[int]:
     return bases
 
 
-def _replay_policy(
-    defects: list[tuple[int, DefectClass, str]],
-    total_lines: int,
-    policy: IngestPolicy,
-    report: QuarantineReport,
-) -> None:
-    """Route merged defects through the policy in global line order.
-
-    ``report.total_rows`` is reconstructed to the serial parser's
-    running value before each defect is handled, so a strict raise or a
-    ``max_bad_records`` abort leaves the report in the exact state the
-    serial parse would have left it; afterwards the full line count is
-    restored and the end-of-file fraction check runs.
-    """
-    base_total = report.total_rows
-    for line_no, defect, sample in defects:
-        report.total_rows = base_total + (line_no - _FIRST_DATA_LINE) + 1
-        handle_bad_record(policy, report, line_no, defect, sample)
-    report.total_rows = base_total + total_lines
-    finish_ingest(policy, report)
-
-
 def merge_ras_chunks(
     chunks: list[RasChunk], policy: IngestPolicy, report: QuarantineReport
 ) -> Frame:
@@ -207,7 +183,7 @@ def merge_ras_chunks(
             for i, defect in cross
         )
         defects.sort(key=lambda d: d[0])
-    _replay_policy(defects, total_lines, policy, report)
+    replay_defects(policy, report, defects, total_lines)
     return rows.take(accepted).to_frame()
 
 
@@ -220,29 +196,3 @@ def _candidate_sample(rows, stored: dict[int, str], i: int) -> str:
     if i in stored:
         return stored[i]
     return "|".join(col[i] for col in rows.cells)[:SAMPLE_WIDTH]
-
-
-def merge_delim_chunks(
-    chunks: list[DelimChunk],
-    names: list[str],
-    tags: list[str],
-    policy: IngestPolicy,
-    report: QuarantineReport,
-) -> Frame:
-    """Merge parsed generic-delimited chunks into one typed frame."""
-    bases = _line_bases([c.n_lines for c in chunks])
-    total_lines = sum(c.n_lines for c in chunks)
-    defects = [
-        (base + idx, defect, sample)
-        for base, chunk in zip(bases, chunks)
-        for idx, defect, sample in chunk.defects
-    ]
-    _replay_policy(defects, total_lines, policy, report)
-
-    from repro.frame.io import _PARSERS
-
-    data = {}
-    for j, (name, tag) in enumerate(zip(names, tags)):
-        parts = [c.arrays[j] for c in chunks]
-        data[name] = np.concatenate(parts) if parts else _PARSERS[tag]([])
-    return Frame(data)

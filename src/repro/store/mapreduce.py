@@ -2,10 +2,9 @@
 
 **Map**: each machine's logs are reassembled from its shards (pruned to
 the query range) and pushed through the unchanged batch
-:class:`~repro.core.pipeline.CoAnalysis` — one task per machine, fanned
-out over a thread pool with per-task ``contextvars`` copies so spans
-nest under the fleet root, and a per-machine error boundary so one bad
-machine degrades the fleet report instead of killing it.
+:class:`~repro.core.pipeline.CoAnalysis` — one machine after another,
+each inside a per-machine error boundary so one bad machine degrades the
+fleet report instead of killing it.
 
 **Reduce**: the per-machine observation lists are merged into
 :class:`FleetObservation` verdicts — a holds tally across machines plus
@@ -13,7 +12,7 @@ a percentile-bootstrap CI (``stats/bootstrap.py``) over each shared
 numeric measured quantity, quantifying how much a headline number
 wobbles across the fleet. The bootstrap RNG is seeded from
 ``(seed, obs number, key index)`` so the reduce is deterministic for a
-fixed fleet regardless of map scheduling.
+fixed fleet.
 
 Because the map step consumes bit-identically reassembled frames, a
 one-machine fleet over a partitioned trace reproduces the batch
@@ -22,8 +21,6 @@ pipeline's observations exactly — the equivalence the store tests pin.
 
 from __future__ import annotations
 
-import contextvars
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +30,6 @@ from repro.core.pipeline import CoAnalysis, CoAnalysisResult
 from repro.frame.frame import Frame
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import maybe_span
-from repro.parallel.ingest import resolve_workers
 from repro.stats.bootstrap import BootstrapCI, bootstrap_ci
 from repro.store.dataset import ShardedDataset
 
@@ -103,7 +99,6 @@ class FleetResult:
     observations: list[FleetObservation]
     time_range: tuple[float, float] | None
     seed: int
-    workers: int
 
     @property
     def ok_machines(self) -> list[MachineAnalysis]:
@@ -265,51 +260,25 @@ def analyze_fleet(
     dataset: ShardedDataset,
     machines: list[str] | None = None,
     time_range: tuple[float, float] | None = None,
-    workers: int = 0,
     seed: int = 2011,
     pipeline_factory=None,
 ) -> FleetResult:
     """Run the co-analysis over every machine in *dataset* and merge.
 
-    *workers* follows the repo convention (0 = one per CPU, 1 =
-    serial); results come back in machine order regardless of
-    scheduling, and the reduce is seeded, so the whole fleet result is
-    deterministic.
+    Machines are analyzed in order and the reduce is seeded, so the
+    whole fleet result is deterministic.
     """
     if machines is None:
         machines = dataset.machines()
     if not machines:
         raise ValueError("no machines to analyze")
     pipeline_factory = pipeline_factory or CoAnalysis
-    n = min(resolve_workers(workers), len(machines))
 
-    with maybe_span(
-        "fleet.map", machines=len(machines), workers=n
-    ):
-        if n > 1:
-            # pool threads do not inherit ContextVars; per-task context
-            # copies carry the tracer and parent span (the study-wave
-            # pattern in core.pipeline)
-            with ThreadPoolExecutor(max_workers=n) as pool:
-                futures = [
-                    pool.submit(
-                        contextvars.copy_context().run,
-                        _analyze_machine,
-                        dataset,
-                        machine,
-                        time_range,
-                        pipeline_factory,
-                    )
-                    for machine in machines
-                ]
-                analyses = [f.result() for f in futures]
-        else:
-            analyses = [
-                _analyze_machine(
-                    dataset, machine, time_range, pipeline_factory
-                )
-                for machine in machines
-            ]
+    with maybe_span("fleet.map", machines=len(machines)):
+        analyses = [
+            _analyze_machine(dataset, machine, time_range, pipeline_factory)
+            for machine in machines
+        ]
 
     with maybe_span("fleet.reduce", machines=len(analyses)):
         observations = _merge_observations(analyses, seed)
@@ -319,5 +288,4 @@ def analyze_fleet(
         observations=observations,
         time_range=time_range,
         seed=seed,
-        workers=n,
     )

@@ -42,15 +42,19 @@ from pathlib import Path
 import numpy as np
 
 from repro.frame import Frame
-from repro.frame.io import _PARSERS, _parse_header, unescape_cell
-from repro.logs.job import JOB_COLUMNS, JobLog, empty_job_log
+from repro.frame.io import parse_delimited_block
+from repro.logs.job import (
+    JOB_COLUMNS,
+    JOB_SCHEMA,
+    JobLog,
+    check_job_header,
+    empty_job_log,
+)
 from repro.logs.quarantine import (
     IngestPolicy,
     QuarantineReport,
     coerce_policy,
     handle_bad_record,
-    structural_defect,
-    typed_cell_defect,
 )
 from repro.logs.ras import RasLog, empty_ras_log
 from repro.logs.stream import _DISK_COLUMNS, parse_ras_block
@@ -449,6 +453,35 @@ class _FeedParserBase:
     def _check_header(self, text: str) -> None:
         raise NotImplementedError
 
+    def _admit(
+        self, lines: list[str], defects: list, record_ids: list[int]
+    ) -> list[int]:
+        """Which of a block's accepted rows to deliver, as row indices.
+
+        *defects* and *record_ids* are the block kernel's verdicts and
+        the ids of the lines it accepted. The lines are walked in feed
+        order: a header (the first, or one re-delivered) is consumed, a
+        bad line goes to the policy, and a row whose id was delivered
+        before is dropped.
+        """
+        verdicts = dict(defects)
+        keep: list[int] = []
+        k = 0  # accepted rows are the lines without a verdict, in order
+        for i, text in enumerate(lines):
+            self.lines_seen += 1
+            defect = verdicts.get(i)
+            if defect is None:
+                k += 1
+            if self._take_header(text):
+                continue
+            if defect is not None:
+                handle_bad_record(
+                    self.policy, self.report, self.lines_seen, defect, text
+                )
+            elif not self._dedup(record_ids[k - 1]):
+                keep.append(k - 1)
+        return keep
+
 
 class RasFeedParser(_FeedParserBase):
     """Tailed RAS lines → :class:`RasLog` chunks (schema of Table II)."""
@@ -462,25 +495,7 @@ class RasFeedParser(_FeedParserBase):
 
     def parse(self, lines: list[str]) -> RasLog:
         defects, rows = parse_ras_block(lines)
-        verdicts = dict(defects)
-        recids = rows.recids.tolist()
-        keep: list[int] = []
-        k = 0  # candidates are the lines without a verdict, in order
-        for i, text in enumerate(lines):
-            self.lines_seen += 1
-            defect = verdicts.get(i)
-            if defect is None:
-                k += 1
-            if self._take_header(text):
-                continue
-            if defect is not None:
-                handle_bad_record(
-                    self.policy, self.report, self.lines_seen, defect, text
-                )
-                continue
-            if self._dedup(recids[k - 1]):
-                continue
-            keep.append(k - 1)
+        keep = self._admit(lines, defects, rows.recids.tolist())
         if not keep:
             return empty_ras_log()
         return RasLog(rows.take(np.array(keep, dtype=np.int64)).to_frame())
@@ -491,55 +506,25 @@ class JobFeedParser(_FeedParserBase):
 
     table = "job"
 
-    def __init__(self, policy="quarantine", report=None):
-        super().__init__(policy=policy, report=report)
-        self._names: list[str] = []
-        self._tags: list[str] = []
-
     def _check_header(self, text: str) -> None:
         try:
-            names, tags = _parse_header(text, "|")
+            check_job_header(text)
         except ValueError as exc:
-            raise FeedParseError(f"unreadable job feed header: {exc}")
-        if tuple(names) != JOB_COLUMNS:
-            raise FeedParseError(f"unexpected job feed header {names}")
-        self._names, self._tags = names, tags
-
-    def restore(self, payload: dict) -> None:
-        super().restore(payload)
-        if self.header_text is not None:
-            self._check_header(self.header_text)
+            raise FeedParseError(f"job feed: {exc}") from None
 
     def parse(self, lines: list[str]) -> JobLog:
-        raw_rows: list[list[str]] = []
-        for text in lines:
-            self.lines_seen += 1
-            if self._take_header(text):
-                continue
-            parts = text.split("|")
-            defect = structural_defect(text, len(parts), len(JOB_COLUMNS))
-            if defect is None:
-                for value, tag in zip(parts, self._tags):
-                    defect = typed_cell_defect(value, tag)
-                    if defect is not None:
-                        break
-            if defect is not None:
-                handle_bad_record(
-                    self.policy, self.report, self.lines_seen, defect, text
-                )
-                continue
-            if self._dedup(int(parts[0])):
-                continue
-            raw_rows.append(parts)
-        if not raw_rows:
+        # the schema is pinned, so the block is typed before its header
+        # (if it carries one) is checked
+        defects, arrays = parse_delimited_block(
+            lines, JOB_COLUMNS, [tag for _, tag in JOB_SCHEMA]
+        )
+        keep = self._admit(lines, defects, arrays[0].tolist())
+        if not keep:
             return empty_job_log()
-        cols = list(zip(*raw_rows))
-        data = {}
-        for name, tag, col in zip(self._names, self._tags, cols):
-            if tag == "str":
-                col = [unescape_cell(v, "|") for v in col]
-            data[name] = _PARSERS[tag](col)
-        return JobLog(Frame({c: data[c] for c in JOB_COLUMNS}))
+        index = np.array(keep, dtype=np.int64)
+        return JobLog(
+            Frame({c: a[index] for c, a in zip(JOB_COLUMNS, arrays)})
+        )
 
 
 # ----------------------------------------------------------------------

@@ -42,8 +42,7 @@ def render_fleet_report(fleet) -> str:
     )
     lines.append(
         f"machines: {n_ok}/{len(fleet.machines)} analyzed"
-        f"   window: {window}   workers: {fleet.workers}"
-        f"   seed: {fleet.seed}"
+        f"   window: {window}   seed: {fleet.seed}"
     )
     for ma in fleet.machines:
         if not ma.ok:

@@ -1,8 +1,8 @@
 """The text readers build string columns of shared ``str`` objects.
 
 Every string column a text reader returns holds one object per
-distinct value — per file for the serial RAS reader, per chunk for the
-pool, per call for the feed parsers — so a parsed log costs a pointer
+distinct value — per file for the serial RAS reader and the job reader,
+per chunk for the RAS pool, per call for the feed parsers — so a parsed log costs a pointer
 per cell instead of a string per cell. The values themselves must not
 change: they still equal the per-line oracle's.
 """
@@ -14,13 +14,13 @@ from collections import defaultdict
 import pytest
 
 from repro.cli import main
-from repro.frame.io import read_delimited
 from repro.logs.textio import read_job_log, read_ras_log, write_job_log, write_ras_log
 from repro.obs import read_manifest
 from repro.parallel.chunking import plan_chunks, scan_header
 from repro.simulate import CalibrationProfile, IntrepidSimulation
 from repro.stream.source import JobFeedParser, RasFeedParser
 
+from tests.frame.delim_reference import read_delimited_by_line
 from tests.logs.ras_reference import LineRasFeedParser, iter_ras_chunks_by_line
 
 #: a 3 MB RAS log: the serial reader's 1M-character batches split it
@@ -79,8 +79,8 @@ def _n_chunks(path, workers: int) -> int:
 
 
 def _oracle_job(path):
-    # the per-line validating loop of the delimited reader
-    return read_delimited(path, policy="strict")
+    # the per-line validating loop the delimited block kernel replaced
+    return read_delimited_by_line(path, policy="strict")
 
 
 def _oracle_ras(path):
@@ -116,12 +116,10 @@ class TestRasReaders:
 
 
 class TestJobReaders:
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_read_job_log(self, trace, workers):
+    def test_read_job_log(self, trace):
         path = trace / "job.log"
-        frame = read_job_log(path, workers=workers).frame
-        per_value = 1 if workers == 1 else _n_chunks(path, workers)
-        assert_one_object_per_value(frame, per_value=per_value)
+        frame = read_job_log(path).frame
+        assert_one_object_per_value(frame)
         assert_same_values(frame, _oracle_job(path))
 
     def test_feed_parser_shares_within_a_call(self, trace):
@@ -190,3 +188,26 @@ def test_serial_and_pool_count_the_same_lines_and_bytes(trace, tmp_path):
     )
     assert serial["ingest.chunk.records"] == data_lines
     assert serial["ingest.chunk.bytes"] == data_bytes
+
+
+def test_job_log_is_one_serial_chunk_at_any_width(trace, tmp_path):
+    # --workers widens the RAS parse only: the job log stays one chunk
+    # and its span carries no worker note
+    out = tmp_path / "w2.jsonl"
+    rc = main([
+        "analyze", "--ras", str(trace / "ras.log"),
+        "--job", str(trace / "job.log"), "--workers", "2",
+        "--no-cache", "--telemetry-out", str(out),
+    ])
+    assert rc == 0
+    spans = read_manifest(out)["spans"]
+    by_name = {s["name"]: s for s in spans if s["name"].startswith("ingest.")}
+    job = by_name["ingest.job"]
+    assert job["note"] == ""
+    assert by_name["ingest.ras"]["note"] == "2 workers"
+    chunks = [
+        s for s in spans
+        if s["name"] == "ingest.parse.chunk" and s["parent"] == job["id"]
+    ]
+    assert len(chunks) == 1
+    assert chunks[0]["rows"] == len((trace / "job.log").read_text().splitlines()) - 1

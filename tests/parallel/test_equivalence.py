@@ -2,10 +2,11 @@
 defects crafted to straddle chunk boundaries.
 
 The contract under test: for any input file and any ingest policy, the
-chunk-parallel reader observable behaviour — frame bytes, quarantine
-counts and samples, strict raises, mid-stream and end-of-file aborts —
-equals the serial reader's exactly, at any worker count and for any
-chunk placement.
+chunk-parallel RAS reader's observable behaviour — frame bytes,
+quarantine counts and samples, strict raises, mid-stream and end-of-file
+aborts — equals the serial reader's exactly, at any worker count and for
+any chunk placement. The job log has one serial reader; it must match
+the per-line reference loop the same way.
 """
 
 import numpy as np
@@ -26,6 +27,7 @@ from repro.logs import (
 from repro.parallel import parallel_read_ras_frame, scan_header
 from repro.parallel.ingest import resolve_workers
 
+from tests.frame.delim_reference import read_job_log_by_line
 from tests.logs.test_job import make_job
 from tests.logs.test_ras import make_record
 
@@ -78,10 +80,13 @@ def corrupted_job(tmp_path_factory):
     return out
 
 
-def outcome(reader, path, policy, workers):
+def outcome(reader, path, policy, workers=None):
     """A fully comparable record of one read attempt."""
     try:
-        log = reader(path, policy=policy, workers=workers)
+        if workers is None:
+            log = reader(path, policy=policy)
+        else:
+            log = reader(path, policy=policy, workers=workers)
     except IngestError as exc:
         return ("ingest_error", exc.line_no, exc.defect, exc.text)
     except IngestAbortError as exc:
@@ -126,7 +131,16 @@ class TestPolicyMatrix:
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_corrupted_job(self, corrupted_job, policy):
-        assert_equivalent(read_job_log, corrupted_job, policy)
+        # the job log has no pool: its reference is the per-line loop
+        def reference(path, policy):
+            log = read_job_log_by_line(path, policy=policy)
+            if policy.is_strict:
+                log.quarantine = None
+            return log
+
+        assert outcome(read_job_log, corrupted_job, policy) == outcome(
+            reference, corrupted_job, policy
+        )
 
     @pytest.mark.parametrize(
         "cls", RAS_DEFECT_CLASSES, ids=lambda c: c.value
@@ -350,79 +364,3 @@ class TestAbortAtBoundaries:
         base = outcome(read_ras_log, path, policy, 1)
         assert base[0] == "ok"
         assert outcome(read_ras_log, path, policy, 4) == base
-
-    def _garbled_job_file(self, tmp_path, bad_rows):
-        jobs = [
-            make_job(job_id=i, start=1000.0 + 60.0 * i, end=1800.0 + 60.0 * i)
-            for i in range(1, 21)
-        ]
-        path = tmp_path / "job.log"
-        write_job_log(JobLog.from_records(jobs), path)
-        lines = path.read_text().splitlines(keepends=True)
-        for row in bad_rows:  # data row index -> physical line index row+1
-            lines[row + 1] = "completely garbled, no delimiters here\n"
-        path.write_text("".join(lines))
-        return path
-
-    @pytest.mark.parametrize("splits", [[7], [8], [3, 7], [7, 8]])
-    def test_delim_abort_bit_identical(self, tmp_path, splits):
-        from repro.frame.io import read_delimited
-        from repro.parallel import parallel_read_delimited
-
-        # bad data rows 3 and 7; limit 1 makes row 7 (line 9) the abort,
-        # and the splits pin it onto every side of a chunk boundary
-        path = self._garbled_job_file(tmp_path, bad_rows=[3, 7])
-        policy = IngestPolicy(mode="quarantine", max_bad_records=1)
-
-        report = policy.new_report(str(path))
-        with pytest.raises(IngestAbortError) as serial_exc:
-            read_delimited(path, policy=policy, report=report)
-        serial = self._exc_state(serial_exc.value)
-
-        par_report = policy.new_report(str(path))
-        with pytest.raises(IngestAbortError) as par_exc:
-            parallel_read_delimited(
-                path, policy=policy, report=par_report, workers=4,
-                chunk_bounds=_bounds_after(path, splits),
-            )
-        assert self._exc_state(par_exc.value) == serial
-
-    def test_delim_defect_order_across_boundary(self, tmp_path):
-        # non-aborting quarantine: samples must come out in global line
-        # order even when the defects land in different chunks
-        path = self._garbled_job_file(tmp_path, bad_rows=[4, 5, 6])
-        policy = IngestPolicy(mode="quarantine")
-        base = outcome(read_job_log, path, policy, 1)
-        assert base[0] == "ok"
-        for workers in (2, 4):
-            assert outcome(read_job_log, path, policy, workers) == base
-        samples = base[2][2]
-        for recs in samples.values():
-            line_nos = [line_no for line_no, _, _ in recs]
-            assert line_nos == sorted(line_nos)
-
-
-class TestReadDelimitedWorkers:
-    def test_generic_frame_parallel_read(self, tmp_path):
-        from repro.frame import Frame
-        from repro.frame.io import read_delimited, write_delimited
-
-        n = 500
-        frame = Frame(
-            {
-                "i": np.arange(n, dtype=np.int64),
-                "f": np.linspace(0.0, 1.0, n),
-                "s": np.array(
-                    [f"text|with {k} pipes" for k in range(n)], dtype=object
-                ),
-                "b": np.arange(n) % 2 == 0,
-            }
-        )
-        path = tmp_path / "frame.txt"
-        write_delimited(frame, path)
-        serial = read_delimited(path, policy="quarantine")
-        parallel = read_delimited(path, policy="quarantine", workers=4)
-        assert serial.columns == parallel.columns
-        for col in serial.columns:
-            assert serial[col].dtype == parallel[col].dtype
-            assert np.array_equal(serial[col], parallel[col]), col

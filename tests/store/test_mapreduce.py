@@ -93,7 +93,7 @@ def batch_result(fleet):
 @pytest.fixture(scope="module")
 def fleet_results(stores):
     return {
-        windows: analyze_fleet(stores[windows], workers=1, seed=2011)
+        windows: analyze_fleet(stores[windows], seed=2011)
         for windows in WINDOW_COUNTS
     }
 
@@ -153,23 +153,13 @@ class TestFleetDriver:
             tmp_path_factory.mktemp("fleet") / "store", fleet, windows=3
         )
 
-    def test_worker_counts_agree(self, dataset):
-        serial = analyze_fleet(dataset, workers=1, seed=7)
-        threaded = analyze_fleet(dataset, workers=2, seed=7)
-        assert [m.machine for m in serial.machines] == [
-            m.machine for m in threaded.machines
-        ]
-        assert fleet_obs_key(serial.observations) == fleet_obs_key(
-            threaded.observations
-        )
-
     def test_reduce_is_seed_deterministic(self, dataset):
-        a = analyze_fleet(dataset, workers=1, seed=42)
-        b = analyze_fleet(dataset, workers=1, seed=42)
+        a = analyze_fleet(dataset, seed=42)
+        b = analyze_fleet(dataset, seed=42)
         assert fleet_obs_key(a.observations) == fleet_obs_key(b.observations)
 
     def test_summary_frame_keeps_int_counts(self, dataset):
-        result = analyze_fleet(dataset, workers=1)
+        result = analyze_fleet(dataset)
         summary = result.summary_frame()
         assert summary.num_rows == 2
         for col in ("jobs", "interrupted_jobs", "events_filtered",
@@ -189,7 +179,7 @@ class TestFleetDriver:
 
         get_metrics().reset()
         result = analyze_fleet(
-            dataset, workers=1, pipeline_factory=SelectiveBoom
+            dataset, pipeline_factory=SelectiveBoom
         )
         assert result.degraded
         failed = next(m for m in result.machines if not m.ok)
@@ -210,7 +200,7 @@ class TestFleetDriver:
                 raise RuntimeError("boom")
 
         result = analyze_fleet(
-            dataset, workers=1, pipeline_factory=AlwaysBoom
+            dataset, pipeline_factory=AlwaysBoom
         )
         assert result.degraded and not result.ok_machines
         assert result.observations == []
@@ -226,5 +216,5 @@ class TestFleetDriver:
 
     def test_machine_subset(self, dataset, fleet):
         only = fleet[0].machine
-        result = analyze_fleet(dataset, machines=[only], workers=1)
+        result = analyze_fleet(dataset, machines=[only])
         assert [m.machine for m in result.machines] == [only]

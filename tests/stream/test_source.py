@@ -8,13 +8,19 @@ import os
 import pytest
 
 from repro.core.equivalence import frames_equal
+from repro.faults.corruption import LogCorruptor
 from repro.faults.io import FaultKind, FaultPlan, FaultyFS, IOFault
+from repro.frame import concat
+from repro.frame.io import parse_delimited_block
 from repro.logs import read_job_log, read_ras_log, write_job_log, write_ras_log
+from repro.logs.job import JOB_COLUMNS, JOB_SCHEMA
 from repro.stream.source import (
     FEED_DEGRADED,
     FEED_IDLE,
     FEED_OK,
     Feed,
+    FeedParseError,
+    JobFeedParser,
     LogTailer,
     RetryExhausted,
     RetryPolicy,
@@ -347,3 +353,98 @@ class TestFeeds:
         assert chunk.status == FEED_DEGRADED
         assert len(chunk.log) == 0
         assert chunk.error is not None
+
+
+def report_state(report):
+    """Per-class counts and samples (line, class, text) of a report."""
+    return report.as_dict(), {
+        d.value: [(r.line_no, r.defect, r.text) for r in recs]
+        for d, recs in report.samples.items()
+    }
+
+
+class TestJobFeedMatchesBatch:
+    """A corrupted job log fed in uneven polls gives the batch result."""
+
+    @pytest.fixture
+    def corrupted(self, tmp_path):
+        ras = make_ras(80, seed=5)
+        clean = tmp_path / "job.psv"
+        write_job_log(make_jobs(ras, 150, seed=6), clean)
+        bad = tmp_path / "job_bad.psv"
+        result = LogCorruptor(seed=3, rate=0.15, kind="job").corrupt_file(
+            clean, bad
+        )
+        assert result.num_injected > 5
+        return bad
+
+    @staticmethod
+    def feed_lines(path):
+        # decoded the way the tailer decodes a poll
+        complete, pending = split_complete_lines(path.read_bytes())
+        assert pending == b""
+        return [
+            raw.decode("utf-8", errors="replace").rstrip("\r")
+            for raw in complete
+        ]
+
+    def assert_matches_batch(self, path, frames, report):
+        batch = read_job_log(path, policy="quarantine")
+        assert frames_equal(concat(frames), batch.frame)
+        assert report_state(report) == report_state(batch.quarantine)
+        assert report.bad_rows > 0
+
+    def test_blocks_cut_at_every_defect(self, corrupted):
+        lines = self.feed_lines(corrupted)
+        defects, _ = parse_delimited_block(
+            lines[1:], JOB_COLUMNS, [tag for _, tag in JOB_SCHEMA]
+        )
+        # a block edge right before and right after every bad line, and
+        # uneven blocks elsewhere (the header alone, then 1, 2, 3, ...)
+        cuts = {0, 1, len(lines)}
+        cuts |= {i + 1 for i, _ in defects} | {i + 2 for i, _ in defects}
+        edge, width = 1, 1
+        while edge < len(lines):
+            cuts.add(edge)
+            edge, width = edge + width, width + 1
+        cuts = sorted(cuts)
+        parser = JobFeedParser(policy="quarantine")
+        frames = [parser.parse(lines[a:b]).frame for a, b in zip(cuts, cuts[1:])]
+        self.assert_matches_batch(corrupted, frames, parser.report)
+
+    def test_growing_file_polled_mid_line(self, corrupted, tmp_path):
+        data = corrupted.read_bytes()
+        live = tmp_path / "live.psv"
+        live.write_bytes(b"")
+        feed = Feed(live, "job", policy="quarantine")
+        rng = np.random.default_rng(4)
+        cuts = sorted(set(rng.integers(1, len(data), 12).tolist()))
+        frames, start = [], 0
+        for cut in cuts + [len(data)]:
+            with open(live, "ab") as fh:
+                fh.write(data[start:cut])
+            start = cut
+            frames.append(feed.poll().log.frame)
+        self.assert_matches_batch(corrupted, frames, feed.parser.report)
+
+
+class TestJobFeedHeader:
+    def header(self, **retag):
+        return "|".join(f"{n}:{retag.get(n, t)}" for n, t in JOB_SCHEMA)
+
+    def test_retyped_job_id_is_rejected(self):
+        lines = [self.header(job_id="str"), "abc|j|/a|1.0|2.0|3.0|R00-M0|u|p|1"]
+        with pytest.raises(FeedParseError, match="unexpected job header"):
+            JobFeedParser(policy="quarantine").parse(lines)
+
+    def test_renamed_column_is_rejected(self):
+        lines = [self.header().replace("user:", "owner:")]
+        with pytest.raises(FeedParseError, match="unexpected job header"):
+            JobFeedParser(policy="quarantine").parse(lines)
+
+    def test_redelivered_header_is_consumed(self):
+        row = "7|j|/a|1.0|2.0|3.0|R00-M0|u|p|1"
+        parser = JobFeedParser(policy="strict")
+        assert len(parser.parse([self.header(), row])) == 1
+        assert len(parser.parse([self.header(), row])) == 0  # id 7 again
+        assert parser.report.bad_rows == 0
