@@ -69,7 +69,8 @@ import argparse
 import os
 import sys
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager
+from contextvars import ContextVar
 from pathlib import Path
 
 from repro.core import CoAnalysis, InterruptionMatcher
@@ -93,99 +94,73 @@ from repro.logs.quarantine import INGEST_MODES
 from repro.simulate import CalibrationProfile, IntrepidSimulation
 
 
-def _add_profile_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scale", type=float, default=0.2,
-                   help="trace volume multiplier in (0, 1] (default 0.2)")
-    p.add_argument("--seed", type=int, default=2011)
+def _number(kind, name: str, lo=0, hi=None, lo_open: bool = False):
+    """An argparse type parsing *kind* (``int`` or ``float``) in [lo, hi].
 
+    *hi* None leaves the range unbounded above; *lo_open* (with *hi*)
+    excludes *lo* itself. An out-of-range value is a usage error (exit
+    2) naming *name* and the bound; unparseable text gets argparse's
+    own "invalid <kind> value".
+    """
+    if hi is not None:
+        bound = f"within {'(' if lo_open else '['}{lo}, {hi}]"
+    elif lo == 0:
+        bound = "non-negative"
+    else:
+        bound = f"at least {lo}"
 
-def _seconds_arg(name: str):
-    """An argparse type validating a non-negative seconds value."""
-
-    def parse(text: str) -> float:
-        value = float(text)
-        if value < 0:
+    def parse(text: str):
+        value = kind(text)
+        if not ((value > lo if lo_open else value >= lo)
+                and (hi is None or value <= hi)):
             raise argparse.ArgumentTypeError(
-                f"{name} must be non-negative, got {text}"
+                f"{name} must be {bound}, got {text}"
             )
         return value
 
+    parse.__name__ = kind.__name__
     return parse
 
 
-_tolerance_seconds = _seconds_arg("tolerance")
-
-#: the filters' constructor defaults, surfaced in --help
-_TEMPORAL_DEFAULT = TemporalFilter.threshold
-_SPATIAL_DEFAULT = SpatialFilter.threshold
-_CAUSAL_DEFAULT = CausalityFilter.window
+def _add_profile_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--scale", type=_number(float, "scale", hi=1, lo_open=True),
+        default=0.2, help="trace volume multiplier in (0, 1] (default 0.2)",
+    )
+    p.add_argument("--seed", type=int, default=2011)
 
 
 def _add_analysis_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "--tolerance", type=_tolerance_seconds, default=DEFAULT_TOLERANCE,
+        "--tolerance", type=_number(float, "tolerance"),
+        default=DEFAULT_TOLERANCE,
         help="event-job matching tolerance in seconds "
-             f"(default {DEFAULT_TOLERANCE:.0f}, the paper's §IV value)",
+             "(default %(default).0f, the paper's §IV value)",
     )
+    # the filters' constructor defaults, surfaced in --help
     p.add_argument(
-        "--temporal-threshold", type=_seconds_arg("temporal threshold"),
-        default=_TEMPORAL_DEFAULT,
+        "--temporal-threshold", type=_number(float, "temporal threshold"),
+        default=TemporalFilter.threshold,
         help="temporal filter chain-collapse threshold in seconds "
-             f"(default {_TEMPORAL_DEFAULT:.0f}; DESIGN §5 sweeps it)",
+             "(default %(default).0f; DESIGN §5 sweeps it)",
     )
     p.add_argument(
-        "--spatial-threshold", type=_seconds_arg("spatial threshold"),
-        default=_SPATIAL_DEFAULT,
+        "--spatial-threshold", type=_number(float, "spatial threshold"),
+        default=SpatialFilter.threshold,
         help="spatial filter chain-collapse threshold in seconds "
-             f"(default {_SPATIAL_DEFAULT:.0f})",
+             "(default %(default).0f)",
     )
     p.add_argument(
-        "--causal-window", type=_seconds_arg("causal window"),
-        default=_CAUSAL_DEFAULT,
+        "--causal-window", type=_number(float, "causal window"),
+        default=CausalityFilter.window,
         help="causality-rule mining window in seconds "
-             f"(default {_CAUSAL_DEFAULT:.0f})",
+             "(default %(default).0f)",
     )
-
-
-def _fraction_arg(text: str) -> float:
-    value = float(text)
-    if not (0.0 <= value <= 1.0):
-        raise argparse.ArgumentTypeError(
-            f"bad fraction must be within [0, 1], got {text}"
-        )
-    return value
-
-
-def _nonneg_int_arg(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"max bad records must be non-negative, got {text}"
-        )
-    return value
-
-
-def _positive_int_arg(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text}"
-        )
-    return value
-
-
-def _workers_arg(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"workers must be non-negative, got {text}"
-        )
-    return value
 
 
 def _add_workers_arg(p: argparse.ArgumentParser, what: str) -> None:
     p.add_argument(
-        "--workers", type=_workers_arg, default=1, metavar="N",
+        "--workers", type=_number(int, "workers"), default=1, metavar="N",
         help=f"{what}: 0 = one per available CPU, 1 = serial (default); "
              "output is bit-identical at any width",
     )
@@ -219,14 +194,14 @@ def _add_ingest_args(p: argparse.ArgumentParser) -> None:
              "report, skip drops them keeping counts only",
     )
     p.add_argument(
-        "--max-bad-records", type=_nonneg_int_arg, default=None,
-        metavar="N",
+        "--max-bad-records", type=_number(int, "max bad records"),
+        default=None, metavar="N",
         help="abort ingestion once more than N records are bad "
              "(quarantine/skip modes)",
     )
     p.add_argument(
-        "--max-bad-fraction", type=_fraction_arg, default=None,
-        metavar="F",
+        "--max-bad-fraction", type=_number(float, "bad fraction", hi=1),
+        default=None, metavar="F",
         help="abort ingestion when more than fraction F of the log is "
              "bad (checked at end of file)",
     )
@@ -247,6 +222,12 @@ def _add_telemetry_args(p: argparse.ArgumentParser) -> None:
              "observations) as JSONL to PATH; defaults to a timestamped "
              "file under $REPRO_TELEMETRY_DIR when that is set",
     )
+
+
+#: the telemetry run :func:`main` opened around the command, if any
+_RUN: ContextVar["_TelemetryRun | None"] = ContextVar(
+    "repro_cli_run", default=None
+)
 
 
 class _TelemetryRun:
@@ -270,9 +251,6 @@ class _TelemetryRun:
         self._baseline = self.metrics.mark()
         self.observations: list = []
 
-    def activate(self):
-        return self.tracer.activate(root="run")
-
     def finish(self) -> Path:
         from repro.obs import write_manifest
 
@@ -288,7 +266,9 @@ class _TelemetryRun:
 
 def _telemetry(args: argparse.Namespace) -> _TelemetryRun | None:
     """The run's telemetry context, or None when not requested."""
-    out = getattr(args, "telemetry_out", None)
+    if not hasattr(args, "telemetry_out"):
+        return None  # the command records no telemetry
+    out = args.telemetry_out
     if not out:
         directory = os.environ.get("REPRO_TELEMETRY_DIR")
         if not directory:
@@ -304,6 +284,38 @@ def _telemetry(args: argparse.Namespace) -> _TelemetryRun | None:
     return _TelemetryRun(Path(out), config)
 
 
+@contextmanager
+def _tracing(args: argparse.Namespace, run: _TelemetryRun | None):
+    """Trace the command: under the telemetry run, else only ``analyze``.
+
+    ``analyze`` always traces: its ingest and analysis share one tracer,
+    so the ``--timings`` rows are the very spans a ``--telemetry-out``
+    manifest records. No other command starts a tracer of its own: a
+    daemon's spans would pile up for as long as it runs.
+    """
+    if run is not None:
+        token = _RUN.set(run)
+        try:
+            with run.tracer.activate(root="run"):
+                yield
+        finally:
+            _RUN.reset(token)
+    elif args.func is cmd_analyze:
+        from repro.obs import Tracer
+
+        with Tracer().activate(root=None):
+            yield
+    else:
+        yield
+
+
+def _observe(observations) -> None:
+    """Hand a finished result's observation verdicts to the manifest."""
+    run = _RUN.get()
+    if run is not None:
+        run.observations = list(observations)
+
+
 def _pipeline_from_args(args: argparse.Namespace) -> CoAnalysis:
     return CoAnalysis(
         filters=FilterChain(
@@ -316,19 +328,80 @@ def _pipeline_from_args(args: argparse.Namespace) -> CoAnalysis:
     )
 
 
-def _run_analysis(
-    args: argparse.Namespace, ras_log, job_log, ingest_spans=(),
-    telemetry: _TelemetryRun | None = None, source: str = "",
-) -> int:
-    result = _pipeline_from_args(args).run(ras_log, job_log, source=source)
-    if telemetry is not None:
-        telemetry.observations = list(result.observations)
-    print(result.report())
+class _Refused(Exception):
+    """A refused run: :func:`main` prints the message to stderr, exits 2."""
+
+
+def _ingest_note(log, workers: int = 1) -> str:
+    status = getattr(log, "cache_status", None)
+    if status is not None:
+        return f"cache {status}"
+    if workers != 1:
+        return f"{workers or 'auto'} workers"
+    return ""
+
+
+def _read_logs(args: argparse.Namespace, policy: IngestPolicy, cache=None):
+    """Read ``--ras`` and ``--job`` as the ``ingest.*`` spans.
+
+    Returns ``(ras_log, job_log, spans)``; a damaged log that ingestion
+    rejects or aborts on refuses the run.
+    """
+    from repro.obs import maybe_span
+
+    workers = getattr(args, "workers", 1)
+    try:
+        with maybe_span("ingest.ras") as ras_span:
+            ras_log = read_ras_log(
+                args.ras, policy=policy, workers=workers, cache=cache
+            )
+            ras_span.rows = len(ras_log)
+            ras_span.note = _ingest_note(ras_log, workers)
+        with maybe_span("ingest.job") as job_span:
+            job_log = read_job_log(args.job, policy=policy, cache=cache)
+            job_span.rows = job_log.num_jobs
+            job_span.note = _ingest_note(job_log)
+    except IngestAbortError as exc:
+        raise _Refused(
+            f"ingestion aborted: {exc}\n{exc.report.render()}"
+        ) from None
+    except IngestError as exc:
+        raise _Refused(
+            f"ingestion rejected a bad record: {exc}\n"
+            "(rerun with --on-bad-record quarantine to divert bad "
+            "records and continue)"
+        ) from None
+    return ras_log, job_log, (ras_span, job_span)
+
+
+def _print_quarantine(ras_log, job_log) -> None:
+    """Each log's quarantine report (non-strict ingest only)."""
     for label, log in (("RAS", ras_log), ("job", job_log)):
         report = getattr(log, "quarantine", None)
         if report is not None:
             print()
             print(report.render(label))
+
+
+def _check_batch(label: str, result, batch) -> bool:
+    """Print *result*'s full comparison with *batch*; True when equal."""
+    from repro.core.equivalence import diff_results
+
+    diffs = diff_results(result, batch)
+    for diff in diffs:
+        print(f"equivalence: {diff}")
+    print(f"{label} == batch: {'OK' if not diffs else 'FAILED'}")
+    return not diffs
+
+
+def _run_analysis(
+    args: argparse.Namespace, ras_log, job_log, ingest_spans=(),
+    source: str = "",
+) -> int:
+    result = _pipeline_from_args(args).run(ras_log, job_log, source=source)
+    _observe(result.observations)
+    print(result.report())
+    _print_quarantine(ras_log, job_log)
     if args.timings:
         from repro.viz.trace import render_timings
 
@@ -357,67 +430,24 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _ingest_note(log, workers: int = 1) -> str:
-    status = getattr(log, "cache_status", None)
-    if status is not None:
-        return f"cache {status}"
-    if workers != 1:
-        return f"{workers or 'auto'} workers"
-    return ""
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
-    from repro.obs import Tracer, maybe_span
-
-    policy = _ingest_policy(args)
     cache = None
     if args.cache_dir and not args.no_cache:
         from repro.parallel import ParseCache
 
         cache = ParseCache(args.cache_dir)
-    telemetry = _telemetry(args)
-    # ingest and analysis share one tracer, so the --timings rows are
-    # the very spans a --telemetry-out manifest records
-    tracing = (
-        telemetry.activate() if telemetry else Tracer().activate(root=None)
+    ras_log, job_log, ingest_spans = _read_logs(
+        args, _ingest_policy(args), cache=cache
     )
-    with tracing:
-        try:
-            with maybe_span("ingest.ras") as ras_span:
-                ras_log = read_ras_log(
-                    args.ras, policy=policy, workers=args.workers,
-                    cache=cache,
-                )
-                ras_span.rows = len(ras_log)
-                ras_span.note = _ingest_note(ras_log, args.workers)
-            with maybe_span("ingest.job") as job_span:
-                job_log = read_job_log(args.job, policy=policy, cache=cache)
-                job_span.rows = job_log.num_jobs
-                job_span.note = _ingest_note(job_log)
-        except IngestAbortError as exc:
-            print(f"ingestion aborted: {exc}", file=sys.stderr)
-            print(exc.report.render(), file=sys.stderr)
-            return 2
-        except IngestError as exc:
-            print(
-                f"ingestion rejected a bad record: {exc}\n"
-                "(rerun with --on-bad-record quarantine to divert bad "
-                "records and continue)",
-                file=sys.stderr,
-            )
-            return 2
-        if cache is not None:
-            print(
-                f"parse cache: ras={ras_log.cache_status}"
-                f" job={job_log.cache_status}"
-            )
-        rc = _run_analysis(
-            args, ras_log, job_log, ingest_spans=(ras_span, job_span),
-            telemetry=telemetry, source=f"{args.ras} + {args.job}",
+    if cache is not None:
+        print(
+            f"parse cache: ras={ras_log.cache_status}"
+            f" job={job_log.cache_status}"
         )
-    if telemetry is not None and rc == 0:
-        print(f"telemetry manifest: {telemetry.finish()}")
-    return rc
+    return _run_analysis(
+        args, ras_log, job_log, ingest_spans=ingest_spans,
+        source=f"{args.ras} + {args.job}",
+    )
 
 
 def cmd_corrupt(args: argparse.Namespace) -> int:
@@ -433,17 +463,10 @@ def cmd_corrupt(args: argparse.Namespace) -> int:
 def cmd_demo(args: argparse.Namespace) -> int:
     from repro.obs import maybe_span
 
-    telemetry = _telemetry(args)
-    with telemetry.activate() if telemetry else nullcontext():
-        profile = CalibrationProfile(seed=args.seed, scale=args.scale)
-        with maybe_span("simulate"):
-            trace = IntrepidSimulation(profile).run()
-        rc = _run_analysis(
-            args, trace.ras_log, trace.job_log, telemetry=telemetry
-        )
-    if telemetry is not None and rc == 0:
-        print(f"telemetry manifest: {telemetry.finish()}")
-    return rc
+    profile = CalibrationProfile(seed=args.seed, scale=args.scale)
+    with maybe_span("simulate"):
+        trace = IntrepidSimulation(profile).run()
+    return _run_analysis(args, trace.ras_log, trace.job_log)
 
 
 def _time_range_arg(text: str) -> tuple[float, float]:
@@ -452,12 +475,11 @@ def _time_range_arg(text: str) -> tuple[float, float]:
         lo, hi = text.split(":", 1)
         t0, t1 = float(lo), float(hi)
     except ValueError:
+        t0 = t1 = float("nan")
+    if not t0 < t1:
         raise argparse.ArgumentTypeError(
-            f"time range must be T0:T1 (epoch seconds), got {text!r}"
-        )
-    if t1 <= t0:
-        raise argparse.ArgumentTypeError(
-            f"time range must satisfy T0 < T1, got {text!r}"
+            f"time range must be T0:T1 (epoch seconds) with T0 < T1, "
+            f"got {text!r}"
         )
     return t0, t1
 
@@ -469,86 +491,66 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     from repro.store import ShardedDataset, analyze_fleet
     from repro.store.manifest import StoreError
 
-    telemetry = _telemetry(args)
-    with telemetry.activate() if telemetry else nullcontext():
-        with tempfile.TemporaryDirectory() as scratch:
-            root = Path(args.out_dir) if args.out_dir else Path(scratch)
-            fleet = None
-            try:
-                dataset = ShardedDataset.open(root)
-                print(
-                    f"opened store at {root}: "
-                    f"{len(dataset.machines())} machines, "
-                    f"{len(dataset.manifest.shards)} shards"
-                )
-            except StoreError:
-                profile = CalibrationProfile(
-                    seed=args.seed, scale=args.scale
-                )
-                t0 = time.time()
-                fleet = synthesize_fleet(profile, n_machines=args.machines)
-                dataset = store_fleet(root, fleet, windows=args.windows)
-                print(
-                    f"synthesized {len(fleet)} machines into {root} "
-                    f"({len(dataset.manifest.shards)} shards, "
-                    f"{args.windows} windows) in {time.time() - t0:.1f}s"
-                )
-            result = analyze_fleet(
-                dataset,
-                time_range=args.time_range,
-                seed=args.seed,
-                pipeline_factory=lambda: _pipeline_from_args(args),
+    with tempfile.TemporaryDirectory() as scratch:
+        root = Path(args.out_dir) if args.out_dir else Path(scratch)
+        fleet = None
+        try:
+            dataset = ShardedDataset.open(root)
+            print(
+                f"opened store at {root}: "
+                f"{len(dataset.machines())} machines, "
+                f"{len(dataset.manifest.shards)} shards"
             )
-            if telemetry is not None:
-                telemetry.observations = [
-                    o
-                    for ma in result.ok_machines
-                    for o in ma.result.observations
-                ]
+        except StoreError:
+            profile = CalibrationProfile(seed=args.seed, scale=args.scale)
+            t0 = time.time()
+            fleet = synthesize_fleet(profile, n_machines=args.machines)
+            dataset = store_fleet(root, fleet, windows=args.windows)
+            print(
+                f"synthesized {len(fleet)} machines into {root} "
+                f"({len(dataset.manifest.shards)} shards, "
+                f"{args.windows} windows) in {time.time() - t0:.1f}s"
+            )
+        result = analyze_fleet(
+            dataset,
+            time_range=args.time_range,
+            seed=args.seed,
+            pipeline_factory=lambda: _pipeline_from_args(args),
+        )
+        _observe(
+            o for ma in result.ok_machines for o in ma.result.observations
+        )
+        print()
+        print(result.report())
+        if args.check_equivalence:
+            if fleet is None:
+                raise _Refused(
+                    "cannot check equivalence against an existing "
+                    "store (no batch logs in memory)"
+                )
+            if args.time_range is not None:
+                raise _Refused(
+                    "equivalence check requires a full-span run "
+                    "(drop --time-range)"
+                )
             print()
-            print(result.report())
-            if args.check_equivalence:
-                if fleet is None:
-                    print(
-                        "cannot check equivalence against an existing "
-                        "store (no batch logs in memory)",
-                        file=sys.stderr,
-                    )
-                    return 2
-                if args.time_range is not None:
-                    print(
-                        "equivalence check requires a full-span run "
-                        "(drop --time-range)",
-                        file=sys.stderr,
-                    )
-                    return 2
-                print()
-                if not _fleet_matches_batch(args, fleet, result):
-                    return 3
-    if telemetry is not None:
-        print(f"telemetry manifest: {telemetry.finish()}")
+            if not _fleet_matches_batch(args, fleet, result):
+                return 3
     return 1 if result.degraded else 0
 
 
 def _fleet_matches_batch(args, fleet, result) -> bool:
-    """Assert every machine's sharded result == its batch run's."""
-    from repro.core.equivalence import diff_results
-
+    """Check every machine's sharded result against its batch run."""
     by_machine = {ma.machine: ma for ma in result.machines}
     ok = True
     for fm in fleet:
         ma = by_machine.get(fm.machine)
         if ma is None or not ma.ok:
-            print(f"equivalence {fm.machine}: FAILED (machine degraded)")
+            print(f"{fm.machine} == batch: FAILED (machine degraded)")
             ok = False
             continue
         batch = _pipeline_from_args(args).run(fm.ras_log, fm.job_log)
-        diffs = diff_results(ma.result, batch)
-        if not diffs:
-            print(f"equivalence {fm.machine}: OK (results bit-identical)")
-        for diff in diffs:
-            print(f"equivalence {fm.machine}: FAILED ({diff})")
-        ok = ok and not diffs
+        ok = _check_batch(fm.machine, ma.result, batch) and ok
     print(f"sharded == batch: {'OK' if ok else 'FAILED'}")
     return ok
 
@@ -556,7 +558,6 @@ def _fleet_matches_batch(args, fleet, result) -> bool:
 def cmd_stream(args: argparse.Namespace) -> int:
     import math
 
-    from repro.core.equivalence import diff_results
     from repro.stream import (
         StreamError,
         StreamingCoAnalysis,
@@ -571,156 +572,123 @@ def cmd_stream(args: argparse.Namespace) -> int:
         problems = validate_checkpoint(args.validate_checkpoint)
         for problem in problems:
             print(f"checkpoint: {problem}")
-        if problems:
-            print(f"checkpoint {args.validate_checkpoint}: CORRUPT")
-            return 1
-        print(f"checkpoint {args.validate_checkpoint}: OK")
-        return 0
+        verdict = "CORRUPT" if problems else "OK"
+        print(f"checkpoint {args.validate_checkpoint}: {verdict}")
+        return 1 if problems else 0
 
     if bool(args.ras) != bool(args.job):
-        print(
-            "stream needs both --ras and --job (or neither, to simulate)",
-            file=sys.stderr,
+        raise _Refused(
+            "stream needs both --ras and --job (or neither, to simulate)"
         )
-        return 2
     if args.resume and not args.checkpoint_dir:
-        print("--resume requires --checkpoint-dir", file=sys.stderr)
-        return 2
+        raise _Refused("--resume requires --checkpoint-dir")
     if args.allowed_lateness and args.checkpoint_dir:
-        print(
+        raise _Refused(
             "--allowed-lateness replay does not checkpoint; use"
-            " `repro-coanalysis daemon` for durable lateness state",
-            file=sys.stderr,
+            " `repro-coanalysis daemon` for durable lateness state"
         )
-        return 2
 
-    telemetry = _telemetry(args)
-    rc = 0
-    with telemetry.activate() if telemetry else nullcontext():
-        if args.ras:
-            policy = _ingest_policy(args)
-            try:
-                ras_log = read_ras_log(
-                    args.ras, policy=policy, workers=args.workers
-                )
-                job_log = read_job_log(args.job, policy=policy)
-            except IngestAbortError as exc:
-                print(f"ingestion aborted: {exc}", file=sys.stderr)
-                return 2
-            except IngestError as exc:
-                print(f"ingestion rejected a bad record: {exc}", file=sys.stderr)
-                return 2
-            source = f"{args.ras} + {args.job}"
-        else:
-            profile = CalibrationProfile(seed=args.seed, scale=args.scale)
-            trace = IntrepidSimulation(profile).run()
-            ras_log, job_log = trace.ras_log, trace.job_log
-            source = "stream demo"
+    if args.ras:
+        ras_log, job_log, _ = _read_logs(args, _ingest_policy(args))
+        source = f"{args.ras} + {args.job}"
+    else:
+        profile = CalibrationProfile(seed=args.seed, scale=args.scale)
+        trace = IntrepidSimulation(profile).run()
+        ras_log, job_log = trace.ras_log, trace.job_log
+        source = "stream demo"
 
-        runner = None
-        if args.resume:
-            try:
-                runner = load_checkpoint(
-                    args.checkpoint_dir, pipeline=_pipeline_from_args(args)
-                )
-                runner.source = source
-                print(
-                    f"resumed {args.checkpoint_dir}: watermark="
-                    f"{runner.watermark:.0f}, "
-                    f"{runner.increments} increments already ingested"
-                )
-            except StreamError as exc:
-                print(f"cannot resume: {exc}", file=sys.stderr)
-                return 2
-        lateness = None
-        if runner is None:
-            if args.allowed_lateness:
-                from repro.stream.lateness import (
-                    BoundedLatenessStream,
-                    LateRecordSink,
-                )
-
-                sink = (
-                    LateRecordSink(args.late_sink) if args.late_sink else None
-                )
-                lateness = BoundedLatenessStream(
-                    pipeline=_pipeline_from_args(args),
-                    allowed_lateness=args.allowed_lateness,
-                    sink=sink,
-                    source=source,
-                )
-                runner = lateness.inner
-            else:
-                runner = StreamingCoAnalysis(
-                    pipeline=_pipeline_from_args(args), source=source
-                )
-
-        for inc in split_trace(ras_log, job_log, increments=args.increments):
-            if inc.watermark <= runner.watermark:
-                continue  # covered by the resumed checkpoint
-            if lateness is not None:
-                lu = lateness.ingest(inc.ras, inc.job, inc.watermark)
-                if lu.update is None:
-                    print(
-                        f"increment held: watermark={lu.producer_watermark:.0f}"
-                        f" buffered={lu.buffered}"
-                        f" dropped={sum(lu.dropped.values())}"
-                    )
-                    continue
-                u = lu.update
-            else:
-                u = runner.ingest_increment(inc)
-            fit = ""
-            if u.fit is not None:
-                delta = (
-                    "" if math.isnan(u.shape_delta)
-                    else f" (shape {u.shape_delta:+.4f})"
-                )
-                fit = f" weibull={u.fit.shape:.4f}/{u.fit.scale:.1f}{delta}"
+    runner = None
+    if args.resume:
+        try:
+            runner = load_checkpoint(
+                args.checkpoint_dir, pipeline=_pipeline_from_args(args)
+            )
+            runner.source = source
             print(
-                f"increment {u.index}: watermark={u.watermark:.0f}"
-                f" raw={u.events_raw} spatial={u.after_spatial}"
-                f" pending={u.pending_events} pairs={u.pairs_emitted}"
-                f" rate={u.interruption_rate_per_day:.2f}/day{fit}"
+                f"resumed {args.checkpoint_dir}: watermark="
+                f"{runner.watermark:.0f}, "
+                f"{runner.increments} increments already ingested"
             )
-            if args.checkpoint_dir:
-                save_checkpoint(runner, args.checkpoint_dir)
-        if lateness is not None:
-            result = lateness.result()
-            dropped = sum(lateness.late_dropped.values())
-            if dropped:
-                print(
-                    f"late records beyond the {args.allowed_lateness:.0f}s"
-                    f" horizon: {dropped} dropped"
-                    + (f" (sink: {args.late_sink})" if args.late_sink else "")
-                )
-        else:
-            result = runner.result()
-        if telemetry is not None:
-            telemetry.observations = list(result.observations)
-        print()
-        print(result.report())
+        except StreamError as exc:
+            raise _Refused(f"cannot resume: {exc}") from None
+    lateness = None
+    if runner is None:
+        if args.allowed_lateness:
+            from repro.stream.lateness import (
+                BoundedLatenessStream,
+                LateRecordSink,
+            )
 
-        if args.check_equivalence:
-            batch = _pipeline_from_args(args).run(
-                ras_log, job_log, source=source
+            sink = LateRecordSink(args.late_sink) if args.late_sink else None
+            lateness = BoundedLatenessStream(
+                pipeline=_pipeline_from_args(args),
+                allowed_lateness=args.allowed_lateness,
+                sink=sink,
+                source=source,
             )
-            diffs = diff_results(result, batch)
-            print()
-            for diff in diffs:
-                print(f"equivalence: {diff}")
-            print(f"stream == batch: {'OK' if not diffs else 'FAILED'}")
-            if diffs:
-                rc = 3
-    if telemetry is not None and rc == 0:
-        print(f"telemetry manifest: {telemetry.finish()}")
-    return rc
+            runner = lateness.inner
+        else:
+            runner = StreamingCoAnalysis(
+                pipeline=_pipeline_from_args(args), source=source
+            )
+
+    for inc in split_trace(ras_log, job_log, increments=args.increments):
+        if inc.watermark <= runner.watermark:
+            continue  # covered by the resumed checkpoint
+        if lateness is not None:
+            lu = lateness.ingest(inc.ras, inc.job, inc.watermark)
+            if lu.update is None:
+                print(
+                    f"increment held: watermark={lu.producer_watermark:.0f}"
+                    f" buffered={lu.buffered}"
+                    f" dropped={sum(lu.dropped.values())}"
+                )
+                continue
+            u = lu.update
+        else:
+            u = runner.ingest_increment(inc)
+        fit = ""
+        if u.fit is not None:
+            delta = (
+                "" if math.isnan(u.shape_delta)
+                else f" (shape {u.shape_delta:+.4f})"
+            )
+            fit = f" weibull={u.fit.shape:.4f}/{u.fit.scale:.1f}{delta}"
+        print(
+            f"increment {u.index}: watermark={u.watermark:.0f}"
+            f" raw={u.events_raw} spatial={u.after_spatial}"
+            f" pending={u.pending_events} pairs={u.pairs_emitted}"
+            f" rate={u.interruption_rate_per_day:.2f}/day{fit}"
+        )
+        if args.checkpoint_dir:
+            save_checkpoint(runner, args.checkpoint_dir)
+    if lateness is not None:
+        result = lateness.result()
+        dropped = sum(lateness.late_dropped.values())
+        if dropped:
+            print(
+                f"late records beyond the {args.allowed_lateness:.0f}s"
+                f" horizon: {dropped} dropped"
+                + (f" (sink: {args.late_sink})" if args.late_sink else "")
+            )
+    else:
+        result = runner.result()
+    _observe(result.observations)
+    print()
+    print(result.report())
+    _print_quarantine(ras_log, job_log)
+
+    if args.check_equivalence:
+        batch = _pipeline_from_args(args).run(ras_log, job_log, source=source)
+        print()
+        if not _check_batch("stream", result, batch):
+            return 3
+    return 0
 
 
 def cmd_daemon(args: argparse.Namespace) -> int:
     import signal
 
-    from repro.core.equivalence import diff_results
     from repro.stream.daemon import DaemonConfig, DaemonLoop, Supervisor
     from repro.stream.source import RetryPolicy
 
@@ -730,14 +698,11 @@ def cmd_daemon(args: argparse.Namespace) -> int:
         try:
             coerce_rules(args.alert_rule)
         except ValueError as exc:
-            print(f"bad --alert-rule: {exc}", file=sys.stderr)
-            return 2
+            raise _Refused(f"bad --alert-rule: {exc}") from None
         if not args.ops_dir:
-            print("--alert-rule requires --ops-dir", file=sys.stderr)
-            return 2
+            raise _Refused("--alert-rule requires --ops-dir")
     if args.ops_dir and args.sample_interval <= 0:
-        print("--sample-interval must be positive", file=sys.stderr)
-        return 2
+        raise _Refused("--sample-interval must be positive")
 
     config = DaemonConfig(
         ras_path=args.ras,
@@ -768,7 +733,6 @@ def cmd_daemon(args: argparse.Namespace) -> int:
 
         return FaultyFS(FaultPlan.generate(args.inject_faults))
 
-    telemetry = _telemetry(args)
     active: dict[str, DaemonLoop] = {}
 
     def make_loop() -> DaemonLoop:
@@ -776,9 +740,8 @@ def cmd_daemon(args: argparse.Namespace) -> int:
             config, pipeline=_pipeline_from_args(args), fs=make_fs()
         )
         active["loop"] = loop
-        if loop.rotator.problems:
-            for problem in loop.rotator.problems:
-                print(f"checkpoint fallback: {problem}", file=sys.stderr)
+        for problem in loop.rotator.problems:
+            print(f"checkpoint fallback: {problem}", file=sys.stderr)
         return loop
 
     previous = {}
@@ -793,44 +756,31 @@ def cmd_daemon(args: argparse.Namespace) -> int:
             previous[sig] = signal.signal(sig, _handler)
         except ValueError:  # not the main thread
             break
-    rc = 0
-    with telemetry.activate() if telemetry else nullcontext():
-        try:
-            summary = Supervisor(
-                make_loop, max_restarts=args.max_restarts
-            ).run()
-        finally:
-            for sig, handler in previous.items():
-                signal.signal(sig, handler)
+    try:
+        summary = Supervisor(make_loop, max_restarts=args.max_restarts).run()
+    finally:
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
 
-        print(
-            f"daemon done ({summary.stopped_by}): {summary.cycles} cycles,"
-            f" {summary.increments} increments"
-            f" ({summary.degraded_increments} degraded),"
-            f" {summary.released_rows} rows released,"
-            f" {summary.checkpoints} checkpoints,"
-            f" {summary.store_windows} store windows,"
-            f" late dropped {summary.late_dropped}"
+    print(
+        f"daemon done ({summary.stopped_by}): {summary.cycles} cycles,"
+        f" {summary.increments} increments"
+        f" ({summary.degraded_increments} degraded),"
+        f" {summary.released_rows} rows released,"
+        f" {summary.checkpoints} checkpoints,"
+        f" {summary.store_windows} store windows,"
+        f" late dropped {summary.late_dropped}"
+    )
+    if args.check_equivalence:
+        result = active["loop"].result()
+        _observe(result.observations)
+        ras_log, job_log, _ = _read_logs(
+            args, IngestPolicy(mode=args.on_bad_record)
         )
-        if args.check_equivalence:
-            loop = active["loop"]
-            result = loop.result()
-            if telemetry is not None:
-                telemetry.observations = list(result.observations)
-            policy = IngestPolicy(mode=args.on_bad_record)
-            batch = _pipeline_from_args(args).run(
-                read_ras_log(args.ras, policy=policy),
-                read_job_log(args.job, policy=policy),
-            )
-            diffs = diff_results(result, batch)
-            for diff in diffs:
-                print(f"equivalence: {diff}")
-            print(f"daemon == batch: {'OK' if not diffs else 'FAILED'}")
-            if diffs:
-                rc = 3
-    if telemetry is not None and rc == 0:
-        print(f"telemetry manifest: {telemetry.finish()}")
-    return rc
+        batch = _pipeline_from_args(args).run(ras_log, job_log)
+        if not _check_batch("daemon", result, batch):
+            return 3
+    return 0
 
 
 def cmd_feed(args: argparse.Namespace) -> int:
@@ -839,16 +789,14 @@ def cmd_feed(args: argparse.Namespace) -> int:
     for spec in args.copy:
         src, sep, dest = spec.partition(":")
         if not sep or not src or not dest:
-            print(f"bad --copy spec {spec!r} (want SRC:DEST)", file=sys.stderr)
-            return 2
+            raise _Refused(f"bad --copy spec {spec!r} (want SRC:DEST)")
         pairs.append((Path(src), Path(dest)))
     payloads = []
     for src, dest in pairs:
         try:
             payloads.append(src.read_bytes())
         except OSError as exc:
-            print(f"cannot read {src}: {exc}", file=sys.stderr)
-            return 2
+            raise _Refused(f"cannot read {src}: {exc}") from None
         dest.write_bytes(b"")
     for step in range(1, args.steps + 1):
         time.sleep(args.interval)
@@ -862,22 +810,25 @@ def cmd_feed(args: argparse.Namespace) -> int:
     return 0
 
 
+def _ops_records(ops_dir: Path) -> list[dict]:
+    """The ops log's records; an unreadable log refuses the run."""
+    from repro.obs.opslog import read_ops_log
+
+    try:
+        return read_ops_log(ops_dir / "ops.jsonl")
+    except (OSError, ValueError) as exc:
+        raise _Refused(f"cannot read ops log: {exc}") from None
+
+
 def cmd_health(args: argparse.Namespace) -> int:
     """Probe a daemon's health snapshot; the exit code IS the answer."""
     from repro.obs.health import probe_health
-    from repro.obs.opslog import read_ops_log
 
     ops_dir = Path(args.ops_dir)
     if args.history:
-        jsonl = ops_dir / "ops.jsonl"
-        try:
-            records = read_ops_log(jsonl)
-        except OSError as exc:
-            print(f"cannot read ops log: {exc}", file=sys.stderr)
-            return 2
         previous = None
         transitions = 0
-        for record in records:
+        for record in _ops_records(ops_dir):
             if record.get("type") != "heartbeat":
                 continue
             status = record.get("status")
@@ -888,8 +839,7 @@ def cmd_health(args: argparse.Namespace) -> int:
                 print(f"t={record.get('t')}: {previous} -> {status}{detail}")
                 previous = status
         if previous is None:
-            print("no heartbeats in ops log", file=sys.stderr)
-            return 2
+            raise _Refused("no heartbeats in ops log")
         print(f"{transitions} transitions, last status: {previous}")
     verdict = probe_health(ops_dir / "health.json", max_age_s=args.max_age)
     print(verdict.describe())
@@ -899,20 +849,13 @@ def cmd_health(args: argparse.Namespace) -> int:
 def cmd_dash(args: argparse.Namespace) -> int:
     """Render the live dashboard (or Prometheus text) from an ops dir."""
     from repro.obs.live import MetricSample, accumulate_samples
-    from repro.obs.opslog import read_ops_log
     from repro.viz.dash import dashboard_from_ops_dir, render_prometheus
 
     ops_dir = Path(args.ops_dir)
     if args.prom:
-        jsonl = ops_dir / "ops.jsonl"
-        try:
-            records = read_ops_log(jsonl)
-        except OSError as exc:
-            print(f"cannot read ops log: {exc}", file=sys.stderr)
-            return 2
         samples = [
             MetricSample.from_record(r)
-            for r in records
+            for r in _ops_records(ops_dir)
             if r.get("type") == "sample"
         ]
         sys.stdout.write(render_prometheus(accumulate_samples(samples)))
@@ -933,14 +876,11 @@ def cmd_trace(args: argparse.Namespace) -> int:
     try:
         manifest = read_manifest(args.manifest)
     except (OSError, ValueError) as exc:
-        print(f"cannot read manifest: {exc}", file=sys.stderr)
-        return 2
+        raise _Refused(f"cannot read manifest: {exc}") from None
     problems = validate_manifest(manifest)
     if args.validate:
         if problems:
-            for problem in problems:
-                print(f"invalid: {problem}", file=sys.stderr)
-            return 2
+            raise _Refused("\n".join(f"invalid: {p}" for p in problems))
         print(
             f"manifest OK: {len(manifest['spans'])} spans,"
             f" {len(manifest['metrics'])} metrics,"
@@ -976,7 +916,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cor.add_argument("--src", required=True, help="clean input log")
     p_cor.add_argument("--out", required=True, help="corrupted output path")
     p_cor.add_argument(
-        "--rate", type=_fraction_arg, default=0.05,
+        "--rate", type=_number(float, "rate", hi=1), default=0.05,
         help="fraction of rows to damage (default 0.05)",
     )
     p_cor.add_argument("--seed", type=int, default=2011)
@@ -1009,11 +949,13 @@ def build_parser() -> argparse.ArgumentParser:
              "co-analysis across machines",
     )
     p_fl.add_argument(
-        "--machines", type=int, default=3, metavar="N",
+        "--machines", type=_number(int, "machines", lo=1), default=3,
+        metavar="N",
         help="fleet size when synthesizing (default 3)",
     )
     p_fl.add_argument(
-        "--windows", type=int, default=4, metavar="K",
+        "--windows", type=_number(int, "windows", lo=1), default=4,
+        metavar="K",
         help="time windows per machine when sharding (default 4)",
     )
     p_fl.add_argument(
@@ -1048,7 +990,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_st.add_argument("--job", default=None, help="job log to replay")
     p_st.add_argument(
-        "--increments", type=_positive_int_arg, default=4, metavar="K",
+        "--increments", type=_number(int, "increments", lo=1), default=4,
+        metavar="K",
         help="number of watermarked increments to cut the trace into "
              "(default 4); the result is bit-identical for any K",
     )
@@ -1068,7 +1011,7 @@ def build_parser() -> argparse.ArgumentParser:
              "streamed result is bit-identical (exit 3 on divergence)",
     )
     p_st.add_argument(
-        "--allowed-lateness", type=_seconds_arg("allowed lateness"),
+        "--allowed-lateness", type=_number(float, "allowed lateness"),
         default=0.0, metavar="S",
         help="bounded-lateness horizon in seconds: records this late "
              "still merge bit-identically; older ones go to the late "
@@ -1104,7 +1047,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="rotated checkpoint slots live here; resume is automatic",
     )
     p_dm.add_argument(
-        "--allowed-lateness", type=_seconds_arg("allowed lateness"),
+        "--allowed-lateness", type=_number(float, "allowed lateness"),
         default=300.0, metavar="S",
         help="bounded-lateness horizon in seconds (default 300)",
     )
@@ -1114,18 +1057,19 @@ def build_parser() -> argparse.ArgumentParser:
              "and drop)",
     )
     p_dm.add_argument(
-        "--poll-interval", type=_seconds_arg("poll interval"),
+        "--poll-interval", type=_number(float, "poll interval"),
         default=1.0, metavar="S",
         help="seconds between feed polls (default 1.0)",
     )
     p_dm.add_argument(
-        "--checkpoint-every", type=_positive_int_arg, default=1,
-        metavar="N",
+        "--checkpoint-every", type=_number(int, "checkpoint every", lo=1),
+        default=1, metavar="N",
         help="checkpoint + store-flush every N data-bearing cycles "
              "(default 1)",
     )
     p_dm.add_argument(
-        "--idle-exit", type=_positive_int_arg, default=None, metavar="N",
+        "--idle-exit", type=_number(int, "idle exit", lo=1), default=None,
+        metavar="N",
         help="exit cleanly after N consecutive idle polls (default: "
              "run until SIGTERM/SIGINT)",
     )
@@ -1144,15 +1088,17 @@ def build_parser() -> argparse.ArgumentParser:
              "should divert damage, not die on it)",
     )
     p_dm.add_argument(
-        "--max-restarts", type=_nonneg_int_arg, default=3, metavar="N",
+        "--max-restarts", type=_number(int, "max restarts"), default=3,
+        metavar="N",
         help="supervisor restart budget after crashes (default 3)",
     )
     p_dm.add_argument(
-        "--retry-attempts", type=_positive_int_arg, default=5, metavar="N",
+        "--retry-attempts", type=_number(int, "retry attempts", lo=1),
+        default=5, metavar="N",
         help="IO retry attempts per poll before degrading (default 5)",
     )
     p_dm.add_argument(
-        "--retry-deadline", type=_seconds_arg("retry deadline"),
+        "--retry-deadline", type=_number(float, "retry deadline"),
         default=10.0, metavar="S",
         help="overall IO retry deadline per poll in seconds (default 10)",
     )
@@ -1183,7 +1129,7 @@ def build_parser() -> argparse.ArgumentParser:
              "requires --ops-dir",
     )
     p_dm.add_argument(
-        "--sample-interval", type=_seconds_arg("sample interval"),
+        "--sample-interval", type=_number(float, "sample interval"),
         default=5.0, metavar="S",
         help="metric sampling window for the ops log (default 5.0)",
     )
@@ -1201,11 +1147,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="copy SRC into DEST incrementally (repeatable)",
     )
     p_fd.add_argument(
-        "--steps", type=_positive_int_arg, default=10, metavar="N",
+        "--steps", type=_number(int, "steps", lo=1), default=10, metavar="N",
         help="number of append steps (default 10)",
     )
     p_fd.add_argument(
-        "--interval", type=_seconds_arg("interval"), default=0.2,
+        "--interval", type=_number(float, "interval"), default=0.2,
         metavar="S",
         help="seconds between steps (default 0.2)",
     )
@@ -1221,7 +1167,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="the daemon's --ops-dir",
     )
     p_he.add_argument(
-        "--max-age", type=_seconds_arg("max age"), default=60.0,
+        "--max-age", type=_number(float, "max age"), default=60.0,
         metavar="S",
         help="wall-clock staleness bound for a non-final snapshot "
              "(default 60); older means the daemon is presumed dead",
@@ -1247,7 +1193,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="render one frame and exit (CI and piping)",
     )
     p_da.add_argument(
-        "--interval", type=_seconds_arg("interval"), default=2.0,
+        "--interval", type=_number(float, "interval"), default=2.0,
         metavar="S",
         help="refresh interval in live mode (default 2.0)",
     )
@@ -1263,7 +1209,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_tr.add_argument("manifest", help="run manifest (JSONL) to read")
     p_tr.add_argument(
-        "--top", type=int, default=5, metavar="N",
+        "--top", type=_number(int, "top", lo=1), default=5, metavar="N",
         help="hot-stage table depth (default 5)",
     )
     p_tr.add_argument(
@@ -1277,8 +1223,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    run = _telemetry(args)
     try:
-        return args.func(args)
+        with _tracing(args, run):
+            rc = args.func(args)
+        # a degraded fleet (exit 1) still finished its run
+        if run is not None and (
+            rc == 0 or (rc == 1 and args.func is cmd_fleet)
+        ):
+            print(f"telemetry manifest: {run.finish()}")
+        return rc
+    except _Refused as exc:
+        print(exc, file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # output piped into e.g. `head`; not an error worth a traceback
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

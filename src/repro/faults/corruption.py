@@ -72,7 +72,7 @@ JOB_DEFECT_CLASSES = (
 )
 
 # disk-layout field indices of the RAS text format (see
-# repro.logs.stream._DISK_COLUMNS)
+# repro.logs.textio._DISK_COLUMNS)
 _RAS_RECID_IDX = 0
 _RAS_COMPONENT_IDX = 2
 _RAS_ERRCODE_IDX = 4

@@ -56,14 +56,9 @@ from repro.logs.quarantine import (
     structural_defect,
 )
 from repro.logs.ras import COMPONENTS, RAS_COLUMNS, SEVERITIES, RasLog
-from repro.logs.textio import parse_bgp_time
+from repro.logs.textio import _DISK_COLUMNS, check_ras_header, parse_bgp_time
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import current_tracer
-
-_DISK_COLUMNS = (
-    "recid", "msg_id", "component", "subcomponent", "errcode",
-    "severity", "event_time_bgp", "location", "serialnumber", "message",
-)
 
 _SEVERITY_SET = frozenset(SEVERITIES)
 _COMPONENT_SET = frozenset(COMPONENTS)
@@ -499,9 +494,7 @@ def iter_ras_chunks(
         if not header:
             yield empty_ras_log()
             return
-        names = [cell.rpartition(":")[0] for cell in header.split("|")]
-        if tuple(names) != _DISK_COLUMNS:
-            raise ValueError(f"unexpected RAS header {names}")
+        check_ras_header(header)
         cursor = RasRowCursor()
         table: dict = {}  # one string table for the whole file
         buffer: list[Frame] = []

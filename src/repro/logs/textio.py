@@ -16,12 +16,19 @@ from pathlib import Path
 import numpy as np
 
 from repro.frame import Frame
-from repro.frame.io import read_delimited, write_delimited
+from repro.frame.io import read_delimited, to_string, write_delimited
 from repro.logs.job import JOB_COLUMNS, JobLog, check_job_header
 from repro.logs.quarantine import IngestPolicy, coerce_policy
 from repro.logs.ras import RAS_COLUMNS, RasLog
 
 _BGP_FMT = "%Y-%m-%d-%H.%M.%S.%f"
+
+#: the on-disk RAS layout: Table II's fields in order, the event time
+#: as BG/P text (the readers check a header against this)
+_DISK_COLUMNS = (
+    "recid", "msg_id", "component", "subcomponent", "errcode",
+    "severity", "event_time_bgp", "location", "serialnumber", "message",
+)
 
 
 def format_bgp_time(epoch_seconds: float) -> str:
@@ -36,16 +43,45 @@ def parse_bgp_time(text: str) -> float:
     return dt.timestamp()
 
 
-def write_ras_log(log: RasLog, path: str | Path) -> None:
-    """Write a RAS log with human-readable BG/P timestamps."""
-    frame = log.frame
-    rendered = frame.with_column(
+def check_ras_header(header: str) -> None:
+    """Raise ``ValueError`` unless *header* names :data:`_DISK_COLUMNS`."""
+    names = [cell.rpartition(":")[0] for cell in header.split("|")]
+    if tuple(names) != _DISK_COLUMNS:
+        raise ValueError(f"unexpected RAS header {names}")
+
+
+def ras_disk_frame(frame: Frame) -> Frame:
+    """RAS rows in the on-disk layout: :data:`_DISK_COLUMNS`, BG/P times."""
+    return frame.with_column(
         "event_time_bgp",
         np.array([format_bgp_time(t) for t in frame["event_time"]], dtype=object),
-    ).drop("event_time")
-    order = ["recid", "msg_id", "component", "subcomponent", "errcode",
-             "severity", "event_time_bgp", "location", "serialnumber", "message"]
-    write_delimited(rendered.select(order), path)
+    ).drop("event_time").select(list(_DISK_COLUMNS))
+
+
+def write_ras_log(log: RasLog, path: str | Path) -> None:
+    """Write a RAS log with human-readable BG/P timestamps."""
+    write_delimited(ras_disk_frame(log.frame), path)
+
+
+def append_log_rows(frame: Frame, path: str | Path) -> None:
+    """Append *frame*'s rows to the delimited log at *path*, fsync'd.
+
+    A new or empty file gets the header row first; an existing one
+    gets data rows only. A torn final line (a crash mid-append) is
+    ended before the append, so it costs one bad line instead of
+    swallowing the first appended row.
+    """
+    text = to_string(frame)
+    with open(path, "a+b") as fh:
+        size = fh.seek(0, os.SEEK_END)
+        if size:
+            text = text.split("\n", 1)[1]
+            fh.seek(size - 1)
+            if fh.read(1) != b"\n":
+                text = "\n" + text
+        fh.write(text.encode("utf-8"))
+        fh.flush()
+        os.fsync(fh.fileno())
 
 
 def read_log_frame(

@@ -172,11 +172,8 @@ class OpsLog:
     def _append_ras(
         self, t: float, errcode: str, severity: str, message: str
     ) -> None:
-        import numpy as np
-
-        from repro.frame.io import to_string
         from repro.logs.ras import RasLog, RasRecord
-        from repro.logs.textio import format_bgp_time
+        from repro.logs.textio import append_log_rows, ras_disk_frame
 
         # clamp: the mirror's event times must never move backwards,
         # even if the caller's clock does (resume, fake clocks)
@@ -194,33 +191,9 @@ class OpsLog:
             serialnumber=self.machine,
             message=message,
         )
-        frame = RasLog.from_records([record]).frame
-        # render exactly like write_ras_log, but append-with-header-dedup
-        # (the late-record sink's idiom)
-        frame = frame.with_column(
-            "event_time_bgp",
-            np.array(
-                [format_bgp_time(v) for v in frame["event_time"]], dtype=object
-            ),
-        ).drop("event_time")
-        order = [
-            "recid", "msg_id", "component", "subcomponent", "errcode",
-            "severity", "event_time_bgp", "location", "serialnumber",
-            "message",
-        ]
-        text = to_string(frame.select(order))
-        with open(self.ras_path, "a+b") as fh:
-            size = fh.seek(0, os.SEEK_END)
-            if size:
-                text = text.split("\n", 1)[1]
-                fh.seek(size - 1)
-                if fh.read(1) != b"\n":
-                    # a torn final line: end it, or this row would
-                    # continue it
-                    text = "\n" + text
-            fh.write(text.encode("utf-8"))
-            fh.flush()
-            os.fsync(fh.fileno())
+        append_log_rows(
+            ras_disk_frame(RasLog.from_records([record]).frame), self.ras_path
+        )
         self._next_recid = recid + 1
         self._last_event_time = t
 

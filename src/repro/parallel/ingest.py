@@ -125,7 +125,7 @@ def parallel_read_ras_frame(
     in-memory RAS columns; an empty data region yields a typed empty
     frame the caller may swap for ``empty_ras_log()``.
     """
-    from repro.logs.stream import _DISK_COLUMNS
+    from repro.logs.textio import check_ras_header
 
     pol = coerce_policy(policy)
     if report is None:
@@ -135,9 +135,7 @@ def parallel_read_ras_frame(
     header, data_start = scan_header(path)
     if not header:
         return Frame()
-    names = [cell.rpartition(":")[0] for cell in header.split("|")]
-    if tuple(names) != _DISK_COLUMNS:
-        raise ValueError(f"unexpected RAS header {names}")
+    check_ras_header(header)
     if chunk_bounds is None:
         chunk_bounds = plan_chunks(str(path), n_workers, data_start)
     tasks = [(str(path), start, end) for start, end in chunk_bounds]

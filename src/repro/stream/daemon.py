@@ -592,44 +592,3 @@ class Supervisor:
                 if self.restarts > self.max_restarts:
                     raise
                 self.sleep(self.backoff_s * self.restarts)
-
-
-def run_daemon(
-    config: DaemonConfig,
-    pipeline: CoAnalysis | None = None,
-    max_restarts: int = 3,
-    install_signals: bool = True,
-) -> DaemonSummary:
-    """Build, supervise and run a daemon until it stops.
-
-    With *install_signals*, SIGTERM/SIGINT ask the loop for a clean
-    checkpoint-and-exit instead of killing it mid-cycle (handlers are
-    restored afterwards; only valid from the main thread).
-    """
-    import signal
-
-    active: dict[str, DaemonLoop] = {}
-
-    def make_loop() -> DaemonLoop:
-        loop = DaemonLoop(config, pipeline=pipeline)
-        active["loop"] = loop
-        return loop
-
-    previous = {}
-    if install_signals:
-
-        def _handler(signum, frame):
-            loop = active.get("loop")
-            if loop is not None:
-                loop.request_stop("signal")
-
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            try:
-                previous[sig] = signal.signal(sig, _handler)
-            except ValueError:  # not the main thread
-                break
-    try:
-        return Supervisor(make_loop, max_restarts=max_restarts).run()
-    finally:
-        for sig, handler in previous.items():
-            signal.signal(sig, handler)

@@ -29,9 +29,9 @@ import numpy as np
 from repro.core.filtering.causal import (
     CausalRule,
     _sorted_unique,
-    _sorted_unique_counts,
+    causal_rule_cut,
 )
-from repro.frame.column import chain_collapse_mask, segmented_arange
+from repro.frame.column import chain_collapse_mask, factorize, segmented_arange
 
 __all__ = ["ChainState", "CausalState"]
 
@@ -198,14 +198,12 @@ class CausalState:
         rule list comes out in the same ascending composite-key order.
         """
         n = self.n_seen
-        keep = np.ones(n, dtype=bool)
         if n == 0:
-            return keep, []
-        vocab_seen = np.array(list(self.vocab.keys()), dtype=object)
-        order = np.argsort(vocab_seen)
-        rank = np.empty(len(order), dtype=np.int64)
-        rank[order] = np.arange(len(order), dtype=np.int64)
-        vocab_sorted = vocab_seen[order]
+            return np.ones(0, dtype=bool), []
+        # the batch kernel's own coding: first-appearance code -> rank
+        rank, vocab_sorted = factorize(
+            np.array(list(self.vocab), dtype=object)
+        )
         k = len(vocab_sorted)
 
         codes_all = rank[np.concatenate(self._codes)]
@@ -217,27 +215,7 @@ class CausalState:
         else:
             pre_ev = np.zeros(0, dtype=np.int64)
             pre_a = np.zeros(0, dtype=np.int64)
-        pre_b = codes_all[pre_ev]
-
-        pair_key, support = _sorted_unique_counts(pre_a * k + pre_b)
-        confidence = support / type_counts[pair_key % k]
-        is_rule = (support >= self.min_support) & (
-            confidence >= self.min_confidence
+        return causal_rule_cut(
+            pre_ev, pre_a, codes_all[pre_ev], type_counts, vocab_sorted, n,
+            self.min_support, self.min_confidence,
         )
-        rules = [
-            CausalRule(
-                vocab_sorted[key // k], vocab_sorted[key % k],
-                int(c), float(conf),
-            )
-            for key, c, conf in zip(
-                pair_key[is_rule], support[is_rule], confidence[is_rule]
-            )
-        ]
-        rule_keys = pair_key[is_rule]
-        if len(rule_keys) and len(pre_ev):
-            cand_key = pre_a * k + pre_b
-            at = np.searchsorted(rule_keys, cand_key)
-            at_c = np.minimum(at, len(rule_keys) - 1)
-            hit = (at < len(rule_keys)) & (rule_keys[at_c] == cand_key)
-            keep[pre_ev[hit]] = False
-        return keep, rules

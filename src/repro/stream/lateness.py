@@ -37,7 +37,6 @@ enforces, so the daemon can stream them straight into the fleet store.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,10 +44,9 @@ import numpy as np
 
 from repro.core.pipeline import CoAnalysis, CoAnalysisResult
 from repro.frame import Frame, concat
-from repro.frame.io import to_string
 from repro.logs.job import JOB_COLUMNS, JobLog, empty_job_log
 from repro.logs.ras import RasLog, empty_ras_log
-from repro.logs.textio import format_bgp_time
+from repro.logs.textio import append_log_rows, ras_disk_frame
 from repro.obs.metrics import get_metrics
 from repro.stream.runner import StreamError, StreamingCoAnalysis, StreamUpdate
 
@@ -83,31 +81,10 @@ class LateRecordSink:
         if not frame.num_rows:
             return
         if table == "ras":
-            frame = frame.with_column(
-                "event_time_bgp",
-                np.array(
-                    [format_bgp_time(t) for t in frame["event_time"]],
-                    dtype=object,
-                ),
-            ).drop("event_time")
-            order = [
-                "recid", "msg_id", "component", "subcomponent", "errcode",
-                "severity", "event_time_bgp", "location", "serialnumber",
-                "message",
-            ]
-            frame = frame.select(order)
+            rows = ras_disk_frame(frame)
         else:
-            frame = frame.select(list(JOB_COLUMNS))
-        text = to_string(frame)
-        path = self.path_for(table)
-        fresh = not path.exists() or path.stat().st_size == 0
-        if not fresh:
-            # the file already carries the header row; append data only
-            text = text.split("\n", 1)[1]
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.flush()
-            os.fsync(fh.fileno())
+            rows = frame.select(list(JOB_COLUMNS))
+        append_log_rows(rows, self.path_for(table))
         self.written[table] += frame.num_rows
 
 

@@ -57,7 +57,8 @@ from repro.logs.quarantine import (
     handle_bad_record,
 )
 from repro.logs.ras import RasLog, empty_ras_log
-from repro.logs.stream import _DISK_COLUMNS, parse_ras_block
+from repro.logs.stream import parse_ras_block
+from repro.logs.textio import check_ras_header
 from repro.obs.metrics import get_metrics
 
 __all__ = [
@@ -489,9 +490,10 @@ class RasFeedParser(_FeedParserBase):
     table = "ras"
 
     def _check_header(self, text: str) -> None:
-        names = [cell.rpartition(":")[0] for cell in text.split("|")]
-        if tuple(names) != _DISK_COLUMNS:
-            raise FeedParseError(f"unexpected RAS feed header {names}")
+        try:
+            check_ras_header(text)
+        except ValueError as exc:
+            raise FeedParseError(f"ras feed: {exc}") from None
 
     def parse(self, lines: list[str]) -> RasLog:
         defects, rows = parse_ras_block(lines)

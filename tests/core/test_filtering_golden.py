@@ -109,6 +109,22 @@ def test_golden_causal_rules_mined_somewhere():
     assert rng_hit
 
 
+@pytest.mark.parametrize("limit", [0, 1 << 25])
+def test_golden_causal_dense_and_sorted_key_paths(limit, monkeypatch):
+    """The rule cut's bincount and sort paths give the same rules and
+    survivors; a zero key limit forces the sort-based helpers."""
+    import repro.core.filtering.causal as causal
+
+    monkeypatch.setattr(causal, "_DENSE_KEY_LIMIT", limit)
+    events = make_stream(3000, n_types=4, n_locations=6, seed=1)
+    f = CausalityFilter(window=600.0, min_support=3, min_confidence=0.2)
+    ref = ReferenceCausalityFilter(
+        window=600.0, min_support=3, min_confidence=0.2
+    )
+    assert_tables_equal(ref.apply(events), f.apply(events))
+    assert f.rules and ref.rules == f.rules
+
+
 def test_golden_on_simulated_trace():
     """The pipeline's own filter inputs: the raw FATAL table of a
     simulated Intrepid trace."""

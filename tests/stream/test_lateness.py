@@ -190,6 +190,23 @@ class TestBeyondHorizon:
         )
         assert header_count == 1
 
+    def test_sink_append_survives_torn_final_line(self, tmp_path):
+        """A crash mid-append leaves a torn last row: the next append
+        ends it first, so the torn row costs at most one bad line and
+        every later row reads back."""
+        frame = make_ras(5).frame
+        sink = LateRecordSink(tmp_path / "late")
+        sink.write("ras", frame.head(3))
+        path = sink.path_for("ras")
+        lines = path.read_bytes().splitlines(keepends=True)
+        cut = sum(len(line) for line in lines[:3]) + 20  # into row 3
+        path.write_bytes(path.read_bytes()[:cut])
+        sink.write("ras", frame.take(np.array([3, 4])))
+
+        log = read_ras_log(path, policy="quarantine")
+        assert list(log.frame["recid"]) == [1, 2, 4, 5]
+        assert log.quarantine.bad_rows <= 1
+
     def test_drop_metric_counts(self, trace):
         ras, job = trace
         registry = get_metrics()

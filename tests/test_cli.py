@@ -67,13 +67,35 @@ class TestParser:
         assert args.spatial_threshold == 45.0
         assert args.causal_window == 240.0
 
-    @pytest.mark.parametrize("flag", [
-        "--temporal-threshold", "--spatial-threshold", "--causal-window",
+    @pytest.mark.parametrize("argv,expect", [
+        *(
+            pytest.param(["demo", f"{flag}=-10"], "non-negative", id=flag)
+            for flag in (
+                "--temporal-threshold", "--spatial-threshold",
+                "--causal-window",
+            )
+        ),
+        pytest.param(["simulate", "--out-dir", "x", "--scale", "0"],
+                     "(0, 1]", id="simulate-scale-0"),
+        pytest.param(["simulate", "--out-dir", "x", "--scale", "2"],
+                     "(0, 1]", id="simulate-scale-2"),
+        pytest.param(["demo", "--scale=-1"], "(0, 1]", id="demo-scale-neg"),
+        pytest.param(["fleet", "--machines", "0"], "at least 1",
+                     id="fleet-machines-0"),
+        pytest.param(["fleet", "--windows", "0"], "at least 1",
+                     id="fleet-windows-0"),
+        pytest.param(["trace", "run.jsonl", "--top", "0"], "at least 1",
+                     id="trace-top-0"),
+        pytest.param(["demo", "--tolerance", "nan"], "non-negative",
+                     id="demo-tolerance-nan"),
     ])
-    def test_negative_filter_thresholds_rejected(self, flag, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["demo", f"{flag}=-10"])
-        assert "non-negative" in capsys.readouterr().err
+    def test_negative_filter_thresholds_rejected(self, argv, expect, capsys):
+        """Out-of-range numbers are usage errors (exit 2) at parse time,
+        before any command can raise on them."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert expect in capsys.readouterr().err
 
     def test_ingest_defaults_strict(self):
         args = build_parser().parse_args(
@@ -305,6 +327,31 @@ class TestResilienceEndToEnd:
         assert "ingestion aborted" in err
         assert "max_bad_records" in err
 
+    def logs(self, corrupted, *flags):
+        return ["--ras", str(corrupted / "ras_bad.log"),
+                "--job", str(corrupted / "job.log"), *flags]
+
+    def test_stream_abort_prints_analyze_report(self, corrupted, capsys):
+        flags = ("--on-bad-record", "quarantine", "--max-bad-records", "3")
+        assert main(["analyze", *self.logs(corrupted, *flags)]) == 2
+        analyze_err = capsys.readouterr().err
+        assert main(["stream", *self.logs(corrupted, *flags)]) == 2
+        err = capsys.readouterr().err
+        assert "quarantine report" in err
+        assert err == analyze_err
+
+    def test_stream_quarantine_prints_analyze_reports(
+        self, corrupted, capsys
+    ):
+        flags = ("--on-bad-record", "quarantine")
+        assert main(["analyze", *self.logs(corrupted, *flags)]) == 0
+        analyze_out = capsys.readouterr().out
+        assert main(["stream", *self.logs(corrupted, *flags)]) == 0
+        out = capsys.readouterr().out
+        reports = analyze_out[analyze_out.index("quarantine report [RAS]"):]
+        assert "quarantine report [job]" in reports
+        assert out.endswith(reports)
+
 
 class TestDaemonParser:
     def test_daemon_args(self):
@@ -449,5 +496,6 @@ class TestFleetDivergence:
         )
         assert not _fleet_matches_batch(args, [machine], result)
         out = capsys.readouterr().out
-        assert f"equivalence m0: FAILED ({field}:" in out
+        assert f"equivalence: {field}:" in out
+        assert "m0 == batch: FAILED" in out
         assert "sharded == batch: FAILED" in out
