@@ -341,11 +341,17 @@ def _ingest_note(log, workers: int = 1) -> str:
     return ""
 
 
-def _read_logs(args: argparse.Namespace, policy: IngestPolicy, cache=None):
+def _read_logs(
+    args: argparse.Namespace, policy: IngestPolicy, cache=None,
+    fatal_only: bool = False,
+):
     """Read ``--ras`` and ``--job`` as the ``ingest.*`` spans.
 
     Returns ``(ras_log, job_log, spans)``; a damaged log that ingestion
-    rejects or aborts on refuses the run.
+    rejects or aborts on refuses the run. *fatal_only* reads the RAS
+    log for a batch co-analysis, which needs only its FATAL rows and
+    its extent; the ``ingest.ras`` span's rows still count every
+    accepted record.
     """
     from repro.obs import maybe_span
 
@@ -353,9 +359,10 @@ def _read_logs(args: argparse.Namespace, policy: IngestPolicy, cache=None):
     try:
         with maybe_span("ingest.ras") as ras_span:
             ras_log = read_ras_log(
-                args.ras, policy=policy, workers=workers, cache=cache
+                args.ras, policy=policy, workers=workers, cache=cache,
+                fatal_only=fatal_only,
             )
-            ras_span.rows = len(ras_log)
+            ras_span.rows = ras_log.num_records
             ras_span.note = _ingest_note(ras_log, workers)
         with maybe_span("ingest.job") as job_span:
             job_log = read_job_log(args.job, policy=policy, cache=cache)
@@ -437,7 +444,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
         cache = ParseCache(args.cache_dir)
     ras_log, job_log, ingest_spans = _read_logs(
-        args, _ingest_policy(args), cache=cache
+        args, _ingest_policy(args), cache=cache, fatal_only=True
     )
     if cache is not None:
         print(
@@ -775,7 +782,7 @@ def cmd_daemon(args: argparse.Namespace) -> int:
         result = active["loop"].result()
         _observe(result.observations)
         ras_log, job_log, _ = _read_logs(
-            args, IngestPolicy(mode=args.on_bad_record)
+            args, IngestPolicy(mode=args.on_bad_record), fatal_only=True
         )
         batch = _pipeline_from_args(args).run(ras_log, job_log)
         if not _check_batch("daemon", result, batch):

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.frame import Frame
+from repro.frame.column import factorize
 from repro.logs.ras import RasLog
 from repro.machine.location import parse_location
 
@@ -86,16 +87,24 @@ def fatal_event_table(ras_log: RasLog) -> FatalEventTable:
     """Extract FATAL records into the pipeline's event frame.
 
     ``event_id`` is assigned by position in the log's row order, before
-    the frame is sorted by time.
+    the frame is sorted by time. Each distinct location is parsed once
+    and its midplane span gathered to every row.
     """
     fatal = ras_log.fatal().frame
     n = fatal.num_rows
-    mp_lo = np.empty(n, dtype=np.int64)
-    mp_hi = np.empty(n, dtype=np.int64)
-    for i, loc in enumerate(fatal["location"]):
-        span = parse_location(loc).midplane_indices()
-        mp_lo[i] = span[0]
-        mp_hi[i] = span[-1]
+    codes, locations = factorize(fatal["location"])
+    try:
+        spans = [
+            parse_location(loc).midplane_indices() for loc in locations.tolist()
+        ]
+    except ValueError:
+        # raise for the first malformed location in row order, not in
+        # sorted order
+        for loc in fatal["location"]:
+            parse_location(loc)
+        raise
+    mp_lo = np.array([s[0] for s in spans], dtype=np.int64)[codes]
+    mp_hi = np.array([s[-1] for s in spans], dtype=np.int64)[codes]
     frame = Frame(
         {
             "event_id": np.arange(n, dtype=np.int64),

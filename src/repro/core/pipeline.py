@@ -531,7 +531,7 @@ def _first_job_per_event(pairs: Frame) -> Frame:
 def _window(ras_log: RasLog, job_log: JobLog) -> tuple[float, float]:
     """``(t_start, duration)`` covering both logs' time spans."""
     spans = []
-    if len(ras_log):
+    if ras_log.num_records:
         spans.append(ras_log.time_span())
     if len(job_log):
         spans.append(job_log.time_span())

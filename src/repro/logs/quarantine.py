@@ -29,6 +29,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.obs.metrics import get_metrics
 
 __all__ = [
@@ -129,7 +131,10 @@ class QuarantineReport:
 
     Counts are exact per defect class; sample lines are capped at
     ``max_samples_per_class`` so a pathologically damaged multi-gigabyte
-    log cannot balloon the report.
+    log cannot balloon the report. The good lines are accounted too:
+    ``clean_rows`` counts them, and the batch RAS readers keep their
+    event-time ``clean_span``, so a read that keeps only the FATAL rows
+    still knows the extent of the log.
     """
 
     def __init__(self, source: str = "", max_samples_per_class: int = 5):
@@ -138,6 +143,9 @@ class QuarantineReport:
         self.counts: dict[DefectClass, int] = {}
         self.samples: dict[DefectClass, list[BadRecord]] = {}
         self.total_rows = 0  # data lines seen (header excluded)
+        #: (first, last) event time of the accepted rows; set by the
+        #: batch RAS readers, None before any row is accepted
+        self.clean_span: tuple[float, float] | None = None
 
     # ------------------------------------------------------------------
 
@@ -150,6 +158,15 @@ class QuarantineReport:
         kept = self.samples.setdefault(defect, [])
         if len(kept) < self.max_samples_per_class:
             kept.append(BadRecord(line_no, defect, text[:SAMPLE_WIDTH]))
+
+    def note_clean_times(self, times) -> None:
+        """Widen :attr:`clean_span` over accepted rows' event *times*."""
+        if not len(times):
+            return
+        lo, hi = float(np.min(times)), float(np.max(times))
+        if self.clean_span is not None:
+            lo, hi = min(lo, self.clean_span[0]), max(hi, self.clean_span[1])
+        self.clean_span = (lo, hi)
 
     @property
     def bad_rows(self) -> int:

@@ -98,13 +98,26 @@ class RasLog:
 
     The frame always carries the :data:`RAS_COLUMNS`; rows are kept in
     event-time order (ties broken by recid).
+
+    A FATAL-only read (``read_ras_log(..., fatal_only=True)``) passes
+    *records* and *span*: the frame then holds the FATAL rows only,
+    while :attr:`num_records` and :meth:`time_span` describe every
+    record the log was read from (*span* is ``None`` when there was
+    none).
     """
 
-    def __init__(self, frame: Frame):
+    def __init__(
+        self,
+        frame: Frame,
+        records: int | None = None,
+        span: tuple[float, float] | None = None,
+    ):
         missing = [c for c in RAS_COLUMNS if c not in frame]
         if missing:
             raise ValueError(f"RAS frame missing columns {missing}")
         self.frame = frame
+        self._records = records
+        self._span = span
         #: filled by the tolerant readers (`repro.logs.textio` /
         #: `repro.logs.stream`) when a non-strict ingest policy diverted
         #: bad records; None for strict or in-memory logs
@@ -131,7 +144,9 @@ class RasLog:
 
     @property
     def num_records(self) -> int:
-        return self.frame.num_rows
+        """Records the log stands for: its rows, or every accepted
+        record of a FATAL-only read."""
+        return self.frame.num_rows if self._records is None else self._records
 
     def fatal(self) -> "RasLog":
         """The FATAL-severity subset, as a new log."""
@@ -149,9 +164,12 @@ class RasLog:
         return self.frame.unique("component")
 
     def time_span(self) -> tuple[float, float]:
-        """(first, last) event time; raises on an empty log."""
-        if not len(self):
+        """(first, last) event time of :attr:`num_records` records;
+        raises on an empty log."""
+        if not self.num_records:
             raise ValueError("empty log has no time span")
+        if self._records is not None:
+            return self._span
         t = self.frame["event_time"]
         return float(t.min()), float(t.max())
 

@@ -1,9 +1,10 @@
 """Streaming access to large RAS logs.
 
-A real 237-day RAS export runs to gigabytes; loading it whole just to
-count severities or extract the FATAL subset wastes memory. These
-helpers stream the pipe-delimited format written by
-:func:`repro.logs.textio.write_ras_log` in bounded chunks.
+A real 237-day RAS export runs to gigabytes, and the co-analysis reads
+only its FATAL records and its time span. These helpers stream the
+pipe-delimited format written by :func:`repro.logs.textio.write_ras_log`
+in bounded chunks; with ``fatal_only`` they still check every line but
+build cells only for the FATAL rows.
 
 Ingestion is policy-driven (:mod:`repro.logs.quarantine`): every data
 line passes structural checks (encoding damage, blank, truncated,
@@ -33,7 +34,6 @@ taken as end-of-data and the final line is classified like any other.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -61,6 +61,8 @@ from repro.obs.metrics import get_metrics
 from repro.obs.trace import current_tracer
 
 _SEVERITY_SET = frozenset(SEVERITIES)
+#: the one severity a ``fatal_only`` read keeps cells for
+_FATAL = "FATAL"
 _COMPONENT_SET = frozenset(COMPONENTS)
 #: ERRCODEs are identifier-shaped tokens (``_bgp_err_ddr_controller``,
 #: ``CiodHungProxy``); anything else is vocabulary damage
@@ -154,28 +156,43 @@ class RasRows:
     rebuilds a rejected candidate's line from them
     (:func:`repro.parallel.merge.merge_ras_chunks`), and
     :meth:`to_frame` drops them.
+
+    A ``fatal_only`` parse sets ``kept``, the mask of the FATAL rows:
+    every row has its line, recid and time, for the cross-record checks,
+    but the cell columns hold only the kept rows, and :meth:`to_frame`
+    gives only those. ``kept`` is ``None`` when every row has cells.
     """
 
     lines: np.ndarray  # int64
     recids: np.ndarray  # int64
     times: np.ndarray  # float64 epoch seconds
     cells: list[np.ndarray]
+    kept: np.ndarray | None = None  # bool, one per row
 
     def __len__(self) -> int:
         return len(self.lines)
 
     def take(self, index) -> "RasRows":
         """The rows selected by *index* (a mask, slice or index array)."""
+        at, kept = index, None
+        if self.kept is not None:
+            kept = self.kept[index]
+            # each row's position in the cell columns, for the kept rows
+            at = (np.cumsum(self.kept) - 1)[index][kept]
         return RasRows(
             self.lines[index],
             self.recids[index],
             self.times[index],
-            [col[index] for col in self.cells],
+            [col[at] for col in self.cells],
+            kept,
         )
 
     @staticmethod
     def concat(parts: list["RasRows"]) -> "RasRows":
-        """Stack row sets in order (an empty list gives typed empty rows)."""
+        """Stack row sets in order (an empty list gives typed empty rows).
+
+        The parts are all projected (``kept`` set) or all not.
+        """
         if len(parts) == 1:
             return parts[0]
         if not parts:
@@ -193,19 +210,24 @@ class RasRows:
                 np.concatenate([p.cells[j] for p in parts])
                 for j in range(len(_DISK_COLUMNS))
             ],
+            None if parts[0].kept is None
+            else np.concatenate([p.kept for p in parts]),
         )
 
     def to_frame(self) -> Frame:
-        """The rows as an in-memory RAS frame (columns of Table II)."""
+        """The rows that have cells as an in-memory RAS frame (Table II)."""
         cells = self.cells
+        recids, times = self.recids, self.times
+        if self.kept is not None:
+            recids, times = recids[self.kept], times[self.kept]
         data = {
-            "recid": self.recids,
+            "recid": recids,
             "msg_id": cells[1],
             "component": cells[_COMPONENT_IDX],
             "subcomponent": cells[3],
             "errcode": cells[_ERRCODE_IDX],
             "severity": cells[_SEVERITY_IDX],
-            "event_time": self.times,
+            "event_time": times,
             "location": cells[7],
             "serialnumber": cells[8],
             "message": cells[9],
@@ -252,7 +274,7 @@ def classify_ras_fields(
 
 
 def parse_ras_block(
-    lines: list[str], table: dict | None = None
+    lines: list[str], table: dict | None = None, fatal_only: bool = False
 ) -> tuple[list[tuple[int, DefectClass]], RasRows]:
     """Classify a block of RAS data lines a column at a time.
 
@@ -274,6 +296,10 @@ def parse_ras_block(
     built with :func:`~repro.frame.column.shared_strings`, so equal
     cells are one object: through *table* when given — a reader passes
     one table to every block of a file — and a fresh table otherwise.
+
+    With *fatal_only* every line is checked just the same, and every
+    accepted row keeps its line index, recid and time, but cells are
+    built only for the FATAL rows (``RasRows.kept``).
     """
     if table is None:
         table = {}
@@ -314,14 +340,23 @@ def parse_ras_block(
             for j in _FREE_COLUMNS:
                 cols[j][k] = unescape_cell(cols[j][k], _SEP)
 
-    if flagged.any():
-        # drop flagged rows before sharing, so no rejected value joins
-        # a table that lives as long as the file's read
-        good = np.flatnonzero(~flagged)
-        index = good.tolist()
+    good = ~flagged
+    celled = good
+    if fatal_only:
+        celled = good & np.fromiter(
+            map(_FATAL.__eq__, cols[_SEVERITY_IDX]), bool, len(keep)
+        )
+    if not celled.all():
+        # cells of the other rows are never built, and no rejected value
+        # joins a table that lives as long as the file's read
+        index = np.flatnonzero(celled).tolist()
         cols = [[col[i] for i in index] for col in cols]
+    if not good.all():
         keep, recids, times = keep[good], recids[good], times[good]
-    rows = RasRows(keep, recids, times, _cell_columns(cols, table))
+    rows = RasRows(
+        keep, recids, times, _cell_columns(cols, table),
+        celled[good] if fatal_only else None,
+    )
     on_fast_path = np.zeros(n, dtype=bool)
     on_fast_path[rows.lines] = True
     defects: list[tuple[int, DefectClass]] = []
@@ -334,13 +369,21 @@ def parse_ras_block(
             slow.append((i, *parsed))
     if slow:
         index, slow_cells, slow_recids, slow_times = zip(*slow)
+        slow_kept = None
+        if fatal_only:
+            slow_kept = np.array(
+                [c[_SEVERITY_IDX] == _FATAL for c in slow_cells], dtype=bool
+            )
+            slow_cells = [c for c, k in zip(slow_cells, slow_kept) if k]
+        slow_cols = [list(col) for col in zip(*slow_cells)]
         rows = RasRows.concat([
             rows,
             RasRows(
                 np.array(index, dtype=np.int64),
                 np.array(slow_recids, dtype=np.int64),
                 np.array(slow_times, dtype=np.float64),
-                _cell_columns(list(zip(*slow_cells)), table),
+                _cell_columns(slow_cols or [[] for _ in range(width)], table),
+                slow_kept,
             ),
         ])
         rows = rows.take(np.argsort(rows.lines, kind="stable"))
@@ -443,6 +486,7 @@ def iter_ras_chunks(
     policy: IngestPolicy | str | None = None,
     report: QuarantineReport | None = None,
     partial: PartialTail | None = None,
+    fatal_only: bool = False,
 ) -> Iterator[RasLog]:
     """Yield a written RAS log file as bounded :class:`RasLog` chunks.
 
@@ -468,6 +512,12 @@ def iter_ras_chunks(
     held there as pending — the tailing discipline for growing files —
     rather than classified; without one it is parsed like any other
     line, the batch reading of a file that is known to be complete.
+
+    With *fatal_only* every line is still checked, counted and
+    cross-checked, and chunks still close every *chunk_rows* accepted
+    rows, but each chunk holds only its FATAL rows: chunk ``i`` equals
+    chunk ``i`` of the full read, ``.fatal()``. Either way the report's
+    ``clean_span`` covers every accepted row released so far.
     """
     from repro.logs.ras import empty_ras_log
     from repro.parallel.merge import RasRowCursor, replay_cross_record
@@ -521,7 +571,7 @@ def iter_ras_chunks(
             # bytes read through the end of each line
             line_ends = read_bytes + np.cumsum(_line_sizes(text, lines))
             del text, batch
-            defects, rows = parse_ras_block(lines, table)
+            defects, rows = parse_ras_block(lines, table, fatal_only)
             accepted, cross = replay_cross_record(
                 rows.recids, rows.times, cursor
             )
@@ -540,9 +590,11 @@ def iter_ras_chunks(
                 stop = int(np.searchsorted(rows.lines, index))
                 while done < stop:
                     take = min(stop - done, chunk_rows - buffered)
+                    released = slice(done, done + take)
+                    report.note_clean_times(rows.times[released])
                     # a frame slice holds no recid or timestamp text, so
                     # that text goes with the batch, not with the chunk
-                    buffer.append(rows.take(slice(done, done + take)).to_frame())
+                    buffer.append(rows.take(released).to_frame())
                     done += take
                     buffered += take
                     if buffered == chunk_rows:
@@ -626,45 +678,3 @@ class _ChunkWindow:
         )
         self.index += 1
         self.lines, self.n_bytes = lines, n_bytes
-
-
-def scan_severity_counts(
-    path: str | Path,
-    chunk_rows: int = 100_000,
-    policy: IngestPolicy | str | None = None,
-    report: QuarantineReport | None = None,
-) -> dict[str, int]:
-    """Severity histogram of a RAS file in one bounded-memory pass."""
-    counts: Counter[str] = Counter()
-    for chunk in iter_ras_chunks(
-        path, chunk_rows=chunk_rows, policy=policy, report=report
-    ):
-        counts.update(chunk.severity_counts())
-    return dict(counts)
-
-
-def extract_fatal(
-    path: str | Path,
-    chunk_rows: int = 100_000,
-    policy: IngestPolicy | str | None = None,
-    report: QuarantineReport | None = None,
-) -> RasLog:
-    """The FATAL subset of a RAS file, streamed chunk by chunk.
-
-    The result (tens of thousands of rows for a Table I-sized log) fits
-    in memory even when the raw file does not.
-    """
-    from repro.frame import concat
-
-    parts = [
-        chunk.fatal().frame
-        for chunk in iter_ras_chunks(
-            path, chunk_rows, policy=policy, report=report
-        )
-    ]
-    parts = [p for p in parts if p.num_rows]
-    if not parts:
-        from repro.logs.ras import empty_ras_log
-
-        return empty_ras_log()
-    return RasLog(concat(parts))

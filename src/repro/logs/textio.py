@@ -90,6 +90,7 @@ def read_log_frame(
     policy: IngestPolicy | str | None = None,
     workers: int = 1,
     cache: "ParseCache | None" = None,
+    fatal_only: bool = False,
 ):
     """Read a ``"ras"`` / ``"job"`` log as a bare frame.
 
@@ -99,9 +100,14 @@ def read_log_frame(
     under every policy; callers decide whether to surface it) and
     *cache_status* resolves as in :func:`read_ras_log`. *workers*
     applies to the RAS log only; the job log is read serially.
+    *fatal_only* (RAS only) keeps only the FATAL rows in the frame; the
+    report's ``clean_rows`` and ``clean_span`` still cover every
+    accepted row. The cache keys the two reads apart.
     """
     if table not in ("ras", "job"):
         raise ValueError(f"unknown log table {table!r}")
+    if fatal_only and table != "ras":
+        raise ValueError("fatal_only applies to the RAS log only")
     pol = coerce_policy(policy)
     report = pol.new_report(str(path))
 
@@ -109,7 +115,8 @@ def read_log_frame(
     if cache is not None:
         from repro.parallel.cache import apply_report_state
 
-        key = cache.key_for(path, kind=table, policy=pol)
+        kind = "ras:fatal" if fatal_only else table
+        key = cache.key_for(path, kind=kind, policy=pol)
         hit = cache.load(key)
         if hit is not None:
             frame, state = hit
@@ -128,12 +135,15 @@ def read_log_frame(
 
         if resolve_workers(workers) > 1:
             frame = parallel_read_ras_frame(
-                path, policy=pol, report=report, workers=workers
+                path, policy=pol, report=report, workers=workers,
+                fatal_only=fatal_only,
             )
         else:
             frames = [
                 chunk.frame
-                for chunk in iter_ras_chunks(path, policy=pol, report=report)
+                for chunk in iter_ras_chunks(
+                    path, policy=pol, report=report, fatal_only=fatal_only
+                )
                 if chunk.frame.num_rows
             ]
             frame = concat(frames) if frames else Frame()
@@ -163,6 +173,7 @@ def read_ras_log(
     policy: IngestPolicy | str | None = None,
     workers: int = 1,
     cache: "ParseCache | None" = None,
+    fatal_only: bool = False,
 ) -> RasLog:
     """Read a RAS log written by :func:`write_ras_log`.
 
@@ -177,14 +188,27 @@ def read_ras_log(
     ``"miss"``, ``"stale"`` (schema drift) or ``"corrupt"`` (entry
     present but unreadable, e.g. a truncated npz; re-parsed and
     re-stored) — or ``None`` when no cache is in play.
+
+    With *fatal_only* every line is checked exactly as in the full read
+    (the same defects, report and raises), but the log's frame holds
+    only the FATAL rows — all the co-analysis reads of the rows. Its
+    ``num_records`` and ``time_span()`` still count and span every
+    accepted record, so a log with no FATAL row still windows an
+    analysis over its whole span.
     """
     from repro.logs.ras import empty_ras_log
 
     pol = coerce_policy(policy)
     frame, report, status = read_log_frame(
-        path, "ras", policy=pol, workers=workers, cache=cache
+        path, "ras", policy=pol, workers=workers, cache=cache,
+        fatal_only=fatal_only,
     )
-    log = RasLog(frame) if frame.num_rows else empty_ras_log()
+    if not frame.num_rows:
+        frame = empty_ras_log().frame
+    if fatal_only:
+        log = RasLog(frame, records=report.clean_rows, span=report.clean_span)
+    else:
+        log = RasLog(frame)
     log.quarantine = None if pol.is_strict else report
     log.cache_status = status
     return log

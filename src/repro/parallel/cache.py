@@ -2,10 +2,10 @@
 
 A cache entry is keyed by a blake2b digest over the *file content* plus
 everything that can change the parse result: the cache schema version,
-the reader kind (``ras`` / ``job``), the cell separator and the full
-ingest-policy fingerprint. Any edit to the log, bump of the layout, or
-change of policy therefore misses cleanly — there is no mtime heuristic
-to go stale.
+the reader kind (``ras``, ``ras:fatal`` for the FATAL-only read, or
+``job``), the cell separator and the full ingest-policy fingerprint.
+Any edit to the log, bump of the layout, or change of policy therefore
+misses cleanly — there is no mtime heuristic to go stale.
 
 Entries hold only **successful** parses (a strict raise or an ingest
 abort stores nothing), as two files committed json-last:
@@ -16,8 +16,11 @@ abort stores nothing), as two files committed json-last:
   magnitude faster than pickling the full column and round-trips
   bit-identically;
 * ``<key>.json`` — the frame's column spec, and the quarantine-report
-  state (counts, bounded samples, total rows) so a cache hit can replay
-  the report exactly as the parse produced it.
+  state (counts, bounded samples, total rows, and the accepted rows'
+  event-time span) so a cache hit can replay the report exactly as the
+  parse produced it. A FATAL-only entry holds the FATAL rows; the
+  report state gives the accepted-row count (total rows less the bad
+  ones) and the span of the whole log.
 
 ``load`` treats *any* defect — missing file, truncated npz, schema
 drift — as a miss and returns ``None``; the caller re-parses and
@@ -39,7 +42,7 @@ from repro.obs.metrics import get_metrics
 __all__ = ["PARSE_SCHEMA_VERSION", "ParseCache", "apply_report_state"]
 
 #: bump whenever the npz/sidecar layout or parse semantics change
-PARSE_SCHEMA_VERSION = 2
+PARSE_SCHEMA_VERSION = 3
 
 
 def _policy_fingerprint(policy: IngestPolicy) -> str:
@@ -57,12 +60,15 @@ def _report_state(report: QuarantineReport) -> dict:
             d.value: [[rec.line_no, rec.text] for rec in recs]
             for d, recs in report.samples.items()
         },
+        "clean_span": report.clean_span,
     }
 
 
 def apply_report_state(report: QuarantineReport, state: dict) -> None:
     """Replay cached quarantine state into *report* (accumulating)."""
     report.total_rows += int(state["total_rows"])
+    if state["clean_span"] is not None:
+        report.note_clean_times(state["clean_span"])
     for value, n in state["counts"].items():
         defect = DefectClass(value)
         report.counts[defect] = report.counts.get(defect, 0) + int(n)

@@ -117,13 +117,19 @@ def parallel_read_ras_frame(
     report: QuarantineReport | None = None,
     workers: int = 0,
     chunk_bounds: list[tuple[int, int]] | None = None,
+    fatal_only: bool = False,
 ) -> Frame:
     """Parse a written RAS log in parallel; disk-layout frame out.
 
     *chunk_bounds* overrides the planned byte ranges (tests use it to
     pin defects onto chunk boundaries). The returned frame carries the
     in-memory RAS columns; an empty data region yields a typed empty
-    frame the caller may swap for ``empty_ras_log()``.
+    frame the caller may swap for ``empty_ras_log()``. With
+    *fatal_only* the frame holds the FATAL rows only, as the serial
+    ``iter_ras_chunks(fatal_only=True)`` gives them: the workers build
+    every candidate's cells, because the merge rebuilds the sample of a
+    candidate it rejects from them, and the projection follows the
+    merge.
     """
     from repro.logs.textio import check_ras_header
 
@@ -140,4 +146,7 @@ def parallel_read_ras_frame(
         chunk_bounds = plan_chunks(str(path), n_workers, data_start)
     tasks = [(str(path), start, end) for start, end in chunk_bounds]
     chunks = _run_chunks(parse_ras_chunk, tasks, n_workers)
-    return merge_ras_chunks(chunks, pol, report)
+    frame = merge_ras_chunks(chunks, pol, report)
+    if fatal_only:
+        frame = frame.filter(frame.mask_eq("severity", "FATAL"))
+    return frame

@@ -184,6 +184,7 @@ def merge_ras_chunks(
         )
         defects.sort(key=lambda d: d[0])
     replay_defects(policy, report, defects, total_lines)
+    report.note_clean_times(rows.times[accepted])
     return rows.take(accepted).to_frame()
 
 

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.events import fatal_event_table
+from tests.core.events_reference import fatal_event_table_by_row
 from tests.core.helpers import ras
+from tests.logs.test_block_boundaries import _frame_state
 
 
 @pytest.fixture
@@ -71,3 +73,56 @@ class TestOperations:
         assert counts[0] == 1
         assert counts[79] == 1
         assert counts.sum() == 4  # 3 events, one spans 2 midplanes
+
+
+class TestGatheredLocations:
+    """Each distinct location is parsed once and gathered to its rows;
+    the table must be bit-identical to the per-row oracle's."""
+
+    def test_hand_built_levels(self):
+        log = ras([
+            (1, "A", "FATAL", 100.0, "R00-M0-N01-J05"),
+            (2, "B", "WARN", 150.0, "R00-M0"),
+            (3, "A", "FATAL", 200.0, "R10"),
+            (4, "C", "FATAL", 50.0, "R47-M1-S"),
+            (5, "C", "FATAL", 60.0, "R10"),
+            (6, "A", "FATAL", 60.0, "R23-M1-L2"),
+            (7, "A", "FATAL", 70.0, "R00-M0-N01-J05"),
+        ])
+        assert _frame_state(fatal_event_table(log).frame) == _frame_state(
+            fatal_event_table_by_row(log).frame
+        )
+
+    def test_empty_and_no_fatal(self):
+        for log in (ras([]), ras([(1, "A", "INFO", 1.0, "R00-M0")])):
+            got = fatal_event_table(log)
+            assert len(got) == 0
+            assert _frame_state(got.frame) == _frame_state(
+                fatal_event_table_by_row(log).frame
+            )
+
+    def test_simulated_trace(self):
+        from repro.simulate import CalibrationProfile, IntrepidSimulation
+
+        log = IntrepidSimulation(
+            CalibrationProfile(seed=2011, scale=0.02)
+        ).run().ras_log
+        got = fatal_event_table(log)
+        assert len(got) > 100
+        assert len(set(got.frame["location"].tolist())) > 10
+        want = fatal_event_table_by_row(log)
+        assert _frame_state(got.frame) == _frame_state(want.frame)
+
+    def test_malformed_location_raises_like_the_row_scan(self):
+        # the first malformed location in row order raises, not the
+        # first in sorted order
+        log = ras([
+            (1, "A", "FATAL", 10.0, "R00-M0"),
+            (2, "A", "FATAL", 20.0, "Zzz"),
+            (3, "A", "FATAL", 30.0, "Aaa"),
+        ])
+        with pytest.raises(ValueError) as want:
+            fatal_event_table_by_row(log)
+        with pytest.raises(ValueError) as got:
+            fatal_event_table(log)
+        assert str(got.value) == str(want.value) == "malformed location 'Zzz'"

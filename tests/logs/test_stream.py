@@ -2,13 +2,9 @@
 
 import pytest
 
-from repro.logs import RasLog, write_ras_log
-from repro.logs.stream import (
-    PartialTail,
-    extract_fatal,
-    iter_ras_chunks,
-    scan_severity_counts,
-)
+from repro.logs import IngestPolicy, RasLog, write_ras_log
+from repro.logs.stream import PartialTail, iter_ras_chunks
+from tests.logs.test_block_boundaries import _frame_state as frame_state
 from tests.logs.test_ras import make_record
 
 
@@ -156,29 +152,77 @@ class TestPartialTail:
 
 
 class TestScans:
+    """The FATAL-only read against the full read it projects."""
+
     def test_severity_counts_match_full_load(self, big_log):
+        from collections import Counter
+
         from repro.logs import read_ras_log
 
-        streamed = scan_severity_counts(big_log, chunk_rows=100)
+        streamed = Counter()
+        for chunk in iter_ras_chunks(big_log, chunk_rows=100):
+            streamed.update(chunk.severity_counts())
         full = read_ras_log(big_log).severity_counts()
-        assert streamed == full
+        assert dict(streamed) == full
 
-    def test_extract_fatal(self, big_log):
-        fatal = extract_fatal(big_log, chunk_rows=100)
-        assert len(fatal) == 100
-        assert set(fatal.frame["severity"]) == {"FATAL"}
+    def test_fatal_only_frame_equals_full_fatal(self, big_log):
+        from repro.logs import read_ras_log
 
-    def test_extract_fatal_empty(self, tmp_path):
+        full = read_ras_log(big_log)
+        for chunk_rows in (1, 64, 100, 999, 1000, 100_000):
+            report = IngestPolicy().new_report(str(big_log))
+            chunks = list(iter_ras_chunks(
+                big_log, chunk_rows=chunk_rows, report=report,
+                fatal_only=True,
+            ))
+            full_chunks = list(iter_ras_chunks(big_log, chunk_rows=chunk_rows))
+            # the same chunks close at the same rows; each is the FATAL part
+            assert len(chunks) == len(full_chunks)
+            for got, want in zip(chunks, full_chunks):
+                assert frame_state(got.frame) == frame_state(
+                    want.fatal().frame
+                )
+            assert report.clean_rows == len(full)
+            assert report.clean_span == full.time_span()
+        projected = read_ras_log(big_log, fatal_only=True)
+        assert frame_state(projected.frame) == frame_state(full.fatal().frame)
+        assert len(projected) == 100
+        assert projected.num_records == len(full)
+        assert projected.time_span() == full.time_span()
+
+    def test_fatal_only_all_info_is_typed_empty_with_full_span(
+        self, tmp_path
+    ):
+        from repro.logs import read_ras_log
+
         path = tmp_path / "clean.log"
-        write_ras_log(
-            RasLog.from_records([make_record(severity="INFO")]), path
+        records = [
+            make_record(recid=i, severity="INFO", t=50.0 + i)
+            for i in range(1, 4)
+        ]
+        write_ras_log(RasLog.from_records(records), path)
+        log = read_ras_log(path, fatal_only=True)
+        assert len(log) == 0
+        assert log.frame["event_time"].dtype.kind == "f"
+        assert log.frame["recid"].dtype.kind == "i"
+        assert log.frame.columns == read_ras_log(path).frame.columns
+        assert log.num_records == 3
+        assert log.time_span() == (51.0, 53.0)
+
+    def test_streamed_fatal_feeds_pipeline(self, big_log, tmp_path):
+        """The FATAL-only read is the full read as far as the pipeline
+        can tell: same events, and the window of the whole log."""
+        from repro.core import CoAnalysis
+        from repro.core.equivalence import diff_results
+        from repro.logs import JobLog, read_ras_log
+        from tests.logs.test_job import make_job
+
+        jobs = JobLog.from_records(
+            [make_job(job_id=1, start=1200.0, end=1500.0)]
         )
-        assert len(extract_fatal(path)) == 0
-
-    def test_streamed_fatal_feeds_pipeline(self, big_log):
-        """The streamed FATAL subset is a valid pipeline input."""
-        from repro.core.events import fatal_event_table
-
-        fatal = extract_fatal(big_log, chunk_rows=64)
-        table = fatal_event_table(fatal)
-        assert len(table) == 100
+        full = read_ras_log(big_log)
+        projected = read_ras_log(big_log, fatal_only=True)
+        want = CoAnalysis(study_workers=1).run(full, jobs)
+        got = CoAnalysis(study_workers=1).run(projected, jobs)
+        assert diff_results(got, want) == []
+        assert (got.t_start, got.duration) == (1001.0, 999.0)

@@ -113,7 +113,7 @@ class TestPinnedDigests:
         path.write_bytes(DATA)
         policy = IngestPolicy(mode="quarantine", max_bad_fraction=0.25)
         key = ParseCache(tmp_path / "cache").key_for(path, "ras", policy)
-        assert key == "eb8b55924ebc4507871f4a1986bceb74cf8f1b3e"
+        assert key == "95fd696413338daba768e1b46646b362aefb5ea6"
 
     def test_config_fingerprint(self):
         config = {"b": [1, 2.5], "a": "x", "c": {"z": None}}

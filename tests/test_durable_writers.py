@@ -54,6 +54,7 @@ def _report() -> QuarantineReport:
     report = QuarantineReport("ras.log")
     report.total_rows = 9
     report.record(4, DefectClass.TRUNCATED_LINE, "12|2008-01-0")
+    report.note_clean_times(np.array([2.5, 1.5]))
     return report
 
 
@@ -158,7 +159,7 @@ PINS = {
         "manifest.json": "a78799958778cbfcbbb09fd81516a9b4755168c1",
     },
     "parallel.cache": {
-        "entry.json": "b4d7fb634e74858d6bd6ec5a5f124837b13cb092",
+        "entry.json": "370a39d2764a27c76fb7b354ba5e22ce0618d5f4",
         "entry.npz": "cf9f257d75ad7eb9ba20d70dac4d911177d46e27",
     },
     "stream.checkpoint": {
