@@ -7,9 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.events import FatalEventTable
+from repro.core.jobindex import expand_spans, midplane_spans
 from repro.frame import Frame
 from repro.logs.job import JobLog
-from repro.machine.partition import parse_partition
 from repro.machine.topology import NUM_MIDPLANES
 from repro.stats import ModelComparison, compare_interarrival_models
 
@@ -80,25 +80,25 @@ def midplane_profile(
     in midplane-seconds (4b), and ``wide_workload`` counting only jobs of
     at least *wide_threshold* midplanes (4c).
     """
-    fatal = events.midplane_counts(NUM_MIDPLANES)
-    workload = np.zeros(NUM_MIDPLANES)
-    wide = np.zeros(NUM_MIDPLANES)
     frame = job_log.frame
-    runtimes = frame["end_time"] - frame["start_time"]
-    for loc, rt, size in zip(
-        frame["location"], runtimes, frame["size_midplanes"]
-    ):
-        partition = parse_partition(loc)
-        sl = slice(partition.start, partition.start + partition.size)
-        workload[sl] += rt
-        if size >= wide_threshold:
-            wide[sl] += rt
+    # bincount adds each midplane's weights in input order: job order,
+    # as a per-job loop would
+    rows, mps = expand_spans(*midplane_spans(frame["location"]))
+    runtimes = (frame["end_time"] - frame["start_time"])[rows]
+    is_wide = frame["size_midplanes"][rows] >= wide_threshold
+
+    def per_midplane(at: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        # float even with no jobs, where bincount would give int zeros
+        return np.bincount(
+            at, weights=weights, minlength=NUM_MIDPLANES
+        ).astype(np.float64)
+
     return Frame(
         {
             "midplane": np.arange(NUM_MIDPLANES, dtype=np.int64),
-            "fatal_events": fatal,
-            "workload": workload,
-            "wide_workload": wide,
+            "fatal_events": events.midplane_counts(NUM_MIDPLANES),
+            "workload": per_midplane(mps, runtimes),
+            "wide_workload": per_midplane(mps[is_wide], runtimes[is_wide]),
         }
     )
 

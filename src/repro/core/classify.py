@@ -92,9 +92,10 @@ class FailureClassifier:
         *type_cases* its per-type case counts. Types already identified
         as non-fatal alarms (§IV-A) are hardware-side by construction
         and pinned to SYSTEM. *clean_runs* (a
-        :class:`repro.core.jobindex.CompletedRunIndex`) enables Figure
-        2's second condition — the old location must run other jobs
-        unharmed before a type counts as following the executable.
+        :class:`repro.core.jobindex.JobMidplaneIndex` over the completed
+        runs) enables Figure 2's second condition — the old location
+        must run other jobs unharmed before a type counts as following
+        the executable.
         """
         result = ClassificationResult()
         evidence_b, evidence_c, sticky = _behavioural_evidence(

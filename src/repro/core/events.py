@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.jobindex import expand_spans, midplane_spans
 from repro.frame import Frame
-from repro.frame.column import factorize
 from repro.logs.ras import RasLog
 from repro.machine.location import parse_location
 
@@ -75,12 +75,14 @@ class FatalEventTable:
 
     def midplane_counts(self, num_midplanes: int = 80) -> np.ndarray:
         """Events per midplane (rack-level events count on both)."""
-        counts = np.zeros(num_midplanes, dtype=np.int64)
         lo = self.frame["mp_lo"]
-        hi = self.frame["mp_hi"]
-        for a, b in zip(lo, hi):
-            counts[a : b + 1] += 1
-        return counts
+        _, mps = expand_spans(lo, self.frame["mp_hi"] - lo + 1)
+        return np.bincount(mps, minlength=num_midplanes).astype(np.int64)
+
+
+def _location_span(text: str) -> tuple[int, int]:
+    mps = parse_location(text).midplane_indices()
+    return mps[0], mps[-1] - mps[0] + 1
 
 
 def fatal_event_table(ras_log: RasLog) -> FatalEventTable:
@@ -88,23 +90,12 @@ def fatal_event_table(ras_log: RasLog) -> FatalEventTable:
 
     ``event_id`` is assigned by position in the log's row order, before
     the frame is sorted by time. Each distinct location is parsed once
-    and its midplane span gathered to every row.
+    (:func:`repro.core.jobindex.midplane_spans`) and its midplane span
+    gathered to every row.
     """
     fatal = ras_log.fatal().frame
     n = fatal.num_rows
-    codes, locations = factorize(fatal["location"])
-    try:
-        spans = [
-            parse_location(loc).midplane_indices() for loc in locations.tolist()
-        ]
-    except ValueError:
-        # raise for the first malformed location in row order, not in
-        # sorted order
-        for loc in fatal["location"]:
-            parse_location(loc)
-        raise
-    mp_lo = np.array([s[0] for s in spans], dtype=np.int64)[codes]
-    mp_hi = np.array([s[-1] for s in spans], dtype=np.int64)[codes]
+    mp_lo, span = midplane_spans(fatal["location"], _location_span)
     frame = Frame(
         {
             "event_id": np.arange(n, dtype=np.int64),
@@ -113,7 +104,7 @@ def fatal_event_table(ras_log: RasLog) -> FatalEventTable:
             "component": fatal["component"],
             "location": fatal["location"],
             "mp_lo": mp_lo,
-            "mp_hi": mp_hi,
+            "mp_hi": mp_lo + span - 1,
         }
     )
     return FatalEventTable(frame.sort_by("event_time", "event_id"))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.classify import FailureOrigin
-from repro.core.jobindex import CompletedRunIndex
+from repro.core.jobindex import JobMidplaneIndex
 from repro.frame import Frame
 from repro.logs.job import JobLog
 
@@ -40,7 +40,7 @@ class JobRelatedFilter:
         interruptions: Frame,
         job_log: JobLog,
         origins: dict[str, FailureOrigin],
-        clean_runs: CompletedRunIndex | None = None,
+        clean_runs: JobMidplaneIndex | None = None,
     ) -> set[int]:
         """Event ids judged redundant.
 
@@ -53,7 +53,9 @@ class JobRelatedFilter:
         if interruptions.num_rows == 0:
             return set()
         if clean_runs is None:
-            clean_runs = CompletedRunIndex(job_log, set(interruptions["job_id"]))
+            clean_runs = JobMidplaneIndex.completed_runs(
+                job_log, set(interruptions["job_id"])
+            )
         redundant: set[int] = set()
         rows = sorted(interruptions.to_rows(), key=lambda r: r["event_time"])
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.events import FatalEventTable
+from repro.core.jobindex import JobMidplaneIndex, expand_spans
 from repro.frame import Frame
 from repro.frame.column import (
     factorize,
@@ -31,7 +32,6 @@ from repro.frame.column import (
     segmented_arange as _segmented_arange,
 )
 from repro.logs.job import JobLog
-from repro.machine.partition import parse_partition
 from repro.machine.topology import NUM_MIDPLANES
 from repro.obs.trace import maybe_span
 
@@ -118,11 +118,11 @@ class InterruptionMatcher:
 
     The kernel is fully columnar:
 
-    1. *index* — every job is broadcast across the midplanes of its
-       partition (locations parsed once per unique string); one lexsort
-       yields, per midplane, job rows sorted by end time (for the join)
-       and by start time with a prefix-max of end times (for O(1)
-       "anything running at t?" probes).
+    1. *index* — :class:`repro.core.jobindex.JobMidplaneIndex`: every
+       job is broadcast across the midplanes of its partition, sorted
+       per midplane by end time (for the join) and by start time with
+       a prefix-max of end times (for O(1) "anything running at t?"
+       probes).
     2. *join* — every event is broadcast across its midplane span;
        per-midplane ``searchsorted`` windows over the end-time arrays
        expand into candidate (event, job, midplane) triples, which are
@@ -148,44 +148,11 @@ class InterruptionMatcher:
         if tol < 0:
             raise ValueError(f"tolerance must be non-negative, got {tol}")
 
-        with maybe_span("match.index") as sp:
-            index = _JobMidplaneIndex(jobs)
-            raw_index = (
-                _RawTypeIndex(raw_events) if raw_events is not None else None
-            )
-            sp.rows = jobs.num_rows
-
-        with maybe_span("match.join") as sp:
-            m_ev, m_row, m_mp, running_any = _direct_join(ev, index, tol)
-            sp.rows = len(m_ev)
-
-        if raw_index is not None and len(m_ev):
-            with maybe_span("match.raw_credit") as sp:
-                c_ev, c_row, c_mp = _cross_location_credit(
-                    ev, index, raw_index, m_ev, m_row, tol
-                )
-                sp.rows = len(c_ev)
-            if len(c_ev):
-                m_ev = np.concatenate([m_ev, c_ev])
-                m_row = np.concatenate([m_row, c_row])
-                m_mp = np.concatenate([m_mp, c_mp])
-                order = np.lexsort((m_row, m_ev))
-                m_ev, m_row, m_mp = m_ev[order], m_row[order], m_mp[order]
-
-        with maybe_span("match.cases") as sp:
-            n_ev = ev.num_rows
-            case = np.full(n_ev, CASE_IDLE, dtype=np.int64)
-            case[running_any] = CASE_RUNNING_UNHARMED
-            matched = np.zeros(n_ev, dtype=bool)
-            matched[m_ev] = True
-            case[matched] = CASE_INTERRUPTS
-            event_cases = dict(
-                zip(ev["event_id"].tolist(), case.tolist())
-            )
-            type_cases = _type_case_table(ev, case)
-            sp.rows = n_ev
+        m_ev, m_row, m_mp, case = _match_kernel(ev, jobs, raw_events, tol)
 
         with maybe_span("match.assemble") as sp:
+            event_cases = dict(zip(ev["event_id"].tolist(), case.tolist()))
+            type_cases = _type_case_table(ev, case)
             pairs = _assemble_pairs(ev, jobs, m_ev, m_row, m_mp)
             interruptions = _first_event_per_job(pairs)
             sp.rows = pairs.num_rows
@@ -208,84 +175,50 @@ class InterruptionMatcher:
 # kernel stages
 
 
-class _JobMidplaneIndex:
-    """Columnar (job × midplane) expansion with per-midplane sort orders.
+def _match_kernel(
+    ev: Frame,
+    jobs: Frame,
+    raw_events: FatalEventTable | None,
+    tol: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Index, join, raw credit and case labels of one event batch.
 
-    Each job row is repeated once per midplane of its partition (parsed
-    once per *unique* location string, then broadcast by inverse codes).
-    ``end_seg[mp]:end_seg[mp+1]`` slices the end-time-sorted expansion
-    for one midplane; the same boundaries hold for the start-time order.
+    Returns ``(event_idx, job_row, midplane)`` with one entry per
+    (event, job) pair, sorted by (event_idx, job_row), and each event's
+    CASE_* label. The batch and the streaming matcher both call it.
     """
+    with maybe_span("match.index") as sp:
+        index = JobMidplaneIndex(jobs)
+        sp.rows = jobs.num_rows
 
-    def __init__(self, jobs: Frame):
-        n = jobs.num_rows
-        starts = jobs["start_time"]
-        ends = jobs["end_time"]
-        # dict-based factorize: ~5x cheaper than np.unique's comparison
-        # sort on object strings, and group order does not matter here
-        table: dict[str, int] = {}
-        inv = np.fromiter(
-            (table.setdefault(s, len(table)) for s in jobs["location"]),
-            dtype=np.int64,
-            count=n,
-        )
-        parts = [parse_partition(u) for u in table]
-        part_start_u = np.array([p.start for p in parts], dtype=np.int64)
-        part_size_u = np.array([p.size for p in parts], dtype=np.int64)
-        #: per job row: first midplane and midplane count of its partition
-        self.part_start = (
-            part_start_u[inv] if n else np.zeros(0, dtype=np.int64)
-        )
-        self.mp_counts = part_size_u[inv] if n else np.zeros(0, dtype=np.int64)
+    with maybe_span("match.join") as sp:
+        m_ev, m_row, m_mp, running_any = _direct_join(ev, index, tol)
+        sp.rows = len(m_ev)
 
-        self.global_order = (
-            np.argsort(ends, kind="stable") if n else np.zeros(0, np.int64)
-        )
-        self.global_ends = (
-            ends[self.global_order] if n else np.zeros(0, np.float64)
-        )
+    if raw_events is not None and len(m_ev):
+        with maybe_span("match.raw_credit") as sp:
+            c_ev, c_row, c_mp = _cross_location_credit(
+                ev, index, _RawTypeIndex(raw_events), m_ev, m_row, tol
+            )
+            sp.rows = len(c_ev)
+        if len(c_ev):
+            m_ev = np.concatenate([m_ev, c_ev])
+            m_row = np.concatenate([m_row, c_row])
+            m_mp = np.concatenate([m_mp, c_mp])
+            order = np.lexsort((m_row, m_ev))
+            m_ev, m_row, m_mp = m_ev[order], m_row[order], m_mp[order]
 
-        # Expanding *pre-sorted* jobs and then stable-sorting the cheap
-        # int midplane column yields per-midplane segments already
-        # ordered by the time key — no float lexsort over the expansion.
-        self.rows_by_end = self._expand_sorted(self.global_order)
-        self.ends_by_end = ends[self.rows_by_end]
-        mps_e = np.repeat(self.part_start, self.mp_counts)
-        self.end_seg = np.bincount(
-            mps_e + _segmented_arange(self.mp_counts),
-            minlength=NUM_MIDPLANES,
-        )
-        self.end_seg = np.concatenate(
-            [[0], np.cumsum(self.end_seg)]
-        ).astype(np.int64)
-
-        start_order = (
-            np.argsort(starts, kind="stable") if n else np.zeros(0, np.int64)
-        )
-        rows_by_start = self._expand_sorted(start_order)
-        self.starts_by_start = starts[rows_by_start]
-        # prefix max of end times in start order, reset per midplane:
-        # "running at t" ⇔ some start ≤ t with prefix-max end > t.
-        self.run_end_cummax = ends[rows_by_start]
-        for mp in range(NUM_MIDPLANES):
-            s0, s1 = self.end_seg[mp], self.end_seg[mp + 1]
-            if s1 > s0:
-                np.maximum.accumulate(
-                    self.run_end_cummax[s0:s1], out=self.run_end_cummax[s0:s1]
-                )
-
-    def _expand_sorted(self, order: np.ndarray) -> np.ndarray:
-        """Job rows repeated per midplane, grouped by midplane with the
-        ordering of *order* preserved inside each midplane segment."""
-        cnt = self.mp_counts[order]
-        rows = np.repeat(order, cnt)
-        mps = np.repeat(self.part_start[order], cnt) + _segmented_arange(cnt)
-        # midplane ids fit uint8; the radix sort then needs one pass
-        return rows[np.argsort(mps.astype(np.uint8), kind="stable")]
+    with maybe_span("match.cases") as sp:
+        n_ev = ev.num_rows
+        case = np.full(n_ev, CASE_IDLE, dtype=np.int64)
+        case[running_any] = CASE_RUNNING_UNHARMED
+        case[m_ev] = CASE_INTERRUPTS
+        sp.rows = n_ev
+    return m_ev, m_row, m_mp, case
 
 
 def _direct_join(
-    ev: Frame, index: _JobMidplaneIndex, tol: float
+    ev: Frame, index: JobMidplaneIndex, tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """All (event, job) matches on the events' own midplane spans.
 
@@ -299,8 +232,7 @@ def _direct_join(
     lo_mp = ev["mp_lo"]
     span = (ev["mp_hi"] - lo_mp + 1).astype(np.int64)
 
-    pe = np.repeat(np.arange(n_ev, dtype=np.int64), span)
-    pm = np.repeat(lo_mp, span) + _segmented_arange(span)
+    pe, pm = expand_spans(lo_mp, span)
     pt = t[pe]
 
     lo_idx = np.zeros(len(pe), dtype=np.int64)
@@ -313,7 +245,7 @@ def _direct_join(
         if not len(sel):
             continue
         ts = pt[sel]
-        s0, s1 = index.end_seg[mp], index.end_seg[mp + 1]
+        s0, s1 = index.seg[mp], index.seg[mp + 1]
         seg_ends = index.ends_by_end[s0:s1]
         lo_idx[sel] = s0 + np.searchsorted(seg_ends, ts - tol, side="left")
         hi_idx[sel] = s0 + np.searchsorted(seg_ends, ts + tol, side="right")
@@ -342,7 +274,7 @@ def _direct_join(
 
 def _cross_location_credit(
     ev: Frame,
-    index: _JobMidplaneIndex,
+    index: JobMidplaneIndex,
     raw_index: "_RawTypeIndex",
     m_ev: np.ndarray,
     m_row: np.ndarray,
@@ -463,8 +395,7 @@ class _RawTypeIndex:
         frame = raw_events.frame
         codes, self._vocab = factorize(frame["errcode"])
         span = (frame["mp_hi"] - frame["mp_lo"] + 1).astype(np.int64)
-        rep = np.repeat(np.arange(frame.num_rows, dtype=np.int64), span)
-        mps = np.repeat(frame["mp_lo"], span) + _segmented_arange(span)
+        rep, mps = expand_spans(frame["mp_lo"], span)
         times = frame["event_time"][rep]
         ccodes = codes[rep]
         order = np.lexsort((times, ccodes))

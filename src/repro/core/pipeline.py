@@ -20,6 +20,7 @@ from repro.core.events import FatalEventTable, fatal_event_table
 from repro.core.filtering import FilterChain, JobRelatedFilter
 from repro.core.filtering.chain import FilterStats
 from repro.core.identify import EventTypeIdentifier, IdentificationResult
+from repro.core.jobindex import JobMidplaneIndex
 from repro.core.matching import InterruptionMatcher, MatchResult
 from repro.core.observations import Observation, compute_observations
 from repro.core.propagation import PropagationStudy, propagation_study
@@ -275,11 +276,9 @@ class CoAnalysis:
         with maybe_span("identify") as sp:
             identification = self.identifier.identify(match.type_cases)
             sp.rows = match.type_cases.num_rows
-        from repro.core.jobindex import CompletedRunIndex
-
         with maybe_span("classify") as sp:
-            clean_runs = CompletedRunIndex(
-                job_log, set(int(j) for j in match.interrupted_job_ids())
+            clean_runs = JobMidplaneIndex.completed_runs(
+                job_log, match.interrupted_job_ids()
             )
             classification = self.classifier.classify(
                 events_filtered,

@@ -16,8 +16,6 @@ from repro.frame.column import (
     factorize,
     factorize_many,
     first_occurrence_mask,
-    is_float_kind,
-    is_integer_kind,
     is_string_kind,
 )
 from repro.frame.frame import Frame, concat
@@ -32,8 +30,6 @@ __all__ = [
     "factorize",
     "factorize_many",
     "first_occurrence_mask",
-    "is_float_kind",
-    "is_integer_kind",
     "is_string_kind",
     "read_delimited",
     "write_delimited",

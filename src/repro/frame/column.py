@@ -9,7 +9,6 @@ import numpy as np
 #: numpy dtype kinds treated as string-valued columns.
 _STRING_KINDS = frozenset("UO")
 _INTEGER_KINDS = frozenset("iu")
-_FLOAT_KINDS = frozenset("f")
 
 
 def as_column(values: Sequence | np.ndarray, name: str = "<column>") -> np.ndarray:
@@ -46,16 +45,6 @@ def as_column(values: Sequence | np.ndarray, name: str = "<column>") -> np.ndarr
 def is_string_kind(arr: np.ndarray) -> bool:
     """True if *arr* is a string-valued column."""
     return arr.dtype.kind in _STRING_KINDS
-
-
-def is_integer_kind(arr: np.ndarray) -> bool:
-    """True if *arr* holds (signed or unsigned) integers."""
-    return arr.dtype.kind in _INTEGER_KINDS
-
-
-def is_float_kind(arr: np.ndarray) -> bool:
-    """True if *arr* holds floats."""
-    return arr.dtype.kind in _FLOAT_KINDS
 
 
 def factorize(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

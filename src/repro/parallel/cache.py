@@ -64,6 +64,40 @@ def _report_state(report: QuarantineReport) -> dict:
     }
 
 
+def _is_report_state(state) -> bool:
+    """Whether *state* has the shape :func:`_report_state` writes, so
+    :func:`apply_report_state` can replay it without raising. Checked
+    without replaying: a replay bumps the defect counters."""
+    if state is None:
+        return True
+    keys = {"total_rows", "counts", "samples", "clean_span"}
+    if not isinstance(state, dict) or not keys <= state.keys():
+        return False
+    defects = {d.value for d in DefectClass}
+    counts, samples, span = state["counts"], state["samples"], state["clean_span"]
+    span_ok = span is None or (
+        isinstance(span, list)
+        and len(span) == 2
+        and all(type(t) in (int, float) for t in span)
+    )
+    counts_ok = isinstance(counts, dict) and all(
+        k in defects and type(n) is int for k, n in counts.items()
+    )
+    samples_ok = isinstance(samples, dict) and all(
+        k in defects
+        and isinstance(recs, list)
+        and all(
+            isinstance(rec, list)
+            and len(rec) == 2
+            and type(rec[0]) is int
+            and isinstance(rec[1], str)
+            for rec in recs
+        )
+        for k, recs in samples.items()
+    )
+    return type(state["total_rows"]) is int and span_ok and counts_ok and samples_ok
+
+
 def apply_report_state(report: QuarantineReport, state: dict) -> None:
     """Replay cached quarantine state into *report* (accumulating)."""
     report.total_rows += int(state["total_rows"])
@@ -173,5 +207,8 @@ class ParseCache:
             frame = read_frame(npz_path, sidecar["columns"])
             report = sidecar["report"]
         except (FrameFileError, KeyError):
+            return None, "corrupt"
+        # Stage 3: the report state, which a hit replays as it is
+        if not _is_report_state(report):
             return None, "corrupt"
         return (frame, report), "hit"

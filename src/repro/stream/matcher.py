@@ -31,20 +31,15 @@ import numpy as np
 
 from repro.core.events import FatalEventTable
 from repro.core.matching import (
-    CASE_IDLE,
-    CASE_INTERRUPTS,
-    CASE_RUNNING_UNHARMED,
     INTERRUPTION_DTYPES,
     MatchResult,
     _assemble_pairs,
-    _cross_location_credit,
-    _direct_join,
     _first_event_per_job,
-    _JobMidplaneIndex,
-    _RawTypeIndex,
+    _match_kernel,
     _type_case_table,
 )
 from repro.frame import Frame, concat
+from repro.logs.job import empty_job_log
 
 __all__ = ["StreamMatcher"]
 
@@ -147,47 +142,18 @@ class StreamMatcher:
         rest = pend.take(np.arange(count, pend.num_rows))
         self._pending = [rest] if rest.num_rows else []
 
-        jobs = (
-            concat(self._jobs)
-            if self._jobs
-            else Frame(
-                {
-                    "job_id": np.array([], dtype=np.int64),
-                    "start_time": np.array([], dtype=np.float64),
-                    "end_time": np.array([], dtype=np.float64),
-                    "location": np.array([], dtype=object),
-                    "executable": np.array([], dtype=object),
-                    "user": np.array([], dtype=object),
-                    "project": np.array([], dtype=object),
-                    "size_midplanes": np.array([], dtype=np.int64),
-                }
-            )
-        )
+        jobs = concat(self._jobs) if self._jobs else empty_job_log().frame
         self._jobs = [jobs] if jobs.num_rows else []
         raw = concat(self._raw) if self._raw else None
         if raw is not None:
             self._raw = [raw]
 
-        index = _JobMidplaneIndex(jobs)
-        m_ev, m_row, m_mp, running_any = _direct_join(ev, index, self.tolerance)
-        if raw is not None and len(m_ev):
-            raw_index = _RawTypeIndex(FatalEventTable(raw))
-            c_ev, c_row, c_mp = _cross_location_credit(
-                ev, index, raw_index, m_ev, m_row, self.tolerance
-            )
-            if len(c_ev):
-                m_ev = np.concatenate([m_ev, c_ev])
-                m_row = np.concatenate([m_row, c_row])
-                m_mp = np.concatenate([m_mp, c_mp])
-                order = np.lexsort((m_row, m_ev))
-                m_ev, m_row, m_mp = m_ev[order], m_row[order], m_mp[order]
-
-        case = np.full(count, CASE_IDLE, dtype=np.int64)
-        case[running_any] = CASE_RUNNING_UNHARMED
-        matched = np.zeros(count, dtype=bool)
-        matched[m_ev] = True
-        case[matched] = CASE_INTERRUPTS
-
+        m_ev, m_row, m_mp, case = _match_kernel(
+            ev,
+            jobs,
+            FatalEventTable(raw) if raw is not None else None,
+            self.tolerance,
+        )
         pairs = _assemble_pairs(ev, jobs, m_ev, m_row, m_mp)
         if pairs.num_rows:
             self._pair_frames.append(pairs)

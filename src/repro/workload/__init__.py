@@ -22,7 +22,6 @@ from repro.workload.tables import (
     RUNTIME_BUCKETS,
     SIZE_CLASSES,
     TABLE_VI_TOTALS,
-    joint_probabilities,
     runtime_bucket_index,
 )
 
@@ -35,6 +34,5 @@ __all__ = [
     "TABLE_VI_TOTALS",
     "SIZE_CLASSES",
     "RUNTIME_BUCKETS",
-    "joint_probabilities",
     "runtime_bucket_index",
 ]

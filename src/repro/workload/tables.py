@@ -71,22 +71,20 @@ PAPER_RAS_RECORDS = 2_084_392
 PAPER_FATAL_RECORDS = 33_370
 
 
-def joint_probabilities() -> np.ndarray:
-    """Table VI totals normalized to a joint pmf over (size, bucket)."""
-    t = TABLE_VI_TOTALS.astype(np.float64)
-    return t / t.sum()
+#: upper edges of every bucket but the last, which takes the rest
+_BUCKET_UPPERS = np.array([hi for _, hi in RUNTIME_BUCKETS[:-1]])
 
 
-def runtime_bucket_index(runtime: float) -> int:
+def runtime_bucket_index(runtime):
     """Bucket index for a runtime in seconds; clamps to the edges.
 
     Runtimes under 10 s (interrupted almost at launch) fall into the
-    first bucket, matching how the paper tabulates recorded runtimes.
+    first bucket, matching how the paper tabulates recorded runtimes;
+    runtimes past the last edge, and NaN, fall into the last. A scalar
+    gives an ``int``, an array an ``int64`` array of indices.
     """
-    for i, (lo, hi) in enumerate(RUNTIME_BUCKETS):
-        if runtime < hi:
-            return i
-    return len(RUNTIME_BUCKETS) - 1
+    idx = np.searchsorted(_BUCKET_UPPERS, runtime, side="right")
+    return int(idx) if np.ndim(idx) == 0 else idx.astype(np.int64)
 
 
 #: mean of the exponential runtime law inside the open-ended bucket;

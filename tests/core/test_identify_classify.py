@@ -9,7 +9,7 @@ from repro.core.classify import (
 )
 from repro.core.events import fatal_event_table
 from repro.core.identify import EventTypeIdentifier, TypeBehavior
-from repro.core.jobindex import CompletedRunIndex
+from repro.core.jobindex import JobMidplaneIndex
 from repro.core.matching import InterruptionMatcher
 from repro.frame import Frame
 from tests.core.helpers import jobs, ras
@@ -62,8 +62,8 @@ def run_classifier(ev_rows, job_rows, tolerance=15.0):
     events = fatal_event_table(ras(ev_rows))
     job_log = jobs(job_rows)
     match = InterruptionMatcher(tolerance=tolerance).match(events, job_log)
-    clean = CompletedRunIndex(
-        job_log, set(int(j) for j in match.interrupted_job_ids())
+    clean = JobMidplaneIndex.completed_runs(
+        job_log, match.interrupted_job_ids()
     )
     return FailureClassifier().classify(
         events, match.pairs, match.type_cases, clean_runs=clean

@@ -7,8 +7,6 @@ from repro.frame.column import (
     as_column,
     factorize,
     factorize_many,
-    is_float_kind,
-    is_integer_kind,
     is_string_kind,
 )
 
@@ -57,14 +55,6 @@ class TestKindPredicates:
     def test_string(self):
         assert is_string_kind(as_column(["a"]))
         assert not is_string_kind(as_column([1]))
-
-    def test_integer(self):
-        assert is_integer_kind(as_column([1]))
-        assert not is_integer_kind(as_column([1.0]))
-
-    def test_float(self):
-        assert is_float_kind(as_column([1.0]))
-        assert not is_float_kind(as_column([1]))
 
 
 class TestFactorize:

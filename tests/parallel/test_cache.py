@@ -204,6 +204,80 @@ class TestInvalidation:
         assert log.cache_status == "corrupt"
 
 
+def _drop_counts(state):
+    del state["counts"]
+
+
+def _counts_as_list(state):
+    state["counts"] = list(state["counts"].items())
+
+
+def _total_rows_as_text(state):
+    state["total_rows"] = str(state["total_rows"])
+
+
+def _unknown_defect(state):
+    state["counts"]["no_such_defect"] = 1
+
+
+def _sample_without_text(state):
+    for recs in state["samples"].values():
+        recs[0] = recs[0][:1]
+
+
+def _span_as_number(state):
+    state["clean_span"] = 1000.0
+
+
+class TestMalformedReportState:
+    """A sidecar whose report state cannot be replayed is a corrupt
+    entry: re-parsed, never a hit that raises out of the read."""
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            _drop_counts,
+            _counts_as_list,
+            _total_rows_as_text,
+            _unknown_defect,
+            _sample_without_text,
+            _span_as_number,
+        ],
+    )
+    def test_reads_corrupt_and_matches_a_cacheless_read(
+        self, dirty_file, cache, damage
+    ):
+        import json
+
+        from repro.obs.metrics import get_metrics
+
+        get_metrics().reset()
+        want = read_ras_log(dirty_file, policy="quarantine")
+        defects_want = {
+            d.value: get_metrics().value("ingest.quarantine.defects", defect=d.value)
+            for d in want.quarantine.counts
+        }
+        read_ras_log(dirty_file, policy="quarantine", cache=cache)
+        (sidecar,) = cache.directory.glob("*.json")
+        payload = json.loads(sidecar.read_text())
+        assert payload["report"]["samples"]
+        damage(payload["report"])
+        sidecar.write_text(json.dumps(payload))
+
+        get_metrics().reset()
+        got = read_ras_log(dirty_file, policy="quarantine", cache=cache)
+        assert got.cache_status == "corrupt"
+        assert_logs_identical(want, got)
+        # the damaged state was not replayed on top of the re-parse
+        assert {
+            d: get_metrics().value("ingest.quarantine.defects", defect=d)
+            for d in defects_want
+        } == defects_want
+        again = read_ras_log(dirty_file, policy="quarantine", cache=cache)
+        assert again.cache_status == "hit"
+        assert_logs_identical(want, again)
+
+
 class TestFailedParsesAreNotCached:
     def test_strict_raise_stores_nothing(self, dirty_file, cache):
         from repro.logs.quarantine import IngestError

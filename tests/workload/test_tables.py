@@ -8,7 +8,6 @@ from repro.workload.tables import (
     SIZE_CLASSES,
     TABLE_VI_INTERRUPTED,
     TABLE_VI_TOTALS,
-    joint_probabilities,
     runtime_bucket_index,
     sample_cell_runtime,
 )
@@ -38,11 +37,6 @@ class TestTableTranscription:
     def test_shape(self):
         assert TABLE_VI_TOTALS.shape == (len(SIZE_CLASSES), len(RUNTIME_BUCKETS))
 
-    def test_joint_probabilities_normalized(self):
-        p = joint_probabilities()
-        assert p.sum() == pytest.approx(1.0)
-        assert (p >= 0).all()
-
 
 class TestBuckets:
     @pytest.mark.parametrize(
@@ -52,6 +46,27 @@ class TestBuckets:
     )
     def test_bucket_index(self, rt, idx):
         assert runtime_bucket_index(rt) == idx
+
+    def test_array_matches_scalar_loop(self):
+        """One searchsorted over an array gives the per-row loop's
+        indices: at and around every edge, below 10 s, past the last
+        edge, at the infinities and for NaN."""
+        from tests.core.jobindex_reference import runtime_bucket_index_by_loop
+
+        edges = [edge for bucket in RUNTIME_BUCKETS for edge in bucket]
+        values = [-1.0, 0.0, 5.0, 9.999, 1e300, np.inf, -np.inf, np.nan]
+        for edge in edges:
+            values += [np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)]
+        runtimes = np.array(values)
+        want = [runtime_bucket_index_by_loop(float(r)) for r in runtimes]
+        got = runtime_bucket_index(runtimes)
+        assert got.dtype == np.int64
+        assert got.tolist() == want
+        scalars = [runtime_bucket_index(float(r)) for r in runtimes]
+        assert scalars == want
+        assert all(type(i) is int for i in scalars)
+        assert runtime_bucket_index(np.nan) == len(RUNTIME_BUCKETS) - 1
+        assert runtime_bucket_index(np.zeros(0)).dtype == np.int64
 
     def test_sampled_runtimes_stay_in_bucket(self):
         rng = np.random.default_rng(1)
