@@ -76,9 +76,11 @@ _SEVERITY_IDX = 5
 _TIME_IDX = 6
 #: disk-layout indices of the free-text fields (no semantic check)
 _FREE_COLUMNS = (1, 3, 7, 8, 9)
-#: disk-layout indices of the frame's string columns: every field but the
-#: recid and the timestamp, whose nearly unique text is not worth sharing
-_SHARED_COLUMNS = frozenset(range(len(_DISK_COLUMNS))) - {_RECID_IDX, _TIME_IDX}
+#: disk-layout indices of the frame's string columns, in order: every
+#: field but the recid and the timestamp, which are kept typed only
+_CELL_COLUMNS = tuple(
+    j for j in range(len(_DISK_COLUMNS)) if j not in (_RECID_IDX, _TIME_IDX)
+)
 
 _SEP = "|"
 _NUM_SEPS = len(_DISK_COLUMNS) - 1
@@ -146,16 +148,13 @@ class PartialTail:
 class RasRows:
     """Field-valid RAS rows in line order: the block kernel's candidates.
 
-    ``cells`` holds the ten disk-layout columns as object arrays of
-    unescaped text; ``recids`` and ``times`` are the typed recid and
-    event-time columns, and ``lines`` gives each row's 0-based index in
-    the block of lines it was parsed from. The eight columns that become
-    frame string columns hold one ``str`` per distinct value per string
-    table (see :func:`parse_ras_block`). The recid and timestamp cells
-    keep their own text, one string per row: the chunk-parallel merge
-    rebuilds a rejected candidate's line from them
-    (:func:`repro.parallel.merge.merge_ras_chunks`), and
-    :meth:`to_frame` drops them.
+    ``recids`` and ``times`` are the typed recid and event-time columns,
+    ``lines`` gives each row's 0-based index in the block of lines it
+    was parsed from, and ``cells`` holds the eight frame string columns
+    (every disk-layout field but the recid and the timestamp, in disk
+    order) as object arrays of unescaped text, one ``str`` per distinct
+    value per string table (see :func:`parse_ras_block`). The recid and
+    timestamp text is never kept: nothing reads it once it is typed.
 
     A ``fatal_only`` parse sets ``kept``, the mask of the FATAL rows:
     every row has its line, recid and time, for the cross-record checks,
@@ -200,15 +199,15 @@ class RasRows:
                 np.empty(0, dtype=np.int64),
                 np.empty(0, dtype=np.int64),
                 np.empty(0, dtype=np.float64),
-                [np.empty(0, dtype=object) for _ in _DISK_COLUMNS],
+                [np.empty(0, dtype=object) for _ in _CELL_COLUMNS],
             )
         return RasRows(
             np.concatenate([p.lines for p in parts]),
             np.concatenate([p.recids for p in parts]),
             np.concatenate([p.times for p in parts]),
             [
-                np.concatenate([p.cells[j] for p in parts])
-                for j in range(len(_DISK_COLUMNS))
+                np.concatenate([p.cells[k] for p in parts])
+                for k in range(len(_CELL_COLUMNS))
             ],
             None if parts[0].kept is None
             else np.concatenate([p.kept for p in parts]),
@@ -216,22 +215,14 @@ class RasRows:
 
     def to_frame(self) -> Frame:
         """The rows that have cells as an in-memory RAS frame (Table II)."""
-        cells = self.cells
         recids, times = self.recids, self.times
         if self.kept is not None:
             recids, times = recids[self.kept], times[self.kept]
         data = {
-            "recid": recids,
-            "msg_id": cells[1],
-            "component": cells[_COMPONENT_IDX],
-            "subcomponent": cells[3],
-            "errcode": cells[_ERRCODE_IDX],
-            "severity": cells[_SEVERITY_IDX],
-            "event_time": times,
-            "location": cells[7],
-            "serialnumber": cells[8],
-            "message": cells[9],
+            _DISK_COLUMNS[j]: col for j, col in zip(_CELL_COLUMNS, self.cells)
         }
+        data["recid"] = recids
+        data["event_time"] = times
         return Frame({c: data[c] for c in RAS_COLUMNS})
 
 
@@ -292,7 +283,7 @@ def parse_ras_block(
     :func:`classify_ras_fields` instead, so the fast path only ever
     accepts what that function accepts, with the same values.
 
-    The accepted rows' string columns (all but recid and timestamp) are
+    The accepted rows' eight string columns (``RasRows.cells``) are
     built with :func:`~repro.frame.column.shared_strings`, so equal
     cells are one object: through *table* when given — a reader passes
     one table to every block of a file — and a fresh table otherwise.
@@ -346,6 +337,8 @@ def parse_ras_block(
         celled = good & np.fromiter(
             map(_FATAL.__eq__, cols[_SEVERITY_IDX]), bool, len(keep)
         )
+    # the recid and timestamp text is typed now; only string cells stay
+    cols = [cols[j] for j in _CELL_COLUMNS]
     if not celled.all():
         # cells of the other rows are never built, and no rejected value
         # joins a table that lives as long as the file's read
@@ -354,7 +347,7 @@ def parse_ras_block(
     if not good.all():
         keep, recids, times = keep[good], recids[good], times[good]
     rows = RasRows(
-        keep, recids, times, _cell_columns(cols, table),
+        keep, recids, times, [shared_strings(col, table) for col in cols],
         celled[good] if fatal_only else None,
     )
     on_fast_path = np.zeros(n, dtype=bool)
@@ -375,28 +368,21 @@ def parse_ras_block(
                 [c[_SEVERITY_IDX] == _FATAL for c in slow_cells], dtype=bool
             )
             slow_cells = [c for c, k in zip(slow_cells, slow_kept) if k]
-        slow_cols = [list(col) for col in zip(*slow_cells)]
         rows = RasRows.concat([
             rows,
             RasRows(
                 np.array(index, dtype=np.int64),
                 np.array(slow_recids, dtype=np.int64),
                 np.array(slow_times, dtype=np.float64),
-                _cell_columns(slow_cols or [[] for _ in range(width)], table),
+                [
+                    shared_strings([c[j] for c in slow_cells], table)
+                    for j in _CELL_COLUMNS
+                ],
                 slow_kept,
             ),
         ])
         rows = rows.take(np.argsort(rows.lines, kind="stable"))
     return defects, rows
-
-
-def _cell_columns(cols: list, table: dict) -> list[np.ndarray]:
-    """Object arrays of the disk-layout cell columns, string columns shared."""
-    return [
-        shared_strings(col, table) if j in _SHARED_COLUMNS
-        else np.fromiter(col, object, len(col))
-        for j, col in enumerate(cols)
-    ]
 
 
 def _recid_column(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -503,8 +489,7 @@ def iter_ras_chunks(
     are then released in line order, so chunks, strict raises, aborts
     and the report's running ``total_rows`` match a line-by-line parse.
     Until its chunk is full, the buffer holds a batch's released rows
-    as frame slices: the batch's recid and timestamp text is dropped
-    with the batch. All batches share one string table, so each string
+    as frame slices. All batches share one string table, so each string
     column of every chunk holds one object per distinct value of the
     file.
 
@@ -592,8 +577,6 @@ def iter_ras_chunks(
                     take = min(stop - done, chunk_rows - buffered)
                     released = slice(done, done + take)
                     report.note_clean_times(rows.times[released])
-                    # a frame slice holds no recid or timestamp text, so
-                    # that text goes with the batch, not with the chunk
                     buffer.append(rows.take(released).to_frame())
                     done += take
                     buffered += take

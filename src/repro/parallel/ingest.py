@@ -126,10 +126,10 @@ def parallel_read_ras_frame(
     in-memory RAS columns; an empty data region yields a typed empty
     frame the caller may swap for ``empty_ras_log()``. With
     *fatal_only* the frame holds the FATAL rows only, as the serial
-    ``iter_ras_chunks(fatal_only=True)`` gives them: the workers build
-    every candidate's cells, because the merge rebuilds the sample of a
-    candidate it rejects from them, and the projection follows the
-    merge.
+    ``iter_ras_chunks(fatal_only=True)`` gives them: each worker checks
+    every line of its range but builds and ships cells for its FATAL
+    candidates only, and the merge reads the sample of a candidate it
+    rejects back from the file.
     """
     from repro.logs.textio import check_ras_header
 
@@ -144,9 +144,8 @@ def parallel_read_ras_frame(
     check_ras_header(header)
     if chunk_bounds is None:
         chunk_bounds = plan_chunks(str(path), n_workers, data_start)
-    tasks = [(str(path), start, end) for start, end in chunk_bounds]
+    tasks = [
+        (str(path), start, end, fatal_only) for start, end in chunk_bounds
+    ]
     chunks = _run_chunks(parse_ras_chunk, tasks, n_workers)
-    frame = merge_ras_chunks(chunks, pol, report)
-    if fatal_only:
-        frame = frame.filter(frame.mask_eq("severity", "FATAL"))
-    return frame
+    return merge_ras_chunks(chunks, pol, report, str(path), chunk_bounds)

@@ -11,7 +11,9 @@ from chunk-local worker output, for every ingest policy:
   over the merged candidate stream. A vectorized fast path accepts
   everything when no recid repeats and times never decrease (the clean
   log case); otherwise a cursor loop re-runs the serial acceptance
-  semantics from the first violation on;
+  semantics from the first violation on. A candidate it rejects takes
+  its quarantine sample from its own line, read back from its chunk's
+  byte range, since workers ship no candidate text;
 * **policy replay** — all defects (context-free ones from the workers
   plus cross-record ones from the replay) are routed through
   :func:`~repro.logs.quarantine.replay_defects` in global line order,
@@ -34,7 +36,7 @@ from repro.logs.quarantine import (
     QuarantineReport,
     replay_defects,
 )
-from repro.parallel.workers import RasChunk
+from repro.parallel.workers import RasChunk, iter_line_batches
 
 __all__ = [
     "RasRowCursor",
@@ -146,22 +148,25 @@ def _line_bases(chunk_lines: list[int]) -> list[int]:
 
 
 def merge_ras_chunks(
-    chunks: list[RasChunk], policy: IngestPolicy, report: QuarantineReport
+    chunks: list[RasChunk],
+    policy: IngestPolicy,
+    report: QuarantineReport,
+    path: str,
+    bounds: list[tuple[int, int]],
 ) -> Frame:
     """Merge parsed RAS chunks into one disk-layout frame.
 
-    Output is bit-identical to the serial streaming parse: same row
-    order, same dtypes, same quarantine report (or the same raise).
+    *chunks* are the parses of the byte ranges *bounds* of *path*, in
+    order. Output is bit-identical to the serial streaming parse: same
+    row order, same dtypes, same quarantine report (or the same raise).
+    Projected chunks give the FATAL frame of the serial
+    ``fatal_only`` read.
     """
     from repro.logs.stream import RasRows
 
     bases = _line_bases([c.n_lines for c in chunks])
     total_lines = sum(c.n_lines for c in chunks)
     rows = RasRows.concat([c.cand for c in chunks])
-    cand_lines = np.concatenate(
-        [np.empty(0, dtype=np.int64)]
-        + [base + c.cand.lines for base, c in zip(bases, chunks)]
-    )
     accepted, cross = replay_cross_record(rows.recids, rows.times)
 
     defects: list[tuple[int, DefectClass, str]] = []
@@ -171,16 +176,24 @@ def merge_ras_chunks(
             for idx, defect, sample in chunk.defects
         )
     if cross:
-        stored: dict[int, str] = {}
-        offset = 0
-        for chunk in chunks:
-            stored.update(
-                (offset + k, s) for k, s in chunk.cand_samples.items()
-            )
-            offset += len(chunk.cand)
+        # a rejected candidate's sample is its line, read back from its
+        # chunk's byte range
+        owner = np.searchsorted(
+            np.cumsum([len(c.cand) for c in chunks]),
+            [i for i, _ in cross],
+            side="right",
+        ).tolist()
+        local = [int(rows.lines[i]) for i, _ in cross]
+        wanted: dict[int, list[int]] = {}
+        for k, j in zip(owner, local):
+            wanted.setdefault(k, []).append(j)
+        samples = {
+            k: _line_samples(path, *bounds[k], js)
+            for k, js in wanted.items()
+        }
         defects.extend(
-            (int(cand_lines[i]), defect, _candidate_sample(rows, stored, i))
-            for i, defect in cross
+            (bases[k] + j, defect, samples[k][j])
+            for (_, defect), k, j in zip(cross, owner, local)
         )
         defects.sort(key=lambda d: d[0])
     replay_defects(policy, report, defects, total_lines)
@@ -188,12 +201,17 @@ def merge_ras_chunks(
     return rows.take(accepted).to_frame()
 
 
-def _candidate_sample(rows, stored: dict[int, str], i: int) -> str:
-    """The quarantine sample of candidate *i*: its line, rebuilt.
-
-    A line without escapes is its cells joined by the separator; the
-    workers ship the text of the others (see :class:`RasChunk`).
-    """
-    if i in stored:
-        return stored[i]
-    return "|".join(col[i] for col in rows.cells)[:SAMPLE_WIDTH]
+def _line_samples(
+    path: str, start: int, end: int, wanted: list[int]
+) -> dict[int, str]:
+    """Quarantine samples of lines *wanted* (indices within the byte
+    range ``[start, end)`` of *path*), read back one batch at a time."""
+    want = np.unique(wanted)
+    samples: dict[int, str] = {}
+    base = 0
+    for lines in iter_line_batches(path, start, end):
+        lo, hi = np.searchsorted(want, [base, base + len(lines)])
+        for j in want[lo:hi].tolist():
+            samples[j] = lines[j - base][:SAMPLE_WIDTH]
+        base += len(lines)
+    return samples

@@ -6,7 +6,9 @@ cells, vocabulary — exactly as the serial readers would. Cross-record
 state (duplicate recids, time ordering) cannot be decided inside a
 chunk, so workers return *candidate* rows plus per-line defects in
 chunk-local coordinates; :mod:`repro.parallel.merge` replays the
-cross-record checks and the ingest policy over the merged stream.
+cross-record checks and the ingest policy over the merged stream. A
+FATAL-only read projects here, in the worker, as the serial reader
+does per batch.
 
 Worker functions take a single picklable task tuple so they can be
 dispatched with ``Pool.map`` under any start method.
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter, process_time
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from repro.logs.quarantine import SAMPLE_WIDTH, DefectClass
 from repro.parallel.chunking import split_chunk_lines
@@ -26,6 +28,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "RasChunk",
+    "iter_line_batches",
     "parse_ras_chunk",
 ]
 
@@ -36,17 +39,16 @@ class RasChunk:
 
     ``defects`` carries context-free bad lines as ``(local_line_index,
     defect, sample)``; ``cand`` holds the field-valid rows that still
-    await the merge-time duplicate/ordering verdict. A candidate the
-    merge rejects needs its original line for the quarantine report:
-    for a line without escapes that is its cells joined by the
-    separator, so ``cand_samples`` ships the truncated text of only the
-    escaped candidates, keyed by candidate index.
+    await the merge-time duplicate/ordering verdict. A projected chunk
+    (``fatal_only``) ships every candidate's line index, recid and time
+    but cells only for its FATAL candidates (``cand.kept``). No
+    candidate ships its text: the merge reads the line of one it
+    rejects back from the file.
     """
 
     n_lines: int
     defects: list[tuple[int, DefectClass, str]]
     cand: RasRows
-    cand_samples: dict[int, str]
     # worker-side telemetry: the parent process cannot observe a fork
     # worker's clocks, so each chunk ships its own measurements home
     # and the parent re-attaches them as child spans / counters
@@ -55,26 +57,59 @@ class RasChunk:
     n_bytes: int = 0
 
 
-def parse_ras_chunk(task: tuple[str, int, int]) -> RasChunk:
-    """Parse one RAS data chunk: ``(path, start, end)`` byte range."""
-    from repro.logs.stream import parse_ras_block
+def iter_line_batches(path: str, start: int, end: int) -> Iterator[list[str]]:
+    """The data lines of the byte range ``[start, end)`` of *path*, in
+    batches of about the serial reader's
+    :data:`~repro.logs.stream._BATCH_CHARS` bytes.
 
-    path, start, end = task
-    t0, c0 = perf_counter(), process_time()
+    Each batch is extended to the next ``\\n`` byte, so no line,
+    ``\\r\\n`` pair or multi-byte character straddles two batches, and
+    the batches concatenate to :func:`split_chunk_lines` of the whole
+    range. An empty range yields one empty batch.
+    """
+    from repro.logs.stream import _BATCH_CHARS
+
     with open(path, "rb") as fh:
         fh.seek(start)
-        raw = fh.read(end - start)
-    lines = split_chunk_lines(raw)
-    defects, cand = parse_ras_block(lines)
+        left = end - start
+        while True:
+            raw = fh.read(min(_BATCH_CHARS, left))
+            if not raw.endswith(b"\n"):
+                raw += fh.readline(left - len(raw))
+            left -= len(raw)
+            yield split_chunk_lines(raw)
+            if left <= 0 or not raw:
+                return
+
+
+def parse_ras_chunk(task: tuple[str, int, int, bool]) -> RasChunk:
+    """Parse one RAS data chunk: ``(path, start, end, fatal_only)``.
+
+    The range is classified one :func:`iter_line_batches` batch at a
+    time, all through one string table, so a worker holds one batch's
+    lines and split cells at a time, however long its range. With
+    *fatal_only* cells are built for the FATAL candidates only.
+    """
+    from repro.logs.stream import RasRows, parse_ras_block
+
+    path, start, end, fatal_only = task
+    t0, c0 = perf_counter(), process_time()
+    table: dict = {}  # one string table for the whole chunk
+    defects: list[tuple[int, DefectClass, str]] = []
+    parts = []
+    n_lines = 0
+    for lines in iter_line_batches(path, start, end):
+        found, rows = parse_ras_block(lines, table, fatal_only)
+        defects.extend(
+            (n_lines + i, d, lines[i][:SAMPLE_WIDTH]) for i, d in found
+        )
+        rows.lines += n_lines
+        parts.append(rows)
+        n_lines += len(lines)
     return RasChunk(
-        n_lines=len(lines),
-        defects=[(i, d, lines[i][:SAMPLE_WIDTH]) for i, d in defects],
-        cand=cand,
-        cand_samples={
-            k: lines[i][:SAMPLE_WIDTH]
-            for k, i in enumerate(cand.lines.tolist())
-            if "\\" in lines[i]
-        },
+        n_lines=n_lines,
+        defects=defects,
+        cand=RasRows.concat(parts),
         wall_s=perf_counter() - t0,
         cpu_s=process_time() - c0,
         n_bytes=end - start,

@@ -1,15 +1,14 @@
 """Terminal visualization primitives for reports and benchmarks.
 
 The paper's figures are reproduced as data series; these helpers render
-them readably in a terminal: horizontal bar charts, sparklines, CDF
-staircases, and aligned two-series comparisons. Pure text, no plotting
+them readably in a terminal: horizontal bar charts, sparklines,
+histograms, and aligned two-series comparisons. Pure text, no plotting
 dependencies — the bench harness prints the same rows/series the paper
 plots.
 """
 
 from repro.viz.ascii import (
     bar_chart,
-    cdf_plot,
     histogram,
     series_table,
     sparkline,
@@ -27,7 +26,6 @@ from repro.viz.trace import (
 __all__ = [
     "bar_chart",
     "sparkline",
-    "cdf_plot",
     "histogram",
     "series_table",
     "render_dashboard",

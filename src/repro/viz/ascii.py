@@ -67,37 +67,6 @@ def histogram(
     return bar_chart(labels, counts.tolist(), width=width)
 
 
-def cdf_plot(
-    x: Sequence[float],
-    y: Sequence[float],
-    width: int = 50,
-    height: int = 12,
-) -> str:
-    """A coarse staircase plot of a CDF series on a character grid.
-
-    *x* should already be on the desired axis scale (pass log-spaced
-    points for a log axis)."""
-    xv = np.asarray(list(x), dtype=np.float64)
-    yv = np.asarray(list(y), dtype=np.float64)
-    if xv.shape != yv.shape or len(xv) == 0:
-        raise ValueError("need equal-length non-empty series")
-    grid = [[" "] * width for _ in range(height)]
-    xi = np.interp(
-        np.linspace(0, len(xv) - 1, width), np.arange(len(xv)), yv
-    )
-    for col, v in enumerate(xi):
-        row = height - 1 - int(round(v * (height - 1)))
-        row = min(max(row, 0), height - 1)
-        grid[row][col] = "*"
-    lines = ["1.0 |" + "".join(grid[0])]
-    for r in range(1, height - 1):
-        lines.append("    |" + "".join(grid[r]))
-    lines.append("0.0 |" + "".join(grid[-1]))
-    lines.append("    +" + "-" * width)
-    lines.append(f"     {xv[0]:.3g}{'':>{max(1, width - 16)}}{xv[-1]:.3g}")
-    return "\n".join(lines)
-
-
 def series_table(
     columns: dict[str, Sequence[float]],
     index: Sequence | None = None,

@@ -30,6 +30,12 @@ from tests.logs.ras_reference import iter_ras_chunks_by_line
 HEADER = "|".join(
     f"{name}:{'int' if name == 'recid' else 'str'}" for name in _DISK_COLUMNS
 )
+#: the disk-layout field behind each ``RasRows.cells`` column: every
+#: field but the recid and the timestamp, which the kernel keeps typed only
+CELL_COLUMNS = [
+    j for j, name in enumerate(_DISK_COLUMNS)
+    if name not in ("recid", "event_time_bgp")
+]
 BASE = [
     "7", "KERN_0001", "KERNEL", "sub", "_bgp_err_ddr", "FATAL",
     "2008-04-14-15.08.12.285324", "R00-M0", "SN1", "ddr error",
@@ -61,7 +67,8 @@ def assert_kernel_matches(lines: list[str]) -> None:
     assert rows.recids.tolist() == [r[2] for r in want_rows]
     want_times = np.array([r[3] for r in want_rows], dtype=np.float64)
     assert rows.times.tobytes() == want_times.tobytes()
-    for j, col in enumerate(rows.cells):
+    assert len(rows.cells) == len(CELL_COLUMNS) == 8
+    for j, col in zip(CELL_COLUMNS, rows.cells):
         assert col.dtype == object
         assert list(col) == [r[1][j] for r in want_rows]
 
@@ -168,7 +175,7 @@ def test_edge_line_matches_per_line(line):
 def test_empty_block():
     defects, rows = parse_ras_block([])
     assert defects == [] and len(rows) == 0
-    assert [c.dtype for c in rows.cells] == [np.dtype(object)] * 10
+    assert [c.dtype for c in rows.cells] == [np.dtype(object)] * 8
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,13 @@
-"""Byte-offset chunk planning: line alignment, coverage, decoding."""
+"""Byte-offset chunk planning: line alignment, coverage, decoding, and
+the line-aligned batches a worker reads its range in."""
+
+import random
+from itertools import islice
 
 import pytest
 
 from repro.parallel.chunking import plan_chunks, scan_header, split_chunk_lines
+from repro.parallel.workers import iter_line_batches
 
 
 def write_bytes(tmp_path, data: bytes, name="f.log"):
@@ -112,3 +117,46 @@ class TestSplitChunkLines:
             "héllo",
             "wörld",
         ]
+
+
+class TestLineBatches:
+    """A worker reads its range in line-aligned batches of ~1 MB."""
+
+    @pytest.fixture(scope="class")
+    def mixed(self, tmp_path_factory):
+        # 2.7 MB of lines with every terminator, multi-byte characters
+        # and a bad byte, so batch cuts land next to each of them
+        rng = random.Random(7)
+        parts = []
+        for i in range(120_000):
+            body = "x" * rng.randrange(40) + rng.choice(["", "é", "中", "�"])
+            parts.append(body.encode() + rng.choice([b"\n", b"\r\n", b"\r"]))
+            if i % 997 == 0:
+                parts.append(b"bad\xff\n")
+        path = tmp_path_factory.mktemp("batches") / "mixed.log"
+        path.write_bytes(b"".join(parts))
+        return path
+
+    @pytest.mark.parametrize("span", [(0, None), (1, -1), (4_000, 2_000_003)])
+    def test_batches_concatenate_to_the_range_lines(self, mixed, span):
+        raw = mixed.read_bytes()
+        start, end = span
+        end = len(raw) + end if end is not None and end < 0 else end
+        end = len(raw) if end is None else end
+        batches = list(iter_line_batches(str(mixed), start, end))
+        assert len(batches) > 1
+        assert [line for b in batches for line in b] == split_chunk_lines(
+            raw[start:end]
+        )
+
+    def test_empty_range_is_one_empty_batch(self, mixed):
+        assert list(iter_line_batches(str(mixed), 10, 10)) == [[]]
+
+    def test_range_past_eof_ends(self, mixed):
+        # a file that shrank after the chunks were planned ends the read
+        size = mixed.stat().st_size
+        batches = list(islice(iter_line_batches(str(mixed), 0, size + 9), 50))
+        assert len(batches) < 50
+        assert [line for b in batches for line in b] == split_chunk_lines(
+            mixed.read_bytes()
+        )

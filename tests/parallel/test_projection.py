@@ -1,0 +1,248 @@
+"""The pool's FATAL-only read against the serial one, and its workers' cost.
+
+``parallel_read_ras_frame(..., fatal_only=True)`` projects in its
+workers: each checks every line of its byte range but ships cells only
+for its FATAL candidates, and the merge reads the sample of a candidate
+it rejects back from the file. Whatever the chunk placement and policy,
+it must give what the serial ``iter_ras_chunks(fatal_only=True)`` gives:
+the same frame bytes, the same rendered quarantine report with its
+samples, or the same raise. The hand-built logs place rejected lines
+where the pool could go wrong — on a chunk seam, on a worker's internal
+batch seam, and in a chunk after the row that rejects them.
+"""
+
+import gc
+import os
+import pickle
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from repro.frame import concat
+from repro.logs import IngestAbortError, IngestError, IngestPolicy
+from repro.logs.stream import _BATCH_CHARS, iter_ras_chunks
+from repro.logs.textio import write_ras_log
+from repro.parallel import parallel_read_ras_frame, parse_ras_chunk, scan_header
+from repro.simulate import CalibrationProfile, IntrepidSimulation
+
+from tests.logs.test_block_boundaries import HEADER, _row, _stamp
+from tests.logs.test_block_boundaries import _frame_state as frame_state
+
+POLICIES = [
+    pytest.param(IngestPolicy(mode="strict"), id="strict"),
+    pytest.param(IngestPolicy(mode="quarantine"), id="quarantine"),
+    pytest.param(IngestPolicy(mode="skip"), id="skip"),
+    pytest.param(
+        IngestPolicy(mode="quarantine", max_bad_records=1), id="max-records"
+    ),
+    pytest.param(
+        IngestPolicy(mode="quarantine", max_bad_fraction=0.0001),
+        id="max-fraction",
+    ),
+]
+
+#: the most pickled bytes a projected chunk may ship per line: a line
+#: index, a recid and a time (8 bytes each) and a kept flag for every
+#: candidate, plus the cells of the few FATAL ones (about 26 bytes a
+#: line on the scale-0.02 trace; about 50 with every row's cells)
+MAX_PROJECTED_PAYLOAD_PER_LINE = 32
+#: the most traced heap, in batches of ``_BATCH_CHARS``, a worker may
+#: hold at its peak beyond the chunk it returns: one batch's bytes, text,
+#: lines and split cells, about 10 whatever the range (about 54 on the
+#: 6 MB range when the whole range is split as one block)
+MAX_WORKER_TRANSIENT_BATCHES = 16
+
+
+def write_lines(path, rows, ending="\n"):
+    """A RAS log of ``(recid, stamp, severity, message)`` rows, in order."""
+    text = ending.join([HEADER] + [_row(*r) for r in rows]) + ending
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+def bounds_after(path, splits):
+    """Chunk bounds cutting the data region after the given row counts."""
+    _, start = scan_header(path)
+    raw = path.read_bytes()
+    ends = [start]
+    while ends[-1] < len(raw):
+        ends.append(raw.index(b"\n", ends[-1]) + 1)
+    cuts = [start] + [ends[k] for k in splits] + [len(raw)]
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
+def error_state(exc):
+    if isinstance(exc, IngestError):
+        return (type(exc).__name__, exc.line_no, exc.defect, exc.text)
+    return (type(exc).__name__, str(exc), exc.report.render())
+
+
+def report_state(report):
+    return (report.render(), report.clean_rows, report.clean_span)
+
+
+def serial_outcome(path, policy):
+    report = policy.new_report(str(path))
+    try:
+        chunks = list(iter_ras_chunks(
+            path, policy=policy, report=report, fatal_only=True
+        ))
+    except (IngestError, IngestAbortError) as exc:
+        return ("raise", error_state(exc))
+    frame = concat([c.frame for c in chunks])
+    return ("ok", frame_state(frame), report_state(report))
+
+
+def pool_outcome(path, policy, bounds):
+    report = policy.new_report(str(path))
+    try:
+        frame = parallel_read_ras_frame(
+            path, policy=policy, report=report, workers=2,
+            chunk_bounds=bounds, fatal_only=True,
+        )
+    except (IngestError, IngestAbortError) as exc:
+        return ("raise", error_state(exc))
+    return ("ok", frame_state(frame), report_state(report))
+
+
+def assert_pool_matches_serial(path, bounds, policy):
+    want = serial_outcome(path, policy)
+    assert pool_outcome(path, policy, bounds) == want
+    return want
+
+
+def worker_seam(rows) -> int:
+    """Index of the last row of a worker's first batch, for a chunk that
+    starts at the first data row: the row whose line brings the chunk's
+    characters (newlines included) to ``_BATCH_CHARS``."""
+    size = 0
+    for i, r in enumerate(rows):
+        size += len(_row(*r)) + 1
+        if size >= _BATCH_CHARS:
+            return i
+    raise AssertionError("the rows fill no batch")
+
+
+class TestRejectedLines:
+    """Rejected candidates whose samples the merge must read back."""
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_escaped_crlf_line_on_a_chunk_seam(self, tmp_path, policy):
+        rows = [
+            ["1", _stamp(0), "INFO", "msg"],
+            ["2", _stamp(1), "FATAL", "msg"],
+            ["3", _stamp(2), "INFO", "msg"],
+            # the last line of chunk 1 and the first of chunk 2: non-FATAL
+            # duplicates whose lines hold an escaped separator
+            ["1", _stamp(3), "WARN", "left \\p of the seam"],
+            ["2", _stamp(4), "INFO", "ddr error \\p rank 3"],
+            ["4", _stamp(5), "FATAL", "msg"],
+            ["5", _stamp(6), "INFO", "msg"],
+        ]
+        path = write_lines(tmp_path / "ras.log", rows, ending="\r\n")
+        want = assert_pool_matches_serial(
+            path, bounds_after(path, [4]), policy
+        )
+        if want[0] == "ok" and policy.mode == "quarantine":
+            render = want[2][0]
+            assert "duplicate_recid" in render
+            assert "ddr error \\\\p rank 3" in render
+            assert "\\r" not in render
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_rejections_on_a_worker_batch_seam(self, tmp_path, policy):
+        # FATAL and ERROR lines are the same length, so the edits below
+        # move no seam
+        rows = [
+            [str(i + 1), _stamp(i), "FATAL" if i % 7 == 0 else "ERROR", "msg"]
+            for i in range(14_000)
+        ]
+        last = worker_seam(rows)
+        for i in (last, last + 1):
+            rows[i][2] = "ERROR"
+        rows[last][0] = rows[last - 3][0]  # a duplicate of an accepted recid
+        rows[last + 1][1] = rows[last - 40][1]  # out of order
+        # and a line-local defect on each side of the seam
+        rows[last - 1][2] = rows[last + 2][2] = "BOGUS"
+        assert worker_seam(rows) == last
+        path = write_lines(tmp_path / "ras.log", rows)
+        # chunk 1 holds the seam and more than one batch; chunk 2 the rest
+        bounds = bounds_after(path, [last + 500])
+        assert bounds[0][1] - bounds[0][0] > _BATCH_CHARS
+        want = assert_pool_matches_serial(path, bounds, policy)
+        if want[0] == "ok" and policy.mode == "quarantine":
+            render = want[2][0]
+            for line_no in range(last + 1, last + 5):
+                assert f"line {line_no}:" in render
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_fatal_row_rejected_by_an_earlier_chunk(self, tmp_path, policy):
+        rows = [
+            ["1", _stamp(10), "INFO", "msg"],
+            ["2", _stamp(20), "WARN", "msg"],
+            # chunk 2: a FATAL duplicate of the WARN recid and a FATAL row
+            # out of order behind the WARN row's time
+            ["2", _stamp(30), "FATAL", "msg"],
+            ["3", _stamp(15), "FATAL", "msg"],
+            ["4", _stamp(40), "FATAL", "msg"],
+        ]
+        path = write_lines(tmp_path / "ras.log", rows)
+        want = assert_pool_matches_serial(
+            path, bounds_after(path, [2]), policy
+        )
+        if want[0] == "ok":
+            recids = np.frombuffer(want[1]["recid"][1], dtype=np.int64)
+            assert recids.tolist() == [4]
+        else:
+            assert want[1][0] in ("IngestError", "IngestAbortError")
+
+
+@pytest.fixture(scope="module")
+def trace_range(tmp_path_factory):
+    """The data region of a 6 MB simulated RAS log: six batches."""
+    path = tmp_path_factory.mktemp("projection") / "ras.log"
+    sim = IntrepidSimulation(CalibrationProfile(seed=2011, scale=0.02)).run()
+    write_ras_log(sim.ras_log, path)
+    _, start = scan_header(path)
+    end = os.path.getsize(path)
+    assert end - start > 5 * _BATCH_CHARS
+    return str(path), start, end
+
+
+class TestWorkerPayload:
+    def test_projected_chunk_ships_fatal_cells_only(self, trace_range):
+        chunk = parse_ras_chunk((*trace_range, True))
+        cand = chunk.cand
+        assert cand.kept is not None and len(cand.kept) == len(cand)
+        n_fatal = int(cand.kept.sum())
+        assert 0 < n_fatal < len(cand) // 10
+        assert [len(col) for col in cand.cells] == [n_fatal] * 8
+        assert set(cand.to_frame()["severity"].tolist()) == {"FATAL"}
+        size = len(pickle.dumps(chunk))
+        assert size <= MAX_PROJECTED_PAYLOAD_PER_LINE * chunk.n_lines, (
+            size / chunk.n_lines
+        )
+
+    def test_full_chunk_ships_every_candidate_cells(self, trace_range):
+        chunk = parse_ras_chunk((*trace_range, False))
+        assert chunk.cand.kept is None
+        assert [len(col) for col in chunk.cand.cells] == [len(chunk.cand)] * 8
+
+
+class TestWorkerMemory:
+    @pytest.mark.parametrize("fatal_only", [False, True])
+    def test_peak_is_one_batch_not_the_range(self, trace_range, fatal_only):
+        """A worker reads and splits one batch at a time, not its range."""
+        task = (*trace_range, fatal_only)
+        parse_ras_chunk(task)  # imports and first-call caches stay out
+        gc.collect()
+        tracemalloc.start()
+        try:
+            chunk = parse_ras_chunk(task)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert chunk.n_lines > 40_000
+        batches = (peak - kept) / _BATCH_CHARS
+        assert batches <= MAX_WORKER_TRANSIENT_BATCHES, batches

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.viz import bar_chart, cdf_plot, histogram, series_table, sparkline
+from repro.viz import bar_chart, histogram, series_table, sparkline
 
 
 class TestSparkline:
@@ -62,29 +62,6 @@ class TestHistogram:
 
     def test_empty(self):
         assert histogram([]) == "(empty)"
-
-
-class TestCdfPlot:
-    def test_shape(self):
-        x = np.logspace(0, 5, 30)
-        y = np.linspace(0.1, 1.0, 30)
-        out = cdf_plot(x, y, width=40, height=8)
-        lines = out.splitlines()
-        assert lines[0].startswith("1.0 |")
-        assert lines[-3].startswith("0.0 |")
-        assert "*" in out
-
-    def test_monotone_series_fills_corners(self):
-        x = np.arange(10.0)
-        y = np.linspace(0, 1, 10)
-        out = cdf_plot(x, y, width=20, height=6)
-        lines = out.splitlines()
-        assert lines[0].rstrip().endswith("*")   # top right
-        assert lines[-3][5] == "*"               # bottom left
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            cdf_plot([1.0], [0.5, 0.6])
 
 
 class TestSeriesTable:
