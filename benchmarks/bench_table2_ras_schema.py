@@ -4,12 +4,27 @@ Round-trips records through the Table II text layout and times parsing
 throughput; prints one reproduced record in the paper's card format.
 """
 
-import io
-
 from benchmarks.conftest import banner
 from repro.frame.io import from_string, to_string
 from repro.logs.ras import RasLog
-from repro.logs.textio import describe_ras_record
+from repro.logs.textio import format_bgp_time
+
+
+def describe_ras_record(frame_row: dict) -> str:
+    """Render one RAS row in the vertical card layout of Table II."""
+    lines = [
+        f"RECID        {frame_row['recid']}",
+        f"MSG_ID       {frame_row['msg_id']}",
+        f"COMPONENT    {frame_row['component']}",
+        f"SUBCOMPONENT {frame_row['subcomponent']}",
+        f"ERRCODE      {frame_row['errcode']}",
+        f"SEVERITY     {frame_row['severity']}",
+        f"EVENT_TIME   {format_bgp_time(frame_row['event_time'])}",
+        f"LOCATION     {frame_row['location']}",
+        f"SERIALNUMBER {frame_row['serialnumber']}",
+        f"MESSAGE      {frame_row['message']}",
+    ]
+    return "\n".join(lines)
 
 
 def roundtrip(frame_text):

@@ -6,7 +6,23 @@ layout (Table III shows job 8935 on R10-R11).
 
 from benchmarks.conftest import banner
 from repro.frame.io import from_string, to_string
-from repro.logs.textio import describe_job_record
+
+
+def describe_job_record(frame_row: dict) -> str:
+    """Render one job row in the vertical card layout of Table III."""
+    lines = [
+        f"Job ID          {frame_row['job_id']}",
+        f"Job Name        {frame_row['job_name']}",
+        f"Execution File  {frame_row['executable']}",
+        f"Queuing Time    {frame_row['queued_time']}",
+        f"Starting Time   {frame_row['start_time']}",
+        f"End Time        {frame_row['end_time']}",
+        f"Location        {frame_row['location']}",
+        f"User            {frame_row['user']}",
+        f"Project         {frame_row['project']}",
+        f"Size(midplanes) {frame_row['size_midplanes']}",
+    ]
+    return "\n".join(lines)
 
 
 def test_table3_job_record_roundtrip(benchmark, trace):

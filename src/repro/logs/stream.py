@@ -1,34 +1,36 @@
-"""Streaming access to large RAS logs.
+"""The RAS text kernel: one block classifier behind every RAS reader.
 
 A real 237-day RAS export runs to gigabytes, and the co-analysis reads
-only its FATAL records and its time span. These helpers stream the
-pipe-delimited format written by :func:`repro.logs.textio.write_ras_log`
-in bounded chunks; with ``fatal_only`` they still check every line but
-build cells only for the FATAL rows.
+only its FATAL records and its time span. There is one reader of a
+written RAS file, :func:`repro.parallel.ingest.parallel_read_ras_frame`
+(reached through :func:`repro.logs.textio.read_ras_log`): it splits the
+data region into line-aligned byte ranges and parses them one batch at
+a time, in the calling process when there is one range (``workers=1``)
+and in a process pool otherwise. The live feed parser
+(:mod:`repro.stream.source`) is the only other reader of RAS text.
+Both classify lines with one block kernel, :func:`parse_ras_block`:
+column-at-a-time checks for the common case, and
+:func:`classify_ras_fields`, the one definition of the per-line
+taxonomy, for every line a column check flags. With ``fatal_only`` the
+kernel still checks every line but builds cells only for the FATAL
+rows.
 
 Ingestion is policy-driven (:mod:`repro.logs.quarantine`): every data
 line passes structural checks (encoding damage, blank, truncated,
 garbled delimiters), field checks (recid, BG/P timestamp, severity /
 component / ERRCODE vocabulary), and cross-record checks (duplicate
-recids, out-of-order event times). Under the default ``strict`` policy
-the first defect raises an :class:`~repro.logs.quarantine.IngestError`
-carrying the line number and defect class; under ``quarantine`` /
-``skip`` bad lines are diverted into a
+recids, out-of-order event times), which
+:func:`repro.parallel.merge.replay_cross_record` replays once over a
+file's candidate rows. Under the default ``strict`` policy the first
+defect raises an :class:`~repro.logs.quarantine.IngestError` carrying
+the line number and defect class; under ``quarantine`` / ``skip`` bad
+lines are diverted into a
 :class:`~repro.logs.quarantine.QuarantineReport` and parsing continues.
 
-Every reader of RAS text — the serial reader here, the chunk-parallel
-workers (:mod:`repro.parallel.workers`) and the live feed parser
-(:mod:`repro.stream.source`) — classifies lines with one block kernel,
-:func:`parse_ras_block`: column-at-a-time checks for the common case,
-and :func:`classify_ras_fields`, the one definition of the per-line
-taxonomy, for every line a column check flags.
-
-A *growing* file needs one extra rule: hitting EOF in the middle of a
-line means the writer has not flushed the rest yet — a fragment, not a
-defect. Pass a :class:`PartialTail` to :func:`iter_ras_chunks` and the
-unterminated final line is held there as *pending* instead of being run
-through the defect taxonomy; without one (the batch default) EOF is
-taken as end-of-data and the final line is classified like any other.
+The file reader takes EOF as the end of the data, so a final line that
+lacks its newline is classified like any other. A *growing* file's
+unterminated final line is the tailer's to hold as pending
+(:class:`repro.stream.source.LogTailer`).
 """
 
 from __future__ import annotations
@@ -36,29 +38,19 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import repeat
-from pathlib import Path
-from time import perf_counter, thread_time
-from typing import Iterator
 
 import numpy as np
 
-from repro.frame import Frame, concat
+from repro.frame import Frame
 from repro.frame.column import shared_strings
 from repro.frame.io import unescape_cell
 from repro.logs.quarantine import (
     REPLACEMENT_CHAR,
     DefectClass,
-    IngestPolicy,
-    QuarantineReport,
-    coerce_policy,
-    finish_ingest,
-    handle_bad_record,
     structural_defect,
 )
-from repro.logs.ras import COMPONENTS, RAS_COLUMNS, SEVERITIES, RasLog
-from repro.logs.textio import _DISK_COLUMNS, check_ras_header, parse_bgp_time
-from repro.obs.metrics import get_metrics
-from repro.obs.trace import current_tracer
+from repro.logs.ras import COMPONENTS, RAS_COLUMNS, SEVERITIES
+from repro.logs.textio import _DISK_COLUMNS, parse_bgp_time
 
 _SEVERITY_SET = frozenset(SEVERITIES)
 #: the one severity a ``fatal_only`` read keeps cells for
@@ -85,9 +77,10 @@ _CELL_COLUMNS = tuple(
 _SEP = "|"
 _NUM_SEPS = len(_DISK_COLUMNS) - 1
 
-#: characters per ``readlines`` batch of the serial reader: large enough
-#: to amortize the column work, small enough that a batch's split cells
-#: stay a small fraction of the parsed frame
+#: bytes per batch the chunk reader classifies at once
+#: (:func:`repro.parallel.workers.iter_line_batches`, extended to the next
+#: line end): large enough to amortize the column work, small enough that
+#: a batch's split cells stay a small fraction of the parsed frame
 _BATCH_CHARS = 1 << 20
 
 #: the recid column's range, and the longest all-digit recid inside it
@@ -106,42 +99,6 @@ _STAMP_FILLER = "1970-01-01-00.00.00.000000"
 _DAYS_IN_MONTH = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 #: largest microsecond count a float64 holds exactly
 _EXACT_MICROS = 1 << 53
-
-
-class PartialTail:
-    """The unterminated final line of a growing file, held as pending.
-
-    A tailing reader that reaches EOF mid-line must not classify the
-    fragment — the bytes after EOF may already be in the writer's
-    buffer. When handed to :func:`iter_ras_chunks`, the fragment lands
-    here (``pending`` true, ``text`` the bytes seen so far, ``line_no``
-    its 1-based position) and is excluded from both the parsed chunks
-    and the quarantine report; the next poll re-reads it from the same
-    byte offset once the newline arrives.
-    """
-
-    __slots__ = ("text", "line_no")
-
-    def __init__(self) -> None:
-        self.text: str | None = None
-        self.line_no = 0
-
-    @property
-    def pending(self) -> bool:
-        return self.text is not None
-
-    def hold(self, text: str, line_no: int) -> None:
-        self.text = text
-        self.line_no = line_no
-        get_metrics().counter("ingest.partial_tail").inc()
-
-    def clear(self) -> None:
-        self.text = None
-        self.line_no = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = f"line {self.line_no}" if self.pending else "empty"
-        return f"PartialTail({state})"
 
 
 @dataclass(slots=True)
@@ -285,8 +242,9 @@ def parse_ras_block(
 
     The accepted rows' eight string columns (``RasRows.cells``) are
     built with :func:`~repro.frame.column.shared_strings`, so equal
-    cells are one object: through *table* when given — a reader passes
-    one table to every block of a file — and a fresh table otherwise.
+    cells are one object: through *table* when given — the chunk reader
+    passes one table to every batch of a chunk — and a fresh table
+    otherwise.
 
     With *fatal_only* every line is checked just the same, and every
     accepted row keeps its line index, recid and time, but cells are
@@ -341,7 +299,7 @@ def parse_ras_block(
     cols = [cols[j] for j in _CELL_COLUMNS]
     if not celled.all():
         # cells of the other rows are never built, and no rejected value
-        # joins a table that lives as long as the file's read
+        # joins a table that lives as long as the chunk's read
         index = np.flatnonzero(celled).tolist()
         cols = [[col[i] for i in index] for col in cols]
     if not good.all():
@@ -464,200 +422,3 @@ def _stamp_column(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
     ) * 1_000_000 + micro
     flagged |= np.abs(micros) > _EXACT_MICROS
     return flagged, micros / 1e6
-
-
-def iter_ras_chunks(
-    path: str | Path,
-    chunk_rows: int = 100_000,
-    policy: IngestPolicy | str | None = None,
-    report: QuarantineReport | None = None,
-    partial: PartialTail | None = None,
-    fatal_only: bool = False,
-) -> Iterator[RasLog]:
-    """Yield a written RAS log file as bounded :class:`RasLog` chunks.
-
-    An empty or header-only file yields exactly one typed empty chunk
-    (matching the ``Frame.from_rows([], columns=...)`` typed-empty
-    semantics) rather than crashing. A recognisable-but-wrong header
-    still raises: when the schema itself cannot be trusted, no policy
-    can salvage the rows beneath it.
-
-    The file is read in batches of about :data:`_BATCH_CHARS`
-    characters, each classified by :func:`parse_ras_block` and checked
-    against the rows accepted before it by
-    :func:`~repro.parallel.merge.replay_cross_record`. Rows and defects
-    are then released in line order, so chunks, strict raises, aborts
-    and the report's running ``total_rows`` match a line-by-line parse.
-    Until its chunk is full, the buffer holds a batch's released rows
-    as frame slices. All batches share one string table, so each string
-    column of every chunk holds one object per distinct value of the
-    file.
-
-    With a :class:`PartialTail`, a final line missing its newline is
-    held there as pending — the tailing discipline for growing files —
-    rather than classified; without one it is parsed like any other
-    line, the batch reading of a file that is known to be complete.
-
-    With *fatal_only* every line is still checked, counted and
-    cross-checked, and chunks still close every *chunk_rows* accepted
-    rows, but each chunk holds only its FATAL rows: chunk ``i`` equals
-    chunk ``i`` of the full read, ``.fatal()``. Either way the report's
-    ``clean_span`` covers every accepted row released so far.
-    """
-    from repro.logs.ras import empty_ras_log
-    from repro.parallel.merge import RasRowCursor, replay_cross_record
-
-    if chunk_rows <= 0:
-        raise ValueError("chunk_rows must be positive")
-    pol = coerce_policy(policy)
-    if report is None:
-        report = pol.new_report(str(path))
-
-    if partial is not None:
-        partial.clear()
-    with open(path, "r", encoding="utf-8-sig", errors="replace") as fh:
-        raw_header = fh.readline()
-        if (
-            partial is not None
-            and raw_header
-            and not raw_header.endswith("\n")
-        ):
-            partial.hold(raw_header, 1)
-            yield empty_ras_log()
-            return
-        header = raw_header.rstrip("\r\n")
-        if not header:
-            yield empty_ras_log()
-            return
-        check_ras_header(header)
-        cursor = RasRowCursor()
-        table: dict = {}  # one string table for the whole file
-        buffer: list[Frame] = []
-        buffered = 0
-        yielded = False
-        first_line_no = 2  # physical number of the batch's first line
-        window = _ChunkWindow(report.total_rows)
-        read_bytes = 0  # bytes of the data lines read so far
-        while True:
-            batch = fh.readlines(_BATCH_CHARS)
-            if not batch:
-                break
-            held = None
-            if partial is not None and not batch[-1].endswith("\n"):
-                # EOF landed mid-line: the writer has not flushed the
-                # rest yet. Hold it pending instead of classifying —
-                # only the file's last line can lack its newline.
-                held = batch.pop()
-            # text mode has turned every line ending into "\n"
-            text = "".join(batch)
-            lines = text.split("\n")
-            if not lines[-1]:
-                lines.pop()
-            # bytes read through the end of each line
-            line_ends = read_bytes + np.cumsum(_line_sizes(text, lines))
-            del text, batch
-            defects, rows = parse_ras_block(lines, table, fatal_only)
-            accepted, cross = replay_cross_record(
-                rows.recids, rows.times, cursor
-            )
-            if cross:
-                defects = sorted(
-                    defects + [(int(rows.lines[k]), d) for k, d in cross],
-                    key=lambda item: item[0],
-                )
-                rows = rows.take(accepted)
-            base = report.total_rows
-            done = 0
-            # the end-of-batch sentinel flushes the rows after the last
-            # defect; rows before a defect are released (and a chunk
-            # they fill is yielded) before the defect is handled
-            for index, defect in [*defects, (len(lines), None)]:
-                stop = int(np.searchsorted(rows.lines, index))
-                while done < stop:
-                    take = min(stop - done, chunk_rows - buffered)
-                    released = slice(done, done + take)
-                    report.note_clean_times(rows.times[released])
-                    buffer.append(rows.take(released).to_frame())
-                    done += take
-                    buffered += take
-                    if buffered == chunk_rows:
-                        last = int(rows.lines[done - 1])
-                        report.total_rows = base + last + 1
-                        window.close(report.total_rows, int(line_ends[last]))
-                        yield RasLog(concat(buffer))
-                        buffer, buffered, yielded = [], 0, True
-                        window.open()
-                if defect is None:
-                    break
-                report.total_rows = base + index + 1
-                handle_bad_record(
-                    pol, report, first_line_no + index, defect, lines[index]
-                )
-            report.total_rows = base + len(lines)
-            first_line_no += len(lines)
-            if len(lines):
-                read_bytes = int(line_ends[-1])
-            if held is not None:
-                partial.hold(held, first_line_no)
-                break
-        finish_ingest(pol, report)
-        if not yielded or report.total_rows > window.lines:
-            # the lines after the last full chunk, even if none was kept
-            window.close(report.total_rows, read_bytes)
-        if buffer or not yielded:
-            yield RasLog(concat(buffer)) if buffer else empty_ras_log()
-
-
-def _line_sizes(text: str, lines: list[str]) -> np.ndarray:
-    """UTF-8 bytes of each line of *text*, its newline included.
-
-    Text mode has turned a ``\\r\\n`` ending into ``\\n`` and undecodable
-    bytes into U+FFFD, so for such a file this is the size of what was
-    decoded rather than of the raw bytes; for a UTF-8 file with ``\\n``
-    endings it is exact.
-    """
-    n = len(lines)
-    if text.isascii():
-        sizes = np.fromiter(map(len, lines), np.int64, n)
-    else:
-        sizes = np.fromiter((len(v.encode()) for v in lines), np.int64, n)
-    sizes += 1
-    if n and not text.endswith("\n"):
-        sizes[-1] -= 1  # the final line of a file that lacks one
-    return sizes
-
-
-class _ChunkWindow:
-    """Telemetry of the serial reader's chunks, one window per chunk.
-
-    Each chunk is noted like a chunk-parallel reader's
-    (:func:`repro.parallel.ingest.note_parse_chunk`): the data lines and
-    bytes read since the previous chunk, bad lines included, and the
-    wall and CPU time spent. The window re-opens after each yield
-    resumes, so consumer time between chunks never counts as parse time.
-    """
-
-    __slots__ = ("index", "lines", "n_bytes", "t0", "c0")
-
-    def __init__(self, lines: int) -> None:
-        self.index = 0
-        self.lines = lines
-        self.n_bytes = 0
-        self.open()
-
-    def open(self) -> None:
-        self.t0, self.c0 = perf_counter(), thread_time()
-
-    def close(self, lines: int, n_bytes: int) -> None:
-        """Note the chunk that ends after *lines* lines, *n_bytes* bytes."""
-        from repro.parallel.ingest import note_parse_chunk
-
-        note_parse_chunk(
-            self.index,
-            lines - self.lines,
-            n_bytes - self.n_bytes,
-            wall_s=perf_counter() - self.t0,
-            cpu_s=thread_time() - self.c0,
-        )
-        self.index += 1
-        self.lines, self.n_bytes = lines, n_bytes

@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 from datetime import datetime, timezone
 from pathlib import Path
+from time import perf_counter, thread_time
 
 import numpy as np
 
@@ -125,42 +126,33 @@ def read_log_frame(
             return frame, report, "hit"
 
     if table == "ras":
-        from repro.frame import concat
         from repro.logs.ras import empty_ras_log
-        from repro.logs.stream import iter_ras_chunks
-        from repro.parallel.ingest import (
-            parallel_read_ras_frame,
-            resolve_workers,
-        )
+        from repro.parallel.ingest import parallel_read_ras_frame
 
-        if resolve_workers(workers) > 1:
-            frame = parallel_read_ras_frame(
-                path, policy=pol, report=report, workers=workers,
-                fatal_only=fatal_only,
-            )
-        else:
-            frames = [
-                chunk.frame
-                for chunk in iter_ras_chunks(
-                    path, policy=pol, report=report, fatal_only=fatal_only
-                )
-                if chunk.frame.num_rows
-            ]
-            frame = concat(frames) if frames else Frame()
+        frame = parallel_read_ras_frame(
+            path, policy=pol, report=report, workers=workers,
+            fatal_only=fatal_only,
+        )
         if not frame.num_rows:
             frame = empty_ras_log().frame
     else:
-        from repro.logs.stream import _ChunkWindow
         from repro.parallel.chunking import scan_header
+        from repro.parallel.ingest import note_parse_chunk
 
         header, data_start = scan_header(path)
         if header:
             check_job_header(header)
         # the job log is one chunk: every data line and byte after the
         # header, noted like the RAS reader's chunks
-        window = _ChunkWindow(report.total_rows)
+        t0, c0 = perf_counter(), thread_time()
         frame = read_delimited(path, policy=pol, report=report)
-        window.close(report.total_rows, os.path.getsize(path) - data_start)
+        note_parse_chunk(
+            0,
+            report.total_rows,
+            os.path.getsize(path) - data_start,
+            wall_s=perf_counter() - t0,
+            cpu_s=thread_time() - c0,
+        )
 
     status = None if cache is None else cache.last_status
     if key is not None:
@@ -180,8 +172,10 @@ def read_ras_log(
     *policy* selects the strictness mode (see
     :mod:`repro.logs.quarantine`); with a non-strict policy the returned
     log carries the :class:`~repro.logs.quarantine.QuarantineReport` on
-    its ``quarantine`` attribute. *workers* > 1 parses byte-range chunks
-    in parallel (0 = one per available CPU) with bit-identical output;
+    its ``quarantine`` attribute. The file is parsed as up to *workers*
+    line-aligned byte-range chunks (0 = one per available CPU): one
+    chunk in this process, several in a process pool, with
+    bit-identical output at any count;
     *cache* consults a :class:`~repro.parallel.cache.ParseCache` first
     and stores successful parses for reruns. The ``cache_status``
     attribute of the result reports how the lookup resolved — ``"hit"``,
@@ -241,37 +235,3 @@ def read_job_log(
     log.quarantine = None if pol.is_strict else report
     log.cache_status = status
     return log
-
-
-def describe_ras_record(frame_row: dict) -> str:
-    """Render one RAS row in the vertical card layout of Table II."""
-    lines = [
-        f"RECID        {frame_row['recid']}",
-        f"MSG_ID       {frame_row['msg_id']}",
-        f"COMPONENT    {frame_row['component']}",
-        f"SUBCOMPONENT {frame_row['subcomponent']}",
-        f"ERRCODE      {frame_row['errcode']}",
-        f"SEVERITY     {frame_row['severity']}",
-        f"EVENT_TIME   {format_bgp_time(frame_row['event_time'])}",
-        f"LOCATION     {frame_row['location']}",
-        f"SERIALNUMBER {frame_row['serialnumber']}",
-        f"MESSAGE      {frame_row['message']}",
-    ]
-    return "\n".join(lines)
-
-
-def describe_job_record(frame_row: dict) -> str:
-    """Render one job row in the vertical card layout of Table III."""
-    lines = [
-        f"Job ID          {frame_row['job_id']}",
-        f"Job Name        {frame_row['job_name']}",
-        f"Execution File  {frame_row['executable']}",
-        f"Queuing Time    {frame_row['queued_time']}",
-        f"Starting Time   {frame_row['start_time']}",
-        f"End Time        {frame_row['end_time']}",
-        f"Location        {frame_row['location']}",
-        f"User            {frame_row['user']}",
-        f"Project         {frame_row['project']}",
-        f"Size(midplanes) {frame_row['size_midplanes']}",
-    ]
-    return "\n".join(lines)

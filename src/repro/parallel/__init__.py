@@ -1,15 +1,16 @@
-"""Parallel chunked ingestion and the content-addressed parse cache.
+"""The RAS file reader and the content-addressed parse cache.
 
-Three cooperating pieces speed up the ingest-bound half of the
-pipeline without changing a single observable bit of its output:
+Two cooperating pieces read a written log without changing a single
+observable bit of its parse:
 
 * :mod:`repro.parallel.chunking` / :mod:`repro.parallel.workers` /
-  :mod:`repro.parallel.merge` — split a RAS log into line-aligned byte
-  ranges, parse each in a worker process, and deterministically merge
-  candidates + defects back into the serial reader's exact result
-  (same frame, same quarantine report, same raises, every policy);
-* :mod:`repro.parallel.ingest` — the pool orchestration and
-  :func:`parallel_read_ras_frame`, which the RAS reader dispatches to;
+  :mod:`repro.parallel.merge` / :mod:`repro.parallel.ingest` — the one
+  RAS file reader, :func:`parallel_read_ras_frame`: split the log into
+  line-aligned byte ranges, parse each (in the calling process when
+  there is one, in a process pool otherwise), and deterministically
+  merge candidates + defects into the exact result of a line-by-line
+  pass (same frame, same quarantine report, same raises, every
+  policy);
 * :mod:`repro.parallel.cache` — a content-addressed on-disk cache of
   parsed frames so reruns over unchanged logs skip parsing entirely.
 """

@@ -1,4 +1,4 @@
-"""Byte-offset chunking of delimited log files for parallel parsing.
+"""Byte-offset chunking of delimited log files for the chunk reader.
 
 A chunk is a half-open byte range ``[start, end)`` of the file's data
 region (everything after the header line). Boundaries are aligned to
@@ -8,10 +8,10 @@ UTF-8 safe: ``0x0A`` can never appear inside a multi-byte sequence
 (continuation bytes are ``0x80``–``0xBF``), so per-chunk decoding sees
 exactly the same replacement characters a whole-file decode would.
 
-Decoded chunk text is split with the same universal-newline rules the
-serial readers get from text-mode iteration (``\\r\\n``, lone ``\\r``
-and ``\\n`` all terminate a line), so per-chunk line streams concatenate
-to exactly the serial line stream.
+Decoded chunk text is split with the universal-newline rules of
+text-mode iteration (``\\r\\n``, lone ``\\r`` and ``\\n`` all
+terminate a line), so per-chunk line streams concatenate to exactly the
+line stream of a text-mode read of the whole file.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ _SCAN_BLOCK = 1 << 16
 def scan_header(path: str | Path) -> tuple[str, int]:
     """The header line's text and the byte offset of the data region.
 
-    Mirrors the serial readers: a leading UTF-8 BOM is absorbed, the
+    Mirrors a text-mode read: a leading UTF-8 BOM is absorbed, the
     header terminator may be ``\\n``, ``\\r\\n`` or a lone ``\\r``, and
     undecodable bytes decode to replacement characters instead of
     raising. Returns ``("", offset)`` for an empty or blank first line.
@@ -116,10 +116,10 @@ def _next_line_start(fh: IO[bytes], target: int, size: int) -> int:
 
 
 def split_chunk_lines(raw: bytes) -> list[str]:
-    """Decode one chunk and split it into lines, serial-identical.
+    """Decode one chunk and split it into lines, as a text-mode read would.
 
     Applies the tolerant decode (``errors="replace"``) and universal
-    newline translation the text-mode readers use, then drops the empty
+    newline translation of text mode, then drops the empty
     tail piece a terminating line break leaves behind — text-mode
     iteration never yields a phantom final line either.
     """

@@ -1,14 +1,15 @@
-"""Chunk-parallel RAS ingestion: fan line-aligned chunks out to a pool.
+"""The RAS file reader: line-aligned chunks, parsed in-process or in a pool.
 
-:func:`parallel_read_ras_frame` mirrors one full pass of the serial
-validating reader, :func:`repro.logs.stream.iter_ras_chunks`, exactly,
-but splits the file into byte-range chunks
-(:mod:`repro.parallel.chunking`), parses each in a ``multiprocessing``
-worker (:mod:`repro.parallel.workers`), and merges deterministically
-(:mod:`repro.parallel.merge`). The result — frame, quarantine report,
-or raised ``IngestError``/``IngestAbortError`` — is bit-identical to
-the serial parse under every policy. The job log has no pool: it is
-read serially, as one block.
+:func:`parallel_read_ras_frame` is the one reader of a written RAS
+file, at every worker count. It splits the data region into byte-range
+chunks (:mod:`repro.parallel.chunking`), parses each
+(:mod:`repro.parallel.workers`), and merges them deterministically
+(:mod:`repro.parallel.merge`). One planned chunk (``workers=1``) is
+parsed in the calling process; several go to a ``multiprocessing``
+pool. The result — frame, quarantine report, or raised
+``IngestError``/``IngestAbortError`` — is bit-identical to a
+line-by-line parse under every policy, whatever the chunking. The job
+log has no pool: it is read serially, as one block.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def resolve_workers(workers: int) -> int:
 def _run_chunks(worker, tasks: list, workers: int) -> list:
     """Map *worker* over chunk *tasks*, pooled when it pays off."""
     n = min(workers, len(tasks))
-    if n <= 1 or len(tasks) <= 1:
+    if n <= 1:
         chunks = [worker(t) for t in tasks]
     else:
         methods = multiprocessing.get_all_start_methods()
@@ -86,9 +87,9 @@ def note_parse_chunk(
 ) -> None:
     """Telemetry of one parsed chunk of a log's data lines.
 
-    Every text reader notes its chunks here — the pool's, the serial
-    RAS reader's 100k-row chunks and the job reader's one chunk — so a
-    serial and a parallel parse of the same file give the same
+    Every text reader notes its chunks here — the RAS reader's planned
+    chunks (one at ``workers=1``) and the job reader's one chunk — so
+    parses of the same file at any worker count give the same
     ``ingest.chunk.records`` (data lines read, bad ones included) and
     ``ingest.chunk.bytes`` totals, one
     ``ingest.chunk.wall_s`` sample per chunk, and one
@@ -119,17 +120,17 @@ def parallel_read_ras_frame(
     chunk_bounds: list[tuple[int, int]] | None = None,
     fatal_only: bool = False,
 ) -> Frame:
-    """Parse a written RAS log in parallel; disk-layout frame out.
+    """Parse a written RAS log in line-aligned chunks; RAS frame out.
 
-    *chunk_bounds* overrides the planned byte ranges (tests use it to
-    pin defects onto chunk boundaries). The returned frame carries the
-    in-memory RAS columns; an empty data region yields a typed empty
-    frame the caller may swap for ``empty_ras_log()``. With
-    *fatal_only* the frame holds the FATAL rows only, as the serial
-    ``iter_ras_chunks(fatal_only=True)`` gives them: each worker checks
-    every line of its range but builds and ships cells for its FATAL
-    candidates only, and the merge reads the sample of a candidate it
-    rejects back from the file.
+    The data region is planned as up to *workers* chunks (0 = one per
+    available CPU); *chunk_bounds* overrides the planned byte ranges
+    (tests use it to pin defects onto chunk boundaries). The returned
+    frame carries the in-memory RAS columns; an empty data region
+    yields a frame the caller may swap for ``empty_ras_log()``. With
+    *fatal_only* the frame holds the FATAL rows only: each chunk checks
+    every line of its range but builds cells for its FATAL candidates
+    only, and the merge reads the sample of a candidate it rejects back
+    from the file.
     """
     from repro.logs.textio import check_ras_header
 

@@ -1,17 +1,17 @@
-"""Per-chunk parse workers for the RAS process pool.
+"""The per-chunk parse of the RAS file reader.
 
-Each worker parses one line-aligned byte range of a RAS log with the
-**context-free** subset of the validating parsers — structure, typed
-cells, vocabulary — exactly as the serial readers would. Cross-record
-state (duplicate recids, time ordering) cannot be decided inside a
-chunk, so workers return *candidate* rows plus per-line defects in
-chunk-local coordinates; :mod:`repro.parallel.merge` replays the
-cross-record checks and the ingest policy over the merged stream. A
-FATAL-only read projects here, in the worker, as the serial reader
-does per batch.
+:func:`parse_ras_chunk` parses one line-aligned byte range of a RAS log
+with the **context-free** checks of the block kernel — structure, typed
+cells, vocabulary. Cross-record state (duplicate recids, time
+ordering) cannot be decided inside a chunk, so it returns *candidate*
+rows plus per-line defects in chunk-local coordinates;
+:mod:`repro.parallel.merge` replays the cross-record checks and the
+ingest policy over the merged stream. A FATAL-only read projects here,
+batch by batch.
 
-Worker functions take a single picklable task tuple so they can be
-dispatched with ``Pool.map`` under any start method.
+It takes a single picklable task tuple, so it runs the same in the
+calling process (one chunk) or under ``Pool.map`` with any start
+method.
 """
 
 from __future__ import annotations
@@ -59,8 +59,7 @@ class RasChunk:
 
 def iter_line_batches(path: str, start: int, end: int) -> Iterator[list[str]]:
     """The data lines of the byte range ``[start, end)`` of *path*, in
-    batches of about the serial reader's
-    :data:`~repro.logs.stream._BATCH_CHARS` bytes.
+    batches of about :data:`~repro.logs.stream._BATCH_CHARS` bytes.
 
     Each batch is extended to the next ``\\n`` byte, so no line,
     ``\\r\\n`` pair or multi-byte character straddles two batches, and

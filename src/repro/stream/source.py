@@ -8,10 +8,10 @@ streaming runner consumes:
 * :class:`LogTailer` polls one file by byte offset, detects rotation
   and truncation through an **inode + offset fingerprint**, never
   consumes an unterminated final line (a half-written record is
-  *pending*, not data — the same discipline
-  :func:`repro.logs.stream.iter_ras_chunks` applies with a
-  :class:`~repro.logs.stream.PartialTail`), and wraps every filesystem
-  call in a configurable :class:`RetryPolicy`;
+  *pending*, not data: :func:`split_complete_lines` is the one place
+  that rule lives, while the batch file reader takes EOF as the end of
+  the data), and wraps every filesystem call in a configurable
+  :class:`RetryPolicy`;
 * :class:`RetryPolicy` classifies retryable errnos and schedules
   exponential backoff with seeded jitter under an overall deadline;
   when the deadline passes, the poll **degrades** instead of raising —

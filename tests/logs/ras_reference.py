@@ -15,7 +15,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.frame import Frame
+from repro.frame import Frame, concat
 from repro.logs.quarantine import (
     DefectClass,
     IngestPolicy,
@@ -25,7 +25,7 @@ from repro.logs.quarantine import (
     handle_bad_record,
 )
 from repro.logs.ras import RAS_COLUMNS, RasLog, empty_ras_log
-from repro.logs.stream import _DISK_COLUMNS, PartialTail, classify_ras_fields
+from repro.logs.stream import _DISK_COLUMNS, classify_ras_fields
 from repro.stream.source import RasFeedParser
 
 
@@ -88,21 +88,16 @@ def iter_ras_chunks_by_line(
     chunk_rows: int = 100_000,
     policy: IngestPolicy | str | None = None,
     report: QuarantineReport | None = None,
-    partial: PartialTail | None = None,
 ) -> Iterator[RasLog]:
-    """The per-line serial reader: same contract as ``iter_ras_chunks``."""
+    """The per-line reader: every data line in order, *chunk_rows*
+    accepted rows a chunk, one typed empty chunk for an empty or
+    header-only file. Its chunks concatenate to ``read_ras_log``'s
+    frame, and its report and raises are that read's."""
     pol = coerce_policy(policy)
     if report is None:
         report = pol.new_report(str(path))
-    if partial is not None:
-        partial.clear()
     with open(path, "r", encoding="utf-8-sig", errors="replace") as fh:
-        raw_header = fh.readline()
-        if partial is not None and raw_header and not raw_header.endswith("\n"):
-            partial.hold(raw_header, 1)
-            yield empty_ras_log()
-            return
-        header = raw_header.rstrip("\r\n")
+        header = fh.readline().rstrip("\r\n")
         if not header:
             yield empty_ras_log()
             return
@@ -115,9 +110,6 @@ def iter_ras_chunks_by_line(
         times: list[float] = []
         yielded = False
         for line_no, line in enumerate(fh, start=2):
-            if partial is not None and not line.endswith("\n"):
-                partial.hold(line, line_no)
-                break
             text = line.rstrip("\r\n")
             report.total_rows += 1
             defect, parsed = classify_ras_line(text, cursor)
@@ -130,14 +122,41 @@ def iter_ras_chunks_by_line(
             recids.append(recid)
             times.append(event_time)
             if len(buffer) >= chunk_rows:
+                report.note_clean_times(times)
                 yield rows_to_log(buffer, recids, times)
                 buffer, recids, times = [], [], []
                 yielded = True
+        report.note_clean_times(times)
         finish_ingest(pol, report)
         if buffer:
             yield rows_to_log(buffer, recids, times)
         elif not yielded:
             yield empty_ras_log()
+
+
+def read_ras_log_by_line(
+    path: str | Path,
+    policy: IngestPolicy | str | None = None,
+    fatal_only: bool = False,
+) -> RasLog:
+    """What ``read_ras_log`` returns, from the per-line reader.
+
+    The report is attached under a non-strict policy; with *fatal_only*
+    the frame holds the FATAL rows while the count and span cover every
+    accepted row.
+    """
+    pol = coerce_policy(policy)
+    report = pol.new_report(str(path))
+    log = RasLog(concat([
+        c.frame for c in iter_ras_chunks_by_line(path, policy=pol, report=report)
+    ]))
+    if fatal_only:
+        log = RasLog(
+            log.fatal().frame, records=report.clean_rows,
+            span=report.clean_span,
+        )
+    log.quarantine = None if pol.is_strict else report
+    return log
 
 
 class LineRasFeedParser(RasFeedParser):

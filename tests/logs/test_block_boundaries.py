@@ -1,12 +1,12 @@
 """Defects pinned on the boundaries the block readers introduce.
 
-The serial reader classifies a file in ``readlines`` batches of
-``_BATCH_CHARS`` characters and yields ``chunk_rows``-row chunks, the
-pool workers split it into byte ranges, and the tailer sees it one poll
-at a time. Fallback rows, duplicate recids and out-of-order times placed
-right at those seams — and on a ``PartialTail`` pending line — must give
-exactly what the per-line reference readers give: the same chunks,
-frame bytes, quarantine report, strict raise and abort point.
+The file reader classifies each byte-range chunk in batches of about
+``_BATCH_CHARS`` bytes (one chunk at ``workers=1``, planned or forced
+chunks otherwise), and the tailer sees a file one poll at a time, with
+an unterminated final line pending. Fallback rows, duplicate recids and
+out-of-order times placed right at those seams must give exactly what
+the per-line reference readers give: the same frame bytes, quarantine
+report, strict raise and abort point.
 """
 
 from datetime import datetime, timedelta, timezone
@@ -14,18 +14,15 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
-from repro.frame import concat
-from repro.logs import IngestAbortError, IngestError, IngestPolicy
-from repro.logs.stream import (
-    _BATCH_CHARS,
-    _DISK_COLUMNS,
-    PartialTail,
-    iter_ras_chunks,
-)
+from repro.logs import IngestAbortError, IngestError, IngestPolicy, RasLog
+from repro.logs.ras import empty_ras_log
+from repro.logs.stream import _DISK_COLUMNS
+from repro.logs.textio import read_ras_log
 from repro.parallel import parallel_read_ras_frame, scan_header
-from repro.stream.source import RasFeedParser
+from repro.parallel.workers import iter_line_batches
+from repro.stream.source import LogTailer, RasFeedParser
 
-from tests.logs.ras_reference import LineRasFeedParser, iter_ras_chunks_by_line
+from tests.logs.ras_reference import LineRasFeedParser, read_ras_log_by_line
 
 HEADER = "|".join(
     f"{name}:{'int' if name == 'recid' else 'str'}" for name in _DISK_COLUMNS
@@ -72,9 +69,9 @@ def _write(path, rows, terminate_last=True):
 
 
 def _first_batch_len(path) -> int:
-    with open(path, "r", encoding="utf-8-sig", errors="replace") as fh:
-        fh.readline()
-        return len(fh.readlines(_BATCH_CHARS))
+    """Lines in the first batch of a chunk that starts at the data."""
+    _, start = scan_header(path)
+    return len(next(iter_line_batches(str(path), start, path.stat().st_size)))
 
 
 @pytest.fixture(scope="module")
@@ -130,26 +127,46 @@ def _error_state(exc):
     return ("abort", str(exc), _report_state(exc.report))
 
 
-def serial_outcome(reader, path, policy, chunk_rows=100_000, partial=None):
+def bounds_after(path, splits):
+    """Chunk bounds cutting the data region after the given row counts."""
+    _, start = scan_header(path)
+    raw = path.read_bytes()
+    ends = [start]
+    while ends[-1] < len(raw):
+        ends.append(raw.index(b"\n", ends[-1]) + 1)
+    cuts = [start] + [ends[k] for k in splits] + [len(raw)]
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
+def read_with_bounds(path, policy, bounds, workers=1, fatal_only=False):
+    """``read_ras_log`` with forced chunk *bounds*: in this process at
+    one worker, in a pool otherwise."""
     report = policy.new_report(str(path))
-    sizes, frames, error = [], [], None
-    try:
-        for chunk in reader(path, chunk_rows=chunk_rows, policy=policy,
-                            report=report, partial=partial):
-            sizes.append((len(chunk), report.total_rows))
-            frames.append(chunk.frame)
-    except (IngestError, IngestAbortError) as exc:
-        error = _error_state(exc)
-    pending = None if partial is None else (partial.text, partial.line_no)
-    frame = _frame_state(concat(frames)) if frames else None
-    return sizes, frame, _report_state(report), error, pending
-
-
-def _reference_frame_outcome(path, policy):
-    sizes, frame, report, error, _ = serial_outcome(
-        iter_ras_chunks_by_line, path, policy
+    frame = parallel_read_ras_frame(
+        path, policy=policy, report=report, workers=workers,
+        chunk_bounds=bounds, fatal_only=fatal_only,
     )
-    return frame if error is None else None, report, error
+    if not frame.num_rows:
+        frame = empty_ras_log().frame
+    log = RasLog(frame)
+    if fatal_only:
+        log = RasLog(frame, records=report.clean_rows, span=report.clean_span)
+    log.quarantine = None if policy.is_strict else report
+    return log
+
+
+def read_outcome(read):
+    """Frame, report and raise of ``read()``, a ``read_ras_log``-like call."""
+    try:
+        log = read()
+    except (IngestError, IngestAbortError) as exc:
+        return None, None, _error_state(exc)
+    report = None if log.quarantine is None else _report_state(log.quarantine)
+    return _frame_state(log.frame), report, None
+
+
+def reference_outcome(path, policy):
+    return read_outcome(lambda: read_ras_log_by_line(path, policy))
 
 
 class TestBatchBoundary:
@@ -158,23 +175,32 @@ class TestBatchBoundary:
         "chunking", ["seam-1", "seam", "seam+1", "small", "default"]
     )
     def test_serial_matches_line_reference(self, seam, policy, chunking):
+        """One reader at one, two and three workers, and on chunk seams
+        forced around the batch seam, parsed in this process."""
         path, _, last = seam
-        # the "seam" sizes end a chunk on the lines around the batch seam
-        # (one row before it is bad, so chunk k ends on line k + 1)
-        chunk_rows = {
-            "seam-1": last - 1, "seam": last, "seam+1": last + 1,
-            "small": 7, "default": 100_000,
+        want = reference_outcome(path, policy)
+        if chunking == "default":
+            for workers in (1, 2, 3):
+                got = read_outcome(
+                    lambda: read_ras_log(path, policy=policy, workers=workers)
+                )
+                assert got == want, workers
+            return
+        # "seam" cuts a chunk after the batch's last line; "small" cuts
+        # seven-line chunks across the defects on either side of it
+        splits = {
+            "seam-1": [last], "seam": [last + 1], "seam+1": [last + 2],
+            "small": list(range(last - 13, last + 15, 7)),
         }[chunking]
-        got = serial_outcome(iter_ras_chunks, path, policy, chunk_rows)
-        want = serial_outcome(
-            iter_ras_chunks_by_line, path, policy, chunk_rows
+        got = read_outcome(
+            lambda: read_with_bounds(path, policy, bounds_after(path, splits))
         )
         assert got == want
 
     def test_quarantine_sees_every_seam_defect(self, seam):
         path, _, last = seam
-        _, _, report, error, _ = serial_outcome(
-            iter_ras_chunks, path, IngestPolicy(mode="quarantine")
+        _, report, error = read_outcome(
+            lambda: read_ras_log(path, policy=IngestPolicy(mode="quarantine"))
         )
         assert error is None
         first = last + 2  # physical line of data index 0 is 2
@@ -193,21 +219,10 @@ class TestBatchBoundary:
     @pytest.mark.parametrize("split", [0, 1, 2])
     def test_two_workers_match_line_reference(self, seam, policy, split):
         path, _, last = seam
-        _, start = scan_header(path)
-        raw = path.read_bytes()
-        cut = start
-        for _ in range(last + split):
-            cut = raw.index(b"\n", cut) + 1
-        report = policy.new_report(str(path))
-        try:
-            frame = parallel_read_ras_frame(
-                path, policy=policy, report=report, workers=2,
-                chunk_bounds=[(start, cut), (cut, len(raw))],
-            )
-            got = (_frame_state(frame), _report_state(report), None)
-        except (IngestError, IngestAbortError) as exc:
-            got = (None, _report_state(report), _error_state(exc))
-        assert got == _reference_frame_outcome(path, policy)
+        got = read_outcome(lambda: read_with_bounds(
+            path, policy, bounds_after(path, [last + split]), workers=2
+        ))
+        assert got == reference_outcome(path, policy)
 
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("split", [0, 1, 2])
@@ -236,12 +251,14 @@ def feed_outcome(parser_cls, policy, polls):
 
 
 class TestPartialTail:
+    """A growing file's unterminated final line stays pending in the
+    tailer, unclassified, and is classified once its newline lands."""
+
     @pytest.mark.parametrize(
         "policy", [POLICIES[0], POLICIES[1], POLICIES[4]]
     )
     def test_pending_line_after_a_full_batch(self, seam, tmp_path, policy):
-        """The held fragment is the whole second batch: a duplicate
-        that must stay pending, then classify once its newline lands."""
+        """The held fragment is a duplicate right after the batch seam."""
         _, rows, last = seam
         path = _write(tmp_path / "growing.log", rows[: last + 2],
                       terminate_last=False)
@@ -257,24 +274,21 @@ class TestPartialTail:
         self._assert_same(path, policy)
 
     def _assert_same(self, path, policy):
-        for chunk_rows in (5, 100_000):
-            got_tail, want_tail = PartialTail(), PartialTail()
-            got = serial_outcome(
-                iter_ras_chunks, path, policy, chunk_rows, got_tail
-            )
-            want = serial_outcome(
-                iter_ras_chunks_by_line, path, policy, chunk_rows, want_tail
-            )
-            assert got == want
-            assert got[4][0] is not None or got[3] is not None
+        tailer = LogTailer(path)
+        first = tailer.poll()
+        fragment = path.read_text(encoding="utf-8").rsplit("\n", 1)[1]
+        assert first.lines and fragment not in first.lines
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("\n")
-        got = serial_outcome(iter_ras_chunks, path, policy, 5, PartialTail())
-        want = serial_outcome(
-            iter_ras_chunks_by_line, path, policy, 5, PartialTail()
+        second = tailer.poll()
+        assert second.lines == [fragment]
+        polls = [first.lines, second.lines]
+        got = feed_outcome(RasFeedParser, policy, polls)
+        assert got == feed_outcome(LineRasFeedParser, policy, polls)
+        # what the polls deliver is the whole file, read line by line
+        assert sum(len(p) for p in polls) == len(
+            path.read_text(encoding="utf-8").splitlines()
         )
-        assert got == want
-        assert got[4] == (None, 0)
 
 
 def test_cursor_state_crosses_batches_for_recids_below_the_max(tmp_path):
@@ -284,9 +298,13 @@ def test_cursor_state_crosses_batches_for_recids_below_the_max(tmp_path):
     rows[-1][0] = rows[5][0]
     path = _write(tmp_path / "long.log", rows)
     policy = IngestPolicy(mode="quarantine")
-    got = serial_outcome(iter_ras_chunks, path, policy)
-    assert got == serial_outcome(iter_ras_chunks_by_line, path, policy)
-    assert got[2][1] == {"duplicate_recid": 1}
-    assert np.frombuffer(got[1]["recid"][1], dtype=np.int64).size == (
+    want = reference_outcome(path, policy)
+    for workers in (1, 2, 3):
+        got = read_outcome(
+            lambda: read_ras_log(path, policy=policy, workers=workers)
+        )
+        assert got == want, workers
+    assert want[1][1] == {"duplicate_recid": 1}
+    assert np.frombuffer(want[0]["recid"][1], dtype=np.int64).size == (
         2 * N_ROWS - 1
     )

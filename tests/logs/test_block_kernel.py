@@ -3,9 +3,9 @@
 ``parse_ras_block`` must give, for any list of lines, exactly what
 ``classify_ras_fields`` gives line by line: the same defect class for a
 rejected line and, for an accepted one, the same cells, the same recid
-and the same event-time float, bit for bit. The readers built on it
+and the same event-time float, bit for bit. The file reader built on it
 must in turn match the per-line reference reader in
-``tests.logs.ras_reference``.
+``tests.logs.ras_reference``, whatever its chunking.
 """
 
 from datetime import datetime, timedelta, timezone
@@ -15,17 +15,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.frame import concat
 from repro.logs import IngestPolicy
 from repro.logs.ras import COMPONENTS, SEVERITIES
 from repro.logs.stream import (
     _DISK_COLUMNS,
     classify_ras_fields,
-    iter_ras_chunks,
     parse_ras_block,
 )
+from repro.logs.textio import read_ras_log
+from repro.parallel import scan_header
 
-from tests.logs.ras_reference import iter_ras_chunks_by_line
+from tests.logs.ras_reference import read_ras_log_by_line
+from tests.logs.test_block_boundaries import read_with_bounds
 
 HEADER = "|".join(
     f"{name}:{'int' if name == 'recid' else 'str'}" for name in _DISK_COLUMNS
@@ -236,23 +237,17 @@ def test_kernel_matches_per_line(lines):
 
 
 # ----------------------------------------------------------------------
-# the serial reader on files: endings, BOM, batches, cross-record checks
+# the file reader on files: endings, BOM, batches, cross-record checks
 
 
-def _read(reader, path, policy, chunk_rows):
-    report = policy.new_report(str(path))
-    chunks = list(
-        reader(path, chunk_rows=chunk_rows, policy=policy, report=report)
-    )
+def _read(read):
+    log = read()
+    report = log.quarantine
     samples = {
         d: [(r.line_no, r.text) for r in recs]
         for d, recs in report.samples.items()
     }
-    return (
-        [len(c) for c in chunks],
-        concat([c.frame for c in chunks]),
-        (report.total_rows, report.as_dict(), samples),
-    )
+    return log.frame, (report.total_rows, report.as_dict(), samples)
 
 
 def _frames_identical(a, b):
@@ -263,6 +258,15 @@ def _frames_identical(a, b):
             assert list(a[col]) == list(b[col]), col
         else:
             assert a[col].tobytes() == b[col].tobytes(), col
+
+
+def _line_bounds(path, ending):
+    """One chunk per data line: a cut after every line ending."""
+    raw = path.read_bytes()
+    cuts = [scan_header(path)[1]]
+    while cuts[-1] < len(raw):
+        cuts.append(raw.index(ending.encode(), cuts[-1]) + len(ending))
+    return list(zip(cuts[:-1], cuts[1:]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -277,11 +281,12 @@ def _frames_identical(a, b):
     ),
     st.sampled_from(["\n", "\r\n", "\r"]),
     st.booleans(),
-    st.integers(1, 7),
+    st.integers(1, 3),
 )
 def test_reader_matches_line_reference(tmp_path_factory, spec, ending, bom,
-                                       chunk_rows):
-    """Duplicates, time regressions and fallback rows, any line ending."""
+                                       workers):
+    """Duplicates, time regressions and fallback rows, any line ending,
+    at any worker count and with a chunk seam after every line."""
     lines = [HEADER]
     for recid, second, kind in spec:
         cells = {
@@ -299,15 +304,14 @@ def test_reader_matches_line_reference(tmp_path_factory, spec, ending, bom,
     data = ending.join(lines) + ending
     path.write_bytes((b"\xef\xbb\xbf" if bom else b"") + data.encode())
     policy = IngestPolicy(mode="quarantine")
-    got_sizes, got, got_report = _read(
-        iter_ras_chunks, path, policy, chunk_rows
-    )
-    want_sizes, want, want_report = _read(
-        iter_ras_chunks_by_line, path, policy, chunk_rows
-    )
-    assert got_sizes == want_sizes
-    assert got_report == want_report
-    _frames_identical(got, want)
+    want, want_report = _read(lambda: read_ras_log_by_line(path, policy))
+    for read in (
+        lambda: read_ras_log(path, policy=policy, workers=workers),
+        lambda: read_with_bounds(path, policy, _line_bounds(path, ending)),
+    ):
+        got, got_report = _read(read)
+        assert got_report == want_report
+        _frames_identical(got, want)
 
 
 def test_recid_beyond_int64_is_quarantined(tmp_path):
@@ -319,8 +323,7 @@ def test_recid_beyond_int64_is_quarantined(tmp_path):
         encoding="utf-8",
     )
     policy = IngestPolicy(mode="quarantine")
-    for reader in (iter_ras_chunks, iter_ras_chunks_by_line):
-        report = policy.new_report()
-        (chunk,) = reader(path, policy=policy, report=report)
-        assert chunk.frame["recid"].tolist() == [8]
-        assert report.as_dict() == {"bad_field": 1}
+    for read in (read_ras_log, read_ras_log_by_line):
+        log = read(path, policy=policy)
+        assert log.frame["recid"].tolist() == [8]
+        assert log.quarantine.as_dict() == {"bad_field": 1}

@@ -2,11 +2,12 @@
 
 ``read_ras_log(path, fatal_only=True)`` checks every line exactly as the
 full read does but keeps cells only for the FATAL rows. Whatever the
-policy, reader width or cache state, it must give the full read's FATAL
-frame bit for bit, its record count and time span, the same quarantine
-report, or the same raise. The hand-built logs pin the traps: a FATAL
-row that only an earlier non-FATAL row rejects, a log with no FATAL row
-at all, and FATAL rows on the reader's batch and chunk seams.
+policy, worker count, chunk bounds or cache state, it must give the
+FATAL frame of the per-line reference read bit for bit, its record
+count and time span, the same quarantine report, or the same raise. The
+hand-built logs pin the traps: a FATAL row that only an earlier
+non-FATAL row rejects, a log with no FATAL row at all, and FATAL rows
+on the reader's batch and chunk seams.
 """
 
 import contextlib
@@ -30,12 +31,18 @@ from repro.logs import (
     write_job_log,
     write_ras_log,
 )
-from repro.logs.stream import _BATCH_CHARS, iter_ras_chunks
+from repro.logs.stream import _BATCH_CHARS
 from repro.obs import get_metrics, read_manifest
 from repro.parallel import ParseCache
 
+from tests.logs.ras_reference import read_ras_log_by_line
 from tests.logs.test_block_boundaries import _frame_state as frame_state
-from tests.logs.test_block_boundaries import _stamp, _write
+from tests.logs.test_block_boundaries import (
+    _stamp,
+    _write,
+    bounds_after,
+    read_with_bounds,
+)
 from tests.logs.test_job import make_job
 from tests.logs.test_ras import make_record
 
@@ -66,9 +73,10 @@ def error_state(exc):
 
 
 def full_outcome(path, policy):
-    """What the FATAL-only read must reproduce, taken from the full read."""
+    """What the FATAL-only read must reproduce, taken from the full
+    per-line reference read."""
     try:
-        log = read_ras_log(path, policy=policy)
+        log = read_ras_log_by_line(path, policy=policy)
     except (IngestError, IngestAbortError) as exc:
         return ("raise", error_state(exc))
     return (
@@ -80,9 +88,16 @@ def full_outcome(path, policy):
     )
 
 
-def fatal_outcome(path, policy, **kwargs):
+def fatal_outcome(path, policy, bounds=None, **kwargs):
+    """The FATAL-only read and its cache status, through ``read_ras_log``
+    or, with *bounds*, on forced chunk bounds."""
+    status = None
     try:
-        log = read_ras_log(path, policy=policy, fatal_only=True, **kwargs)
+        if bounds is None:
+            log = read_ras_log(path, policy=policy, fatal_only=True, **kwargs)
+            status = log.cache_status
+        else:
+            log = read_with_bounds(path, policy, bounds, fatal_only=True)
     except (IngestError, IngestAbortError) as exc:
         return ("raise", error_state(exc)), None
     assert set(log.frame["severity"].tolist()) <= {"FATAL"}
@@ -92,7 +107,7 @@ def fatal_outcome(path, policy, **kwargs):
         log.num_records,
         log.time_span() if log.num_records else None,
         None if log.quarantine is None else log.quarantine.render(),
-    ), log.cache_status
+    ), status
 
 
 @pytest.fixture(scope="module")
@@ -121,18 +136,25 @@ def corrupted_ras(request, clean_ras, tmp_path_factory):
 
 
 class TestCorruptedLogs:
-    """Every policy, through the serial reader, the pool and the cache."""
+    """Every policy, at one to three workers, on forced chunk bounds
+    and through the cache."""
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_serial(self, corrupted_ras, policy):
+        want = full_outcome(corrupted_ras, policy)
         got, status = fatal_outcome(corrupted_ras, policy)
-        assert got == full_outcome(corrupted_ras, policy)
+        assert got == want
         assert status is None
+        # a chunk seam every 97 lines, all parsed in this process
+        bounds = bounds_after(corrupted_ras, list(range(97, 600, 97)))
+        assert fatal_outcome(corrupted_ras, policy, bounds)[0] == want
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_two_workers(self, corrupted_ras, policy):
-        got, _ = fatal_outcome(corrupted_ras, policy, workers=2)
-        assert got == full_outcome(corrupted_ras, policy)
+        want = full_outcome(corrupted_ras, policy)
+        for workers in (2, 3):
+            got, _ = fatal_outcome(corrupted_ras, policy, workers=workers)
+            assert got == want, workers
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_cache_miss_then_hit(self, corrupted_ras, policy, tmp_path):
@@ -155,7 +177,7 @@ class TestTraps:
     """Verdicts on FATAL rows that only the non-FATAL rows decide."""
 
     def _both(self, path, policy="quarantine"):
-        full = read_ras_log(path, policy=policy)
+        full = read_ras_log_by_line(path, policy=policy)
         fatal = read_ras_log(path, policy=policy, fatal_only=True)
         assert frame_state(fatal.frame) == frame_state(full.fatal().frame)
         assert fatal.num_records == len(full)
@@ -173,7 +195,7 @@ class TestTraps:
         assert fatal.frame["recid"].tolist() == [3]
         assert fatal.quarantine.as_dict() == {"out_of_order_time": 1}
         with pytest.raises(IngestError) as want:
-            read_ras_log(path)
+            read_ras_log_by_line(path)
         with pytest.raises(IngestError) as got:
             read_ras_log(path, fatal_only=True)
         assert error_state(got.value) == error_state(want.value)
@@ -248,7 +270,7 @@ class TestNoFatalRows:
 
     def test_analyze_report_equals_full_read(self, logs, tmp_path):
         ras, job = logs
-        full = read_ras_log(ras)
+        full = read_ras_log_by_line(ras)
         fatal = read_ras_log(ras, fatal_only=True)
         assert len(fatal) == 0 and fatal.num_records == 39
         assert fatal.time_span() == full.time_span()
@@ -283,8 +305,8 @@ class TestNoFatalRows:
 
 
 class TestSeams:
-    """FATAL rows and defects on the 1 MB batch seam and the 100k-row
-    chunk seam of the serial reader, and on the pool's chunk seam."""
+    """FATAL rows and defects on the 1 MB batch seam, and on chunk seams
+    placed there and 100k rows in."""
 
     N_ROWS = 100_010
 
@@ -296,8 +318,8 @@ class TestSeams:
         with open(probe, encoding="utf-8") as fh:
             fh.readline()
             last = len(fh.readlines(_BATCH_CHARS)) - 1  # batch 1's last row
-        # two rows are rejected below, so the first 100k-row chunk ends
-        # on data row 100_001
+        # two rows are rejected below, so 100k accepted rows end on data
+        # row 100_001
         chunk = 100_001
         for i in (last - 1, last, last + 1, *range(chunk - 1, chunk + 3)):
             rows[i][2] = "FATAL"
@@ -310,22 +332,27 @@ class TestSeams:
     def test_serial_and_pool(self, seams, policy):
         path, _ = seams
         want = full_outcome(path, policy)
-        assert fatal_outcome(path, policy)[0] == want
-        assert fatal_outcome(path, policy, workers=2)[0] == want
+        for workers in (1, 2, 3):
+            assert fatal_outcome(path, policy, workers=workers)[0] == want
 
     def test_chunks_close_where_the_full_read_closes(self, seams):
+        """Chunk seams on the batch seam and 100k rows in: the FATAL read
+        is the full read's FATAL rows, chunk by chunk."""
         path, last = seams
         pol = IngestPolicy(mode="quarantine")
-        full = list(iter_ras_chunks(path, policy=pol))
-        fatal = list(iter_ras_chunks(path, policy=pol, fatal_only=True))
-        assert [len(c) for c in full] == [100_000, 8]
-        assert len(fatal) == len(full)
-        for got, want in zip(fatal, full):
-            assert frame_state(got.frame) == frame_state(want.fatal().frame)
-        assert fatal[0].frame["recid"].tolist() == [
-            last, last + 1, last + 2, 100_001, 100_002
-        ]
-        assert fatal[1].frame["recid"].tolist() == [100_003, 100_004]
+        want = read_ras_log_by_line(path, policy=pol)
+        for splits in ([last + 1], [100_001], [last, last + 3, 100_002]):
+            bounds = bounds_after(path, splits)
+            full = read_with_bounds(path, pol, bounds)
+            fatal = read_with_bounds(path, pol, bounds, fatal_only=True)
+            assert frame_state(full.frame) == frame_state(want.frame)
+            assert frame_state(fatal.frame) == frame_state(
+                want.fatal().frame
+            )
+            assert fatal.quarantine.render() == want.quarantine.render()
+            assert fatal.frame["recid"].tolist() == [
+                last, last + 1, last + 2, 100_001, 100_002, 100_003, 100_004
+            ]
 
 
 class TestTelemetry:

@@ -1,9 +1,9 @@
 """The text readers build string columns of shared ``str`` objects.
 
 Every string column a text reader returns holds one object per
-distinct value — per file for the serial RAS reader and the job reader,
-per chunk for the RAS pool, per call for the feed parsers — so a parsed log costs a pointer
-per cell instead of a string per cell. The values themselves must not
+distinct value — per chunk for the RAS reader (so per file at one
+worker), per file for the job reader, per call for the feed parsers —
+so a parsed log costs a pointer per cell instead of a string per cell. The values themselves must not
 change: they still equal the per-line oracle's.
 """
 
@@ -23,7 +23,7 @@ from repro.stream.source import JobFeedParser, RasFeedParser
 from tests.frame.delim_reference import read_delimited_by_line
 from tests.logs.ras_reference import LineRasFeedParser, iter_ras_chunks_by_line
 
-#: a 3 MB RAS log: the serial reader's 1M-character batches split it
+#: a 3 MB RAS log: the chunk reader's 1 MB batches split it
 SEED, SCALE = 2011, 0.01
 #: the most bytes a parsed row may keep alive: with shared strings a RAS
 #: row keeps about 86 and a job row about 105, with one string per cell

@@ -1,9 +1,12 @@
-"""Unit tests for streaming RAS log access."""
+"""Unit tests for reading whole RAS log files, and the growing-file rule."""
 
 import pytest
 
-from repro.logs import IngestPolicy, RasLog, write_ras_log
-from repro.logs.stream import PartialTail, iter_ras_chunks
+from repro.logs import IngestError, RasLog, read_ras_log, write_ras_log
+from repro.obs import Tracer, get_metrics
+from repro.parallel import plan_chunks, scan_header
+from repro.stream.source import Feed
+from tests.logs.ras_reference import read_ras_log_by_line
 from tests.logs.test_block_boundaries import _frame_state as frame_state
 from tests.logs.test_ras import make_record
 
@@ -19,48 +22,61 @@ def big_log(tmp_path):
     return path
 
 
+def parse_chunk_spans(path, workers):
+    """The read's ``ingest.parse.chunk`` spans, and the log it gave."""
+    tracer = Tracer()
+    get_metrics().reset()
+    with tracer.activate(root="run"):
+        log = read_ras_log(path, workers=workers)
+    return [s for s in tracer.spans if s.name == "ingest.parse.chunk"], log
+
+
 class TestChunking:
     def test_chunks_cover_everything(self, big_log):
-        chunks = list(iter_ras_chunks(big_log, chunk_rows=128))
-        assert sum(len(c) for c in chunks) == 1000
-        assert len(chunks) == 8  # ceil(1000/128)
+        _, data_start = scan_header(big_log)
+        for workers in (1, 2, 3):
+            spans, log = parse_chunk_spans(big_log, workers)
+            assert len(log) == 1000
+            # one chunk per planned byte range, together every data line
+            assert len(spans) == len(
+                plan_chunks(str(big_log), workers, data_start)
+            ) == workers
+            assert sum(s.rows for s in spans) == 1000
 
     def test_chunk_contents_typed(self, big_log):
-        chunk = next(iter_ras_chunks(big_log, chunk_rows=10))
-        assert chunk.frame["event_time"].dtype.kind == "f"
-        assert chunk.frame["recid"].dtype.kind == "i"
+        log = read_ras_log(big_log, workers=1)
+        assert log.frame["event_time"].dtype.kind == "f"
+        assert log.frame["recid"].dtype.kind == "i"
 
     def test_single_chunk_when_large(self, big_log):
-        chunks = list(iter_ras_chunks(big_log, chunk_rows=10_000))
-        assert len(chunks) == 1
-
-    def test_bad_chunk_rows(self, big_log):
-        with pytest.raises(ValueError):
-            next(iter_ras_chunks(big_log, chunk_rows=0))
+        # one worker parses the whole file as one chunk, in this process
+        (span,), log = parse_chunk_spans(big_log, 1)
+        assert span.rows == len(log) == 1000
+        assert span.note == ""
 
     def test_bad_header_rejected(self, tmp_path):
         p = tmp_path / "bad.log"
         p.write_text("nope:str\nx\n")
         with pytest.raises(ValueError, match="header"):
-            next(iter_ras_chunks(p))
+            read_ras_log(p)
 
     def test_bad_header_rejected_under_any_policy(self, tmp_path):
         # a wrong schema is not a per-record defect; no policy salvages it
         p = tmp_path / "bad.log"
         p.write_text("nope:str\nx\n")
         with pytest.raises(ValueError, match="header"):
-            next(iter_ras_chunks(p, policy="quarantine"))
+            read_ras_log(p, policy="quarantine")
 
 
 class TestDegenerateFiles:
     def test_empty_file_yields_typed_empty_chunk(self, tmp_path):
         p = tmp_path / "empty.log"
         p.write_text("")
-        chunks = list(iter_ras_chunks(p))
-        assert len(chunks) == 1
-        assert len(chunks[0]) == 0
-        assert chunks[0].frame["event_time"].dtype.kind == "f"
-        assert chunks[0].frame["recid"].dtype.kind == "i"
+        for workers in (1, 2):
+            log = read_ras_log(p, workers=workers)
+            assert len(log) == 0
+            assert log.frame["event_time"].dtype.kind == "f"
+            assert log.frame["recid"].dtype.kind == "i"
 
     def test_header_only_file_yields_typed_empty_chunk(self, tmp_path):
         full = tmp_path / "full.log"
@@ -68,14 +84,13 @@ class TestDegenerateFiles:
         header = full.read_text().split("\n")[0]
         p = tmp_path / "header_only.log"
         p.write_text(header + "\n")
-        chunks = list(iter_ras_chunks(p))
-        assert len(chunks) == 1
-        assert len(chunks[0]) == 0
-        assert chunks[0].frame["recid"].dtype.kind == "i"
+        for workers in (1, 2):
+            log = read_ras_log(p, policy="quarantine", workers=workers)
+            assert len(log) == 0
+            assert log.frame["recid"].dtype.kind == "i"
+            assert log.quarantine.total_rows == 0
 
     def test_empty_file_reads_as_empty_log(self, tmp_path):
-        from repro.logs import read_ras_log
-
         p = tmp_path / "empty.log"
         p.write_text("")
         log = read_ras_log(p)
@@ -84,7 +99,9 @@ class TestDegenerateFiles:
 
 
 class TestPartialTail:
-    """A growing file's unterminated final line is pending, not a defect."""
+    """A growing file's unterminated final line is pending, not a defect:
+    the tailer holds it back until its newline lands. The file reader
+    takes EOF as the end of the data instead."""
 
     def _truncated_copy(self, big_log, tmp_path, cut=30):
         text = big_log.read_text()
@@ -95,100 +112,72 @@ class TestPartialTail:
 
     def test_fragment_held_pending_under_strict(self, big_log, tmp_path):
         p, text = self._truncated_copy(big_log, tmp_path)
-        tail = PartialTail()
-        chunks = list(iter_ras_chunks(p, policy="strict", partial=tail))
-        assert sum(len(c) for c in chunks) == 999
-        assert tail.pending
-        assert tail.line_no == 1001
-        assert tail.text == text.rstrip("\n").rsplit("\n", 1)[1][:-30]
+        feed = Feed(p, "ras", policy="strict")
+        assert len(feed.poll().log) == 999
+        fragment = text.rstrip("\n").rsplit("\n", 1)[1][:-30]
+        assert p.read_bytes()[feed.tailer.state.offset:] == fragment.encode()
+        assert feed.parser.lines_seen == 1000  # the header and 999 rows
 
     def test_fragment_not_in_quarantine_report(self, big_log, tmp_path):
-        from repro.logs.quarantine import IngestPolicy
-
         p, _ = self._truncated_copy(big_log, tmp_path)
-        pol = IngestPolicy(mode="quarantine")
-        report = pol.new_report(str(p))
-        tail = PartialTail()
-        list(iter_ras_chunks(p, policy=pol, report=report, partial=tail))
-        assert tail.pending
-        assert report.bad_rows == 0
-        assert report.total_rows == 999
+        feed = Feed(p, "ras", policy="quarantine")
+        assert len(feed.poll().log) == 999
+        assert feed.parser.report.bad_rows == 0
 
     def test_without_holder_fragment_is_a_defect(self, big_log, tmp_path):
-        from repro.logs.quarantine import IngestError
-
         p, _ = self._truncated_copy(big_log, tmp_path)
-        with pytest.raises(IngestError):
-            list(iter_ras_chunks(p, policy="strict"))
+        for workers in (1, 2):
+            with pytest.raises(IngestError):
+                read_ras_log(p, policy="strict", workers=workers)
 
     def test_complete_file_leaves_holder_clear(self, big_log):
-        tail = PartialTail()
-        tail.hold("stale", 99)  # a reused holder is reset per pass
-        chunks = list(iter_ras_chunks(big_log, partial=tail))
-        assert sum(len(c) for c in chunks) == 1000
-        assert not tail.pending
+        feed = Feed(big_log, "ras", policy="strict")
+        assert len(feed.poll().log) == 1000
+        assert feed.tailer.state.offset == big_log.stat().st_size
+        assert feed.poll().status == "idle"
 
     def test_unterminated_header_held_pending(self, big_log, tmp_path):
         header = big_log.read_text().split("\n", 1)[0]
         p = tmp_path / "header_partial.log"
         p.write_text(header[:-5])
-        tail = PartialTail()
-        chunks = list(iter_ras_chunks(p, partial=tail))
-        assert len(chunks) == 1 and len(chunks[0]) == 0
-        assert tail.pending and tail.line_no == 1
+        feed = Feed(p, "ras", policy="strict")
+        assert len(feed.poll().log) == 0
+        assert feed.tailer.state.offset == 0
+        assert feed.parser.header_text is None
 
     def test_reread_after_newline_lands_is_whole(self, big_log, tmp_path):
-        """The tailing loop: re-read from the same file once flushed."""
+        """The tailing loop: poll again once the writer has flushed."""
         text = big_log.read_text()
         p = tmp_path / "growing.log"
         p.write_text(text[:-40])
-        tail = PartialTail()
-        first = sum(len(c) for c in iter_ras_chunks(p, partial=tail))
-        assert first == 999 and tail.pending
+        feed = Feed(p, "ras", policy="strict")
+        first = feed.poll().log
+        assert len(first) == 999
         p.write_text(text)  # writer finishes the line
-        total = sum(len(c) for c in iter_ras_chunks(p, partial=tail))
-        assert total == 1000
-        assert not tail.pending
+        second = feed.poll().log
+        assert len(second) == 1
+        assert second.frame["recid"].tolist() == [1000]
+        assert feed.tailer.state.offset == len(text.encode())
 
 
 class TestScans:
     """The FATAL-only read against the full read it projects."""
 
     def test_severity_counts_match_full_load(self, big_log):
-        from collections import Counter
-
-        from repro.logs import read_ras_log
-
-        streamed = Counter()
-        for chunk in iter_ras_chunks(big_log, chunk_rows=100):
-            streamed.update(chunk.severity_counts())
-        full = read_ras_log(big_log).severity_counts()
-        assert dict(streamed) == full
+        want = read_ras_log_by_line(big_log).severity_counts()
+        for workers in (1, 2, 3):
+            assert read_ras_log(big_log, workers=workers).severity_counts() == want
 
     def test_fatal_only_frame_equals_full_fatal(self, big_log):
-        from repro.logs import read_ras_log
-
-        full = read_ras_log(big_log)
-        for chunk_rows in (1, 64, 100, 999, 1000, 100_000):
-            report = IngestPolicy().new_report(str(big_log))
-            chunks = list(iter_ras_chunks(
-                big_log, chunk_rows=chunk_rows, report=report,
-                fatal_only=True,
-            ))
-            full_chunks = list(iter_ras_chunks(big_log, chunk_rows=chunk_rows))
-            # the same chunks close at the same rows; each is the FATAL part
-            assert len(chunks) == len(full_chunks)
-            for got, want in zip(chunks, full_chunks):
-                assert frame_state(got.frame) == frame_state(
-                    want.fatal().frame
-                )
-            assert report.clean_rows == len(full)
-            assert report.clean_span == full.time_span()
-        projected = read_ras_log(big_log, fatal_only=True)
-        assert frame_state(projected.frame) == frame_state(full.fatal().frame)
-        assert len(projected) == 100
-        assert projected.num_records == len(full)
-        assert projected.time_span() == full.time_span()
+        full = read_ras_log_by_line(big_log)
+        for workers in (1, 2, 3):
+            projected = read_ras_log(big_log, workers=workers, fatal_only=True)
+            assert frame_state(projected.frame) == frame_state(
+                full.fatal().frame
+            )
+            assert len(projected) == 100
+            assert projected.num_records == len(full)
+            assert projected.time_span() == full.time_span()
 
     def test_fatal_only_all_info_is_typed_empty_with_full_span(
         self, tmp_path

@@ -16,7 +16,6 @@ from repro.logs import (
     write_ras_log,
 )
 from repro.logs.stream import parse_ras_block
-from repro.logs.textio import describe_job_record, describe_ras_record
 
 from tests.logs.test_job import make_job
 from tests.logs.test_ras import make_record
@@ -123,16 +122,3 @@ class TestForeignPlatformArtifacts:
         assert back.num_jobs == 3
         assert list(back.frame["executable"]) == list(log.frame["executable"])
 
-
-class TestCards:
-    def test_ras_card_mentions_all_fields(self):
-        log = RasLog.from_records([make_record()])
-        card = describe_ras_record(log.frame.row(0))
-        for label in ("RECID", "MSG_ID", "COMPONENT", "SEVERITY", "LOCATION"):
-            assert label in card
-
-    def test_job_card_mentions_table3_fields(self):
-        log = JobLog.from_records([make_job()])
-        card = describe_job_record(log.frame.row(0))
-        for label in ("Job ID", "Execution File", "Queuing Time", "Location"):
-            assert label in card

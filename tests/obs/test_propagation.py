@@ -80,20 +80,27 @@ class TestForkWorkerPropagation:
         assert "ingest.parse.chunk" in names[0]
 
     def test_inline_fallback_still_attaches(self, ras_file):
-        # workers=2 but a single planned chunk runs inline, not pooled
+        # a single planned chunk runs inline, not pooled, at any width:
+        # one span, carrying every data line and byte
         _, data_start = scan_header(ras_file)
         from repro.parallel.ingest import parallel_read_ras_frame
 
-        tracer = Tracer()
-        get_metrics().reset()
-        with tracer.activate(root="run"):
-            parallel_read_ras_frame(
-                ras_file,
-                policy="quarantine",
-                workers=2,
-                chunk_bounds=plan_chunks(str(ras_file), 1, data_start),
+        for workers in (1, 2):
+            tracer = Tracer()
+            get_metrics().reset()
+            with tracer.activate(root="run"):
+                parallel_read_ras_frame(
+                    ras_file,
+                    policy="quarantine",
+                    workers=workers,
+                    chunk_bounds=plan_chunks(str(ras_file), 1, data_start),
+                )
+            (chunk,) = _parse_chunk_spans(tracer)
+            assert chunk.rows == N_ROWS and chunk.note == ""
+            assert get_metrics().value("ingest.chunk.records") == N_ROWS
+            assert get_metrics().value("ingest.chunk.bytes") == (
+                ras_file.stat().st_size - data_start
             )
-        assert len(_parse_chunk_spans(tracer)) == 1
 
 
 class TestStudyWavePropagation:

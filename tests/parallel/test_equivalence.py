@@ -1,12 +1,12 @@
-"""Parallel/serial bit-identity: every policy, the fuzz corpus, and
-defects crafted to straddle chunk boundaries.
+"""Chunk reader against the per-line reference: every policy, the fuzz
+corpus, and defects crafted to straddle chunk boundaries.
 
 The contract under test: for any input file and any ingest policy, the
-chunk-parallel RAS reader's observable behaviour — frame bytes,
-quarantine counts and samples, strict raises, mid-stream and end-of-file
-aborts — equals the serial reader's exactly, at any worker count and for
-any chunk placement. The job log has one serial reader; it must match
-the per-line reference loop the same way.
+RAS reader's observable behaviour — frame bytes, quarantine counts and
+samples, strict raises, mid-stream and end-of-file aborts — equals the
+per-line reference reader's exactly, at any worker count (one chunk in
+process at one worker) and for any chunk placement. The job log has one
+serial reader; it must match its per-line reference loop the same way.
 """
 
 import numpy as np
@@ -28,6 +28,7 @@ from repro.parallel import parallel_read_ras_frame, scan_header
 from repro.parallel.ingest import resolve_workers
 
 from tests.frame.delim_reference import read_job_log_by_line
+from tests.logs.ras_reference import read_ras_log_by_line
 from tests.logs.test_job import make_job
 from tests.logs.test_ras import make_record
 
@@ -114,20 +115,20 @@ def outcome(reader, path, policy, workers=None):
     return ("ok", cols, rep_state)
 
 
-def assert_equivalent(reader, path, policy, workers=4):
-    assert outcome(reader, path, policy, 1) == outcome(
-        reader, path, policy, workers
-    )
+def assert_equivalent(path, policy, workers=4):
+    want = outcome(read_ras_log_by_line, path, policy)
+    assert outcome(read_ras_log, path, policy, 1) == want
+    assert outcome(read_ras_log, path, policy, workers) == want
 
 
 class TestPolicyMatrix:
     @pytest.mark.parametrize("policy", POLICIES)
     def test_clean_ras(self, ras_file, policy):
-        assert_equivalent(read_ras_log, ras_file, policy)
+        assert_equivalent(ras_file, policy)
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_corrupted_ras(self, corrupted_ras, policy):
-        assert_equivalent(read_ras_log, corrupted_ras, policy)
+        assert_equivalent(corrupted_ras, policy)
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_corrupted_job(self, corrupted_job, policy):
@@ -151,20 +152,18 @@ class TestPolicyMatrix:
             seed=11, rate=0.05, kind="ras", classes=(cls,)
         ).corrupt_file(ras_file, out)
         assert result.num_injected > 0
-        assert_equivalent(
-            read_ras_log, out, IngestPolicy(mode="quarantine")
-        )
+        assert_equivalent(out, IngestPolicy(mode="quarantine"))
 
     def test_worker_counts_all_agree(self, corrupted_ras):
-        base = outcome(read_ras_log, corrupted_ras, "quarantine", 1)
-        for workers in (2, 3, 5, 8):
+        base = outcome(read_ras_log_by_line, corrupted_ras, "quarantine")
+        for workers in (1, 2, 3, 5, 8):
             assert base == outcome(
                 read_ras_log, corrupted_ras, "quarantine", workers
             )
 
     def test_auto_workers(self, ras_file):
         assert resolve_workers(0) >= 1
-        assert_equivalent(read_ras_log, ras_file, "quarantine", workers=0)
+        assert_equivalent(ras_file, "quarantine", workers=0)
 
     def test_negative_workers_rejected(self, ras_file):
         with pytest.raises(ValueError, match="non-negative"):
@@ -175,12 +174,12 @@ class TestDegenerateFiles:
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.log"
         p.write_text("")
-        assert_equivalent(read_ras_log, p, "quarantine")
+        assert_equivalent(p, "quarantine")
 
     def test_header_only(self, ras_file, tmp_path):
         p = tmp_path / "header.log"
         p.write_text(ras_file.read_text().splitlines()[0] + "\n")
-        assert_equivalent(read_ras_log, p, "quarantine")
+        assert_equivalent(p, "quarantine")
 
     def test_wrong_header_raises_both_ways(self, tmp_path):
         p = tmp_path / "wrong.log"
@@ -233,33 +232,48 @@ class TestCrossChunkBoundaries:
     def check(self, path, bounds, policy="quarantine"):
         from repro.logs.quarantine import coerce_policy
 
-        serial = read_ras_log(path, policy=policy, workers=1)
+        want = read_ras_log_by_line(path, policy=policy)
         pol = coerce_policy(policy)
-        report = pol.new_report(str(path))
-        frame = parallel_read_ras_frame(
-            path, policy=pol, report=report, workers=4, chunk_bounds=bounds
-        )
-        for col in serial.frame.columns:
-            assert np.array_equal(serial.frame[col], frame[col]), col
-        ser_rep = serial.quarantine
-        assert ser_rep.total_rows == report.total_rows
-        assert ser_rep.as_dict() == report.as_dict()
-        assert {
-            d: [(r.line_no, r.text) for r in recs]
-            for d, recs in ser_rep.samples.items()
-        } == {
-            d: [(r.line_no, r.text) for r in recs]
-            for d, recs in report.samples.items()
-        }
+        for workers in (1, 4):
+            report = pol.new_report(str(path))
+            frame = parallel_read_ras_frame(
+                path, policy=pol, report=report, workers=workers,
+                chunk_bounds=bounds,
+            )
+            for col in want.frame.columns:
+                assert np.array_equal(want.frame[col], frame[col]), col
+            want_rep = want.quarantine
+            assert want_rep.total_rows == report.total_rows
+            assert want_rep.as_dict() == report.as_dict()
+            assert {
+                d: [(r.line_no, r.text) for r in recs]
+                for d, recs in want_rep.samples.items()
+            } == {
+                d: [(r.line_no, r.text) for r in recs]
+                for d, recs in report.samples.items()
+            }
         return frame, report
 
     def test_duplicate_recid_across_boundary(self, tmp_path):
-        path = _write_rows(
-            tmp_path, [1, 2, 3, 2, 4], [100.0, 107.0, 114.0, 121.0, 128.0]
-        )
-        frame, report = self.check(path, _bounds_after(path, [3]))
-        assert frame["recid"].tolist() == [1, 2, 3, 4]
-        assert report.as_dict() == {"duplicate_recid": 1}
+        times = [100.0, 107.0, 114.0, 121.0, 128.0]
+        # (recids, accepted recids, duplicates): strictly increasing
+        # recids skip the duplicate search, so every other shape must
+        # still find each duplicate and no false one
+        cases = [
+            ([1, 2, 3, 2, 4], [1, 2, 3, 4], 1),
+            ([3, 1, 4, 2, 5], [3, 1, 4, 2, 5], 0),  # distinct, not monotone
+            ([5, 7, 6, 5, 8], [5, 7, 6, 8], 1),  # a duplicate after a drop
+            ([1, 1, 2, 3, 3], [1, 2, 3], 2),  # equal neighbours
+            ([1, 2, 3, 4, 5], [1, 2, 3, 4, 5], 0),
+        ]
+        for recids, kept, dups in cases:
+            path = _write_rows(tmp_path, recids, times)
+            for splits in ([3], [1, 2, 3, 4]):
+                frame, report = self.check(path, _bounds_after(path, splits))
+                assert frame["recid"].tolist() == kept, recids
+                assert report.as_dict() == (
+                    {"duplicate_recid": dups} if dups else {}
+                ), recids
 
     def test_out_of_order_across_boundary(self, tmp_path):
         path = _write_rows(
@@ -286,7 +300,7 @@ class TestCrossChunkBoundaries:
             tmp_path, [1, 2, 2, 3], [100.0, 110.0, 150.0, 120.0]
         )
         with pytest.raises(IngestError) as serial_exc:
-            read_ras_log(path, policy="strict", workers=1)
+            read_ras_log_by_line(path, policy="strict")
         from repro.logs.quarantine import coerce_policy
 
         pol = coerce_policy("strict")
@@ -318,7 +332,7 @@ class TestAbortAtBoundaries:
 
     def _abort_outcome_serial(self, path, policy):
         with pytest.raises(IngestAbortError) as exc:
-            read_ras_log(path, policy=policy, workers=1)
+            read_ras_log_by_line(path, policy=policy)
         return self._exc_state(exc.value)
 
     def _abort_outcome_parallel(self, path, policy, bounds):
@@ -361,6 +375,7 @@ class TestAbortAtBoundaries:
         # bit-identical with the fatal-free boundary placements
         path = _write_rows(tmp_path, *self.ROWS)
         policy = IngestPolicy(mode="quarantine", max_bad_records=2)
-        base = outcome(read_ras_log, path, policy, 1)
+        base = outcome(read_ras_log_by_line, path, policy)
         assert base[0] == "ok"
-        assert outcome(read_ras_log, path, policy, 4) == base
+        for workers in (1, 4):
+            assert outcome(read_ras_log, path, policy, workers) == base

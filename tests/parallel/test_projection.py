@@ -1,14 +1,16 @@
-"""The pool's FATAL-only read against the serial one, and its workers' cost.
+"""The FATAL-only chunk read against the per-line reference, and its
+workers' cost.
 
-``parallel_read_ras_frame(..., fatal_only=True)`` projects in its
-workers: each checks every line of its byte range but ships cells only
-for its FATAL candidates, and the merge reads the sample of a candidate
-it rejects back from the file. Whatever the chunk placement and policy,
-it must give what the serial ``iter_ras_chunks(fatal_only=True)`` gives:
-the same frame bytes, the same rendered quarantine report with its
-samples, or the same raise. The hand-built logs place rejected lines
-where the pool could go wrong — on a chunk seam, on a worker's internal
-batch seam, and in a chunk after the row that rejects them.
+``parallel_read_ras_frame(..., fatal_only=True)`` projects in each
+chunk's parse: it checks every line of its byte range but builds cells
+only for its FATAL candidates, and the merge reads the sample of a
+candidate it rejects back from the file. Whatever the chunk placement,
+worker count and policy, it must give the FATAL rows of the per-line
+reference read: the same frame bytes, the same rendered quarantine
+report with its samples, or the same raise. The hand-built logs place
+rejected lines where the reader could go wrong — on a chunk seam, on a
+chunk's internal batch seam, and in a chunk after the row that rejects
+them.
 """
 
 import gc
@@ -19,14 +21,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.frame import concat
 from repro.logs import IngestAbortError, IngestError, IngestPolicy
-from repro.logs.stream import _BATCH_CHARS, iter_ras_chunks
-from repro.logs.textio import write_ras_log
-from repro.parallel import parallel_read_ras_frame, parse_ras_chunk, scan_header
+from repro.logs.stream import _BATCH_CHARS
+from repro.logs.textio import read_ras_log, write_ras_log
+from repro.parallel import parse_ras_chunk, scan_header
 from repro.simulate import CalibrationProfile, IntrepidSimulation
 
-from tests.logs.test_block_boundaries import HEADER, _row, _stamp
+from tests.logs.ras_reference import read_ras_log_by_line
+from tests.logs.test_block_boundaries import (
+    HEADER,
+    _row,
+    _stamp,
+    bounds_after,
+    read_with_bounds,
+)
 from tests.logs.test_block_boundaries import _frame_state as frame_state
 
 POLICIES = [
@@ -61,54 +69,44 @@ def write_lines(path, rows, ending="\n"):
     return path
 
 
-def bounds_after(path, splits):
-    """Chunk bounds cutting the data region after the given row counts."""
-    _, start = scan_header(path)
-    raw = path.read_bytes()
-    ends = [start]
-    while ends[-1] < len(raw):
-        ends.append(raw.index(b"\n", ends[-1]) + 1)
-    cuts = [start] + [ends[k] for k in splits] + [len(raw)]
-    return list(zip(cuts[:-1], cuts[1:]))
-
-
 def error_state(exc):
     if isinstance(exc, IngestError):
         return (type(exc).__name__, exc.line_no, exc.defect, exc.text)
     return (type(exc).__name__, str(exc), exc.report.render())
 
 
-def report_state(report):
-    return (report.render(), report.clean_rows, report.clean_span)
-
-
-def serial_outcome(path, policy):
-    report = policy.new_report(str(path))
+def outcome(read):
+    """A ``fatal_only`` read's frame, report, count and span, or raise."""
     try:
-        chunks = list(iter_ras_chunks(
-            path, policy=policy, report=report, fatal_only=True
+        log = read()
+    except (IngestError, IngestAbortError) as exc:
+        return ("raise", error_state(exc))
+    report = log.quarantine
+    return (
+        "ok",
+        frame_state(log.frame),
+        (
+            None if report is None else report.render(),
+            log.num_records,
+            log.time_span() if log.num_records else None,
+        ),
+    )
+
+
+def assert_matches_line_reference(path, bounds, policy):
+    """The read on *bounds* in a pool and in this process, and at one
+    worker, against the per-line reference read's FATAL rows."""
+    want = outcome(
+        lambda: read_ras_log_by_line(path, policy=policy, fatal_only=True)
+    )
+    for workers in (1, 2):
+        got = outcome(lambda: read_with_bounds(
+            path, policy, bounds, workers=workers, fatal_only=True
         ))
-    except (IngestError, IngestAbortError) as exc:
-        return ("raise", error_state(exc))
-    frame = concat([c.frame for c in chunks])
-    return ("ok", frame_state(frame), report_state(report))
-
-
-def pool_outcome(path, policy, bounds):
-    report = policy.new_report(str(path))
-    try:
-        frame = parallel_read_ras_frame(
-            path, policy=policy, report=report, workers=2,
-            chunk_bounds=bounds, fatal_only=True,
-        )
-    except (IngestError, IngestAbortError) as exc:
-        return ("raise", error_state(exc))
-    return ("ok", frame_state(frame), report_state(report))
-
-
-def assert_pool_matches_serial(path, bounds, policy):
-    want = serial_outcome(path, policy)
-    assert pool_outcome(path, policy, bounds) == want
+        assert got == want, workers
+    assert outcome(
+        lambda: read_ras_log(path, policy=policy, fatal_only=True)
+    ) == want
     return want
 
 
@@ -141,7 +139,7 @@ class TestRejectedLines:
             ["5", _stamp(6), "INFO", "msg"],
         ]
         path = write_lines(tmp_path / "ras.log", rows, ending="\r\n")
-        want = assert_pool_matches_serial(
+        want = assert_matches_line_reference(
             path, bounds_after(path, [4]), policy
         )
         if want[0] == "ok" and policy.mode == "quarantine":
@@ -170,7 +168,7 @@ class TestRejectedLines:
         # chunk 1 holds the seam and more than one batch; chunk 2 the rest
         bounds = bounds_after(path, [last + 500])
         assert bounds[0][1] - bounds[0][0] > _BATCH_CHARS
-        want = assert_pool_matches_serial(path, bounds, policy)
+        want = assert_matches_line_reference(path, bounds, policy)
         if want[0] == "ok" and policy.mode == "quarantine":
             render = want[2][0]
             for line_no in range(last + 1, last + 5):
@@ -188,7 +186,7 @@ class TestRejectedLines:
             ["4", _stamp(40), "FATAL", "msg"],
         ]
         path = write_lines(tmp_path / "ras.log", rows)
-        want = assert_pool_matches_serial(
+        want = assert_matches_line_reference(
             path, bounds_after(path, [2]), policy
         )
         if want[0] == "ok":

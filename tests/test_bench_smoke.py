@@ -8,10 +8,15 @@ comparison) honest on every test run at a tiny scale.
 import numpy as np
 
 from benchmarks.bench_perf_filtering import make_match_workload, make_stream
+from benchmarks.bench_table2_ras_schema import describe_ras_record
+from benchmarks.bench_table3_job_schema import describe_job_record
 from repro.core import InterruptionMatcher
 from repro.obs import Tracer
 from repro.viz.trace import render_timings
+from repro.logs import JobLog, RasLog
 from tests.core.matching_reference import ReferenceInterruptionMatcher
+from tests.logs.test_job import make_job
+from tests.logs.test_ras import make_record
 
 
 class TestMatchWorkloadGenerator:
@@ -92,3 +97,19 @@ class TestParallelIngestionWorkload:
         write_ras_log(make_ras_log(200, seed=7), path)
         log = read_ras_log(path, policy="strict", workers=2)
         assert len(log) == 200
+
+
+class TestCards:
+    """The Table II / III card renderers of the schema benchmarks."""
+
+    def test_ras_card_mentions_all_fields(self):
+        log = RasLog.from_records([make_record()])
+        card = describe_ras_record(log.frame.row(0))
+        for label in ("RECID", "MSG_ID", "COMPONENT", "SEVERITY", "LOCATION"):
+            assert label in card
+
+    def test_job_card_mentions_table3_fields(self):
+        log = JobLog.from_records([make_job()])
+        card = describe_job_record(log.frame.row(0))
+        for label in ("Job ID", "Execution File", "Queuing Time", "Location"):
+            assert label in card
