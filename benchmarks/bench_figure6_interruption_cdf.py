@@ -6,8 +6,20 @@ exponential fit, mirroring Figure 3 at the interruption level.
 """
 
 from benchmarks.conftest import banner
-from repro.core.rates import interruption_cdfs
+from repro.core.rates import category_interarrivals
 from repro.core.vulnerability import CATEGORY_APPLICATION, CATEGORY_SYSTEM
+from repro.frame import Frame
+from repro.stats import EmpiricalCDF
+
+
+def interruption_cdfs(interruptions_cat: Frame) -> dict[int, EmpiricalCDF]:
+    """Figure 6's empirical CDFs, keyed by category."""
+    out: dict[int, EmpiricalCDF] = {}
+    for category in (CATEGORY_SYSTEM, CATEGORY_APPLICATION):
+        gaps = category_interarrivals(interruptions_cat, category)
+        if len(gaps):
+            out[category] = EmpiricalCDF.from_samples(gaps)
+    return out
 
 
 def test_figure6_category_cdfs(benchmark, analysis):

@@ -16,9 +16,9 @@ import pytest
 
 from repro.frame import Frame
 from repro.logs.job import JOB_COLUMNS, JobLog
+from repro.logs.window import select, window_edges
 from repro.obs import record_bench
-from repro.store import ShardedDataset, partition_edges
-from repro.store.dataset import TIME_COLUMN
+from repro.store import ShardedDataset
 
 from benchmarks.bench_perf_parallel_ingestion import make_ras_log
 from benchmarks.conftest import banner
@@ -73,7 +73,7 @@ def _one_window_range(ds, table):
     shards = [s for s in ds.manifest.select(MACHINE, table) if s.rows]
     t0 = min(s.time_min for s in shards)
     t1 = max(s.time_max for s in shards)
-    edges = partition_edges(t0, t1, WINDOWS)
+    edges = window_edges(t0, t1, WINDOWS)
     return float(edges[4]), float(edges[5])
 
 
@@ -88,8 +88,7 @@ def test_gate_pruned_scan_beats_full_3x(store):
 
     # correctness rides along: the pruned scan is the batch row filter
     got = ds.scan(MACHINE, "ras", time_range=q)
-    t = ras.frame[TIME_COLUMN["ras"]]
-    want = ras.frame.filter((t >= q[0]) & (t < q[1]))
+    want = select(ras.frame, "ras", *q)
     assert got.num_rows == want.num_rows > 0
     for col in want.columns:
         assert got[col].dtype == want[col].dtype, col

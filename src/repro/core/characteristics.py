@@ -53,22 +53,6 @@ def interarrival_study(
     return InterarrivalStudy(before=fit(events_before), after=fit(events_after))
 
 
-def midplane_interarrival_fits(
-    events: FatalEventTable, min_events: int = 8
-) -> dict[int, ModelComparison]:
-    """Per-midplane interarrival fits (§V-B), where data suffices."""
-    out: dict[int, ModelComparison] = {}
-    frame = events.frame
-    for mp in range(NUM_MIDPLANES):
-        mask = (frame["mp_lo"] <= mp) & (frame["mp_hi"] >= mp)
-        times = np.sort(frame["event_time"][mask])
-        gaps = np.diff(times)
-        gaps = gaps[gaps > 0]
-        if len(gaps) >= min_events:
-            out[mp] = compare_interarrival_models(gaps)
-    return out
-
-
 def midplane_profile(
     events: FatalEventTable,
     job_log: JobLog,

@@ -34,6 +34,7 @@ from repro.frame import Frame
 from repro.frame.column import factorize, factorize_many, first_occurrence_mask
 from repro.logs.job import JobLog
 from repro.logs.ras import RasLog
+from repro.logs.window import union_span
 from repro.obs.trace import Span, collect_spans, maybe_span
 
 #: the per-study ``studies.<name>`` stages, in the canonical serial
@@ -205,16 +206,9 @@ class CoAnalysis:
     identifier: EventTypeIdentifier = field(default_factory=EventTypeIdentifier)
     classifier: FailureClassifier = field(default_factory=FailureClassifier)
     job_filter: JobRelatedFilter = field(default_factory=JobRelatedFilter)
-    compute_observations_flag: bool = True
-    #: with boundaries on (default), a downstream study that raises is
-    #: recorded as a StageFailure and the run completes degraded; off
-    #: restores fail-fast semantics for debugging
-    error_boundaries: bool = True
     #: thread-pool width for the independent downstream studies: 0 = one
-    #: per available CPU, 1 = serial. Concurrency engages only with
-    #: error boundaries on (fail-fast must raise in serial order), and
-    #: results, failures and timings come back in the canonical serial
-    #: order either way
+    #: per available CPU, 1 = serial. Results, failures and timings come
+    #: back in the canonical serial order either way
     study_workers: int = 0
 
     @_stage_timed
@@ -245,7 +239,10 @@ class CoAnalysis:
             match=match,
             job_log=job_log,
             filter_stats=self.filters.stats,
-            window=_window(ras_log, job_log),
+            window=_window(
+                ras_log.time_span() if ras_log.num_records else None,
+                job_log.time_span() if len(job_log) else None,
+            ),
             source=source,
         )
 
@@ -269,7 +266,7 @@ class CoAnalysis:
         downstream code — the K-increment bit-identity guarantee then
         only has to hold up to this boundary. *window* is the
         ``(t_start, duration)`` pair :func:`_window` derives from the
-        logs (streaming tracks the spans across increments instead).
+        logs' spans (streaming tracks the spans across increments).
         """
         t_start, duration = window
 
@@ -300,13 +297,10 @@ class CoAnalysis:
         def guarded(stage: str, fn, fallback=None):
             """Run one optional downstream stage behind an error boundary.
 
-            The stage body runs under its own span either way, so a
-            captured failure still shows up in the trace as an
-            ``status=error`` span even though the run completes.
+            The stage body runs under its own span, so a captured
+            failure still shows up in the trace as a ``status=error``
+            span even though the run completes.
             """
-            if not self.error_boundaries:
-                with maybe_span(stage):
-                    return fn()
             try:
                 with maybe_span(stage):
                     return fn()
@@ -373,13 +367,12 @@ class CoAnalysis:
             source=source,
         )
         result.stage_failures = tuple(failures)
-        if self.compute_observations_flag:
-            result.observations = guarded(
-                "observations",
-                lambda: compute_observations(result),
-                fallback=[],
-            )
-            result.stage_failures = tuple(failures)
+        result.observations = guarded(
+            "observations",
+            lambda: compute_observations(result),
+            fallback=[],
+        )
+        result.stage_failures = tuple(failures)
         return result
 
     # ------------------------------------------------------------------
@@ -402,11 +395,11 @@ class CoAnalysis:
         independent (interarrivals, midplane profile, bursts,
         propagation, vulnerability) and two consume a wave-one product
         (rates needs interarrivals' MTBF, skew needs the profile). With
-        ``study_workers`` > 1 and error boundaries on, wave one runs on
-        a thread pool; either way the failure list and the per-study
-        ``studies.<name>`` timings are assembled in the canonical serial
-        order, so degraded reports are deterministic regardless of
-        thread scheduling.
+        ``study_workers`` > 1, wave one runs on a thread pool; either
+        way the failure list and the per-study ``studies.<name>``
+        timings are assembled in the canonical serial order, so
+        degraded reports are deterministic regardless of thread
+        scheduling.
         """
         wave1 = [
             (
@@ -438,14 +431,12 @@ class CoAnalysis:
                 with maybe_span(f"studies.{name}"):
                     return fn(), None
             except Exception as exc:  # noqa: BLE001 - boundary's job
-                if not self.error_boundaries:
-                    raise
                 return None, exc
 
         from repro.parallel.ingest import resolve_workers
 
         n = resolve_workers(self.study_workers)
-        concurrent = self.error_boundaries and n > 1
+        concurrent = n > 1
         outcomes: dict[str, tuple] = {}
         if concurrent:
             import contextvars
@@ -527,18 +518,13 @@ def _first_job_per_event(pairs: Frame) -> Frame:
     return ordered.filter(first_occurrence_mask(ordered["event_id"]))
 
 
-def _window(ras_log: RasLog, job_log: JobLog) -> tuple[float, float]:
-    """``(t_start, duration)`` covering both logs' time spans."""
-    spans = []
-    if ras_log.num_records:
-        spans.append(ras_log.time_span())
-    if len(job_log):
-        spans.append(job_log.time_span())
-    if not spans:
+def _window(*spans: tuple[float, float] | None) -> tuple[float, float]:
+    """``(t_start, duration)`` covering the union of the logs' ``(lo,
+    hi)`` time spans (``None`` for an empty log); at least 1 s long."""
+    span = union_span(*spans)
+    if span is None:
         return 0.0, 0.0
-    t0 = min(a for a, _ in spans)
-    t1 = max(b for _, b in spans)
-    return t0, max(t1 - t0, 1.0)
+    return span[0], max(span[1] - span[0], 1.0)
 
 
 def _same_location_share(job_log: JobLog, interruptions: Frame) -> float:

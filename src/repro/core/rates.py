@@ -1,4 +1,4 @@
-"""Job interruption rates (§VI-B): Table V and Figure 6."""
+"""Job interruption rates (§VI-B): Table V."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.core.vulnerability import CATEGORY_APPLICATION, CATEGORY_SYSTEM
 from repro.frame import Frame
-from repro.stats import EmpiricalCDF, ModelComparison, compare_interarrival_models
+from repro.stats import ModelComparison, compare_interarrival_models
 
 
 @dataclass(frozen=True)
@@ -60,15 +60,3 @@ def interruption_rate_study(
         application=fits[CATEGORY_APPLICATION],
         mtti_over_mtbf=ratio,
     )
-
-
-def interruption_cdfs(
-    interruptions_cat: Frame,
-) -> dict[int, EmpiricalCDF]:
-    """Figure 6's empirical CDFs, keyed by category."""
-    out: dict[int, EmpiricalCDF] = {}
-    for category in (CATEGORY_SYSTEM, CATEGORY_APPLICATION):
-        gaps = category_interarrivals(interruptions_cat, category)
-        if len(gaps):
-            out[category] = EmpiricalCDF.from_samples(gaps)
-    return out

@@ -8,6 +8,7 @@ from typing import Iterable
 import numpy as np
 
 from repro.frame import Frame
+from repro.logs.window import select
 
 #: the job log's typed header, as :func:`repro.logs.textio.write_job_log`
 #: writes it: Table III fields plus the size in midplanes (recoverable
@@ -137,16 +138,9 @@ class JobLog:
         )
 
     def select_time(self, t0: float, t1: float) -> "JobLog":
-        """Jobs with ``t0 <= start_time < t1`` (half-open, like every
-        time window in the repo — see DESIGN §12).
-
-        Jobs belong to the window their *start* falls in regardless of
-        when they end, so consecutive half-open windows partition a log
-        without duplicating or dropping a job whose start lands exactly
-        on a cut.
-        """
-        t = self.frame["start_time"]
-        return JobLog(self.frame.filter((t >= t0) & (t < t1)))
+        """Jobs with ``t0 <= start_time < t1``, however long they run
+        (:func:`repro.logs.window.select`)."""
+        return JobLog(select(self.frame, "job", t0, t1))
 
     def running_at(self, t: float) -> "JobLog":
         """Jobs running at instant *t* (start inclusive, end exclusive)."""

@@ -9,6 +9,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.frame import Frame
+from repro.logs.window import select
 
 
 class Severity(enum.Enum):
@@ -174,11 +175,9 @@ class RasLog:
         return float(t.min()), float(t.max())
 
     def select_time(self, t0: float, t1: float) -> "RasLog":
-        """Events with ``t0 <= event_time < t1`` (half-open — the
-        repo-wide window convention, so consecutive windows partition a
-        log without duplicating boundary events)."""
-        t = self.frame["event_time"]
-        return RasLog(self.frame.filter((t >= t0) & (t < t1)))
+        """Events with ``t0 <= event_time < t1``
+        (:func:`repro.logs.window.select`)."""
+        return RasLog(select(self.frame, "ras", t0, t1))
 
 
 def _empty_ras_frame() -> Frame:

@@ -12,15 +12,16 @@ Layers:
 
 * :mod:`repro.store.manifest` — the dataset index: schema-versioned
   JSON, written atomically json-last, validated on read;
-* :mod:`repro.store.dataset` — :class:`ShardedDataset`: partition logs
-  into shards, scan them back (bit-identical to the unpartitioned
-  frame), prune by time range, with ``store.*`` spans and metrics;
+* :mod:`repro.store.dataset` — :class:`ShardedDataset`: write the
+  windows of :func:`repro.logs.window.split_trace` as shards, scan them
+  back (bit-identical to the unpartitioned frame), prune by time range,
+  with ``store.*`` spans and metrics;
 * :mod:`repro.store.mapreduce` — the fleet co-analysis driver: map the
-  batch pipeline over machines on a thread pool, reduce per-machine
+  batch pipeline over the machines in order, reduce per-machine
   observations into cross-machine verdicts with bootstrap CIs.
 """
 
-from repro.store.dataset import ShardedDataset, partition_edges
+from repro.store.dataset import ShardedDataset
 from repro.store.manifest import (
     STORE_SCHEMA_VERSION,
     ShardInfo,
@@ -41,7 +42,6 @@ __all__ = [
     "ShardInfo",
     "StoreManifest",
     "ShardedDataset",
-    "partition_edges",
     "read_store_manifest",
     "write_store_manifest",
     "validate_store_manifest",

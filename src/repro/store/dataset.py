@@ -2,21 +2,24 @@
 
 A :class:`ShardedDataset` is a directory of shards keyed by
 ``(machine, table, time_window)`` plus one JSON manifest
-(:mod:`repro.store.manifest`). Writing partitions a machine's RAS/job
-logs into ``windows`` equal time slices; scanning reassembles them —
-**bit-identically**, the same equivalence discipline ``repro.parallel``
-holds for chunked ingest. That works because both logs are kept sorted
-by their partition time (RAS by ``(event_time, recid)``, jobs by
-``(start_time, job_id)``), so consecutive windows select consecutive
-row runs and concatenating the shards in window order restores the
-original arrays exactly.
+(:mod:`repro.store.manifest`). Writing stores the windows of
+:func:`repro.logs.window.split_trace` — the one time-window rule: each
+table cut on its key (RAS ``event_time``, job ``start_time``) into
+half-open windows over the union span — one shard per table and window;
+scanning reassembles them **bit-identically**, the same equivalence
+discipline ``repro.parallel`` holds for chunked ingest. That works
+because both logs are kept sorted by their key (RAS by
+``(event_time, recid)``, jobs by ``(start_time, job_id)``), so
+consecutive windows select consecutive row runs and concatenating the
+shards in window order restores the original arrays exactly.
 
 Scans prune: a shard whose ``[time_min, time_max]`` envelope misses the
 query range is never opened — its shard file is not read — and the
 ``store.scan.shards`` counter records it as ``pruned`` rather than
 ``opened``, which is how the tests *prove* pruning (spy on
 ``store.shard.loads``, one count per shard file read) instead of
-trusting it.
+trusting it. Surviving shards are row-filtered with
+:func:`repro.logs.window.select`.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from repro.frame.frame import Frame, concat
 from repro.frame.npz import FrameFileError, read_frame, write_frame
 from repro.logs.job import JOB_COLUMNS, JobLog
 from repro.logs.ras import RAS_COLUMNS, RasLog
+from repro.logs.window import TIME_KEY, select, split_trace
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import maybe_span
 from repro.store.manifest import (
@@ -41,32 +45,7 @@ from repro.store.manifest import (
     write_store_manifest,
 )
 
-__all__ = ["ShardedDataset", "partition_edges", "TIME_COLUMN"]
-
-#: the column each table is partitioned (and time-pruned) on
-TIME_COLUMN = {"ras": "event_time", "job": "start_time"}
-
-
-def partition_edges(t0: float, t1: float, windows: int) -> np.ndarray:
-    """``windows + 1`` equal-width edges spanning ``[t0, t1]``."""
-    if windows < 1:
-        raise ValueError(f"need at least one window, got {windows}")
-    if not t1 >= t0:
-        raise ValueError(f"invalid span [{t0}, {t1}]")
-    return np.linspace(t0, t1, windows + 1)
-
-
-def _window_mask(t: np.ndarray, edges: np.ndarray, i: int) -> np.ndarray:
-    """Rows of window *i*: uniformly half-open ``[edges[i], edges[i+1])``.
-
-    Every window — the last included — follows the repo-wide half-open
-    convention, so no row can land in two windows however the edges are
-    chosen. The partitioner covers the span's maximum by bumping the
-    final edge one ulp past it (:func:`repro.stream.windows.coverage_edges`
-    does the same for streaming increments) instead of closing the last
-    window on the right.
-    """
-    return (t >= edges[i]) & (t < edges[i + 1])
+__all__ = ["ShardedDataset"]
 
 
 class ShardedDataset:
@@ -106,44 +85,25 @@ class ShardedDataset:
         job_log: JobLog,
         windows: int = 1,
     ) -> list[ShardInfo]:
-        """Partition one machine's logs into *windows* time shards.
-
-        Both tables share one edge grid spanning the union of their time
-        ranges, so a given wall-clock window means the same thing for
-        RAS events and job starts. All shard files are written before
-        the manifest (json-last): a crash mid-write leaves the previous
-        manifest authoritative.
+        """Write one machine's logs as *windows* time shards per table:
+        the windows of :func:`~repro.logs.window.split_trace`, so a
+        given window means the same wall-clock interval for RAS events
+        and job starts. All shard files are written before the manifest
+        (json-last): a crash mid-write leaves the previous manifest
+        authoritative.
         """
         if any(s.machine == machine for s in self.manifest.shards):
             raise StoreError(f"machine {machine!r} already in store")
-        spans = []
-        if len(ras_log):
-            spans.append(ras_log.frame["event_time"])
-        if len(job_log):
-            spans.append(job_log.frame["start_time"])
-        if spans:
-            t0 = min(float(t.min()) for t in spans)
-            t1 = max(float(t.max()) for t in spans)
-        else:
-            t0 = t1 = 0.0
-        edges = partition_edges(t0, t1, windows)
-        # half-open windows everywhere: cover the span maximum by
-        # nudging the last edge just past it
-        edges[-1] = np.nextafter(edges[-1], np.inf)
-
         new_shards: list[ShardInfo] = []
         with maybe_span(
             "store.write", machine=machine, windows=windows
         ) as sp:
-            for table, frame in (
-                ("ras", ras_log.frame),
-                ("job", job_log.frame),
-            ):
-                t = frame[TIME_COLUMN[table]]
-                for i in range(windows):
-                    part = frame.filter(_window_mask(t, edges, i))
+            cuts = split_trace(ras_log, job_log, increments=windows)
+            for table in ("ras", "job"):
+                for cut in cuts:
+                    part = getattr(cut, table).frame
                     new_shards.append(
-                        self._write_shard(machine, table, i, part)
+                        self._write_shard(machine, table, cut.index, part)
                     )
             sp.rows = sum(s.rows for s in new_shards)
         self.manifest.shards.extend(new_shards)
@@ -187,7 +147,7 @@ class ShardedDataset:
                 ("ras", ras_log.frame),
                 ("job", job_log.frame),
             ):
-                t = frame[TIME_COLUMN[table]]
+                t = frame[TIME_KEY[table]]
                 prior = [
                     s.time_max
                     for s in existing
@@ -217,7 +177,7 @@ class ShardedDataset:
         shard_path = self.root / rel
         shard_path.parent.mkdir(parents=True, exist_ok=True)
         columns = write_frame(shard_path, frame)
-        t = frame[TIME_COLUMN[table]]
+        t = frame[TIME_KEY[table]]
         metrics = get_metrics()
         metrics.counter("store.shards.written", table=table).inc()
         metrics.counter("store.append.rows", table=table).inc(frame.num_rows)
@@ -250,17 +210,16 @@ class ShardedDataset:
         :meth:`add_machine_trace` — the returned frame is bit-identical
         to the one that was partitioned. With a range ``(q0, q1)``,
         shards whose time envelope misses ``[q0, q1)`` are skipped
-        unopened, and surviving shards are row-filtered on the partition
-        time column, so the result equals the batch frame filtered the
-        same way.
+        unopened, and surviving shards are row-filtered on the table's
+        key (:func:`~repro.logs.window.select`), so the result equals
+        the batch frame filtered the same way.
         """
-        if table not in TIME_COLUMN:
+        if table not in TIME_KEY:
             raise ValueError(f"unknown table {table!r}")
         shards = self.manifest.select(machine=machine, table=table)
         if not shards:
             raise StoreError(f"no {table!r} shards for machine {machine!r}")
         metrics = get_metrics()
-        time_col = TIME_COLUMN[table]
         parts: list[Frame] = []
         opened = pruned = 0
         with maybe_span("store.scan", machine=machine, table=table) as sp:
@@ -288,10 +247,7 @@ class ShardedDataset:
                             f"shard {shard.path} unreadable: {exc}"
                         ) from exc
                     if time_range is not None:
-                        t = part[time_col]
-                        part = part.filter(
-                            (t >= time_range[0]) & (t < time_range[1])
-                        )
+                        part = select(part, table, *time_range)
                     shard_sp.rows = part.num_rows
                 parts.append(part)
             if not parts:

@@ -3,9 +3,11 @@
 Append-only ingestion with event-time watermarks: each increment
 touches only the new tail plus an open-window frontier, and replaying a
 trace in K increments is bit-identical to the one-shot batch pipeline
-for any K — including cuts landing exactly on window edges.
+for any K — including cuts landing exactly on window edges. The cuts
+and their watermarks follow the one time-window rule,
+:mod:`repro.logs.window` (``split_trace`` and ``Increment`` are
+re-exported here).
 
-* :mod:`repro.stream.windows` — half-open increment cuts and watermarks
 * :mod:`repro.stream.filters` — incremental temporal/spatial/causal state
 * :mod:`repro.stream.matcher` — the frontier interval-join matcher
 * :mod:`repro.stream.runner` — the orchestrating runner + rolling stats
@@ -15,6 +17,7 @@ for any K — including cuts landing exactly on window edges.
 * :mod:`repro.stream.daemon` — poll→increment→checkpoint supervision
 """
 
+from repro.logs.window import Increment, split_trace
 from repro.stream.checkpoint import (
     load_checkpoint,
     save_checkpoint,
@@ -32,7 +35,6 @@ from repro.stream.runner import (
     replay_trace,
 )
 from repro.stream.source import Feed, LogTailer, RetryPolicy
-from repro.stream.windows import Increment, coverage_edges, split_trace
 
 __all__ = [
     "BoundedLatenessStream",
@@ -45,7 +47,6 @@ __all__ = [
     "StreamError",
     "StreamingCoAnalysis",
     "StreamUpdate",
-    "coverage_edges",
     "load_checkpoint",
     "replay_trace",
     "save_checkpoint",

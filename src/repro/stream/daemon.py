@@ -43,6 +43,7 @@ from repro.durable import atomic_write
 from repro.frame import Frame, concat
 from repro.logs.job import JobLog, empty_job_log
 from repro.logs.ras import RasLog, empty_ras_log
+from repro.logs.window import TIME_KEY
 from repro.obs.metrics import get_metrics
 from repro.stream.checkpoint import (
     load_checkpoint,
@@ -305,8 +306,6 @@ class DaemonLoop:
         """Discard backlog the store already holds (crashed post-append)."""
         if self.store is None:
             return
-        from repro.store.dataset import TIME_COLUMN
-
         shards = self.store.manifest.select(machine=self.config.machine)
         for table in _TABLES:
             frames = self._backlog[table]
@@ -315,7 +314,7 @@ class DaemonLoop:
             stored = [s.time_max for s in shards if s.table == table and s.rows]
             if not stored:
                 continue
-            keys = concat(frames)[TIME_COLUMN[table]]
+            keys = concat(frames)[TIME_KEY[table]]
             if len(keys) and float(keys.max()) <= max(stored):
                 self._backlog[table] = []
                 get_metrics().counter(

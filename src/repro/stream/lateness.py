@@ -1,7 +1,9 @@
 """Bounded-lateness watermarks in front of the strict streaming core.
 
 :class:`StreamingCoAnalysis` demands perfectly ordered increments —
-every key in ``[previous watermark, watermark)`` — because its frontier
+every key in ``[previous watermark, watermark)``, a record's key being
+its table's time key (:data:`repro.logs.window.TIME_KEY`: RAS
+``event_time``, job ``start_time``) — because its frontier
 math is only bit-identical to batch under that contract. A live feed
 breaks the contract constantly: records arrive minutes late, two feeds
 drift against each other, a degraded poll stalls one side. Rather than
@@ -31,7 +33,7 @@ batch input, which is the honest semantics of dropping.
 The released frames are also surfaced per ingest
 (:class:`LatenessUpdate`), in sorted order with nondecreasing keys
 across calls — precisely the append contract
-:meth:`repro.store.dataset.FleetDataset.append_machine_window`
+:meth:`repro.store.dataset.ShardedDataset.append_machine_window`
 enforces, so the daemon can stream them straight into the fleet store.
 """
 
@@ -47,14 +49,15 @@ from repro.frame import Frame, concat
 from repro.logs.job import JOB_COLUMNS, JobLog, empty_job_log
 from repro.logs.ras import RasLog, empty_ras_log
 from repro.logs.textio import append_log_rows, ras_disk_frame
+from repro.logs.window import TIME_KEY
 from repro.obs.metrics import get_metrics
 from repro.stream.runner import StreamError, StreamingCoAnalysis, StreamUpdate
 
 __all__ = ["BoundedLatenessStream", "LateRecordSink", "LatenessUpdate"]
 
-#: (key column, id column) per table — ids break ties deterministically,
-#: matching the fleet store's shard sort convention
-_KEYS = {"ras": ("event_time", "recid"), "job": ("start_time", "job_id")}
+#: the id column that breaks key ties per table, so releases come out
+#: in the fleet store's shard sort order
+_TIE_BREAK = {"ras": "recid", "job": "job_id"}
 
 
 class LateRecordSink:
@@ -197,7 +200,7 @@ class BoundedLatenessStream:
         store can append the tail too. Does not finalize the core.
         """
         tail_keys = [
-            float(f[_KEYS[table][0]].max())
+            float(f[TIME_KEY[table]].max())
             for table, frames in self._buffers.items()
             for f in frames
             if f.num_rows
@@ -220,7 +223,7 @@ class BoundedLatenessStream:
     ) -> None:
         if not frame.num_rows:
             return
-        key_col = _KEYS[table][0]
+        key_col = TIME_KEY[table]
         times = frame[key_col]
         too_late = times < self.inner.watermark
         n_drop = int(too_late.sum())
@@ -274,7 +277,7 @@ class BoundedLatenessStream:
         if not frames:
             return Frame()
         merged = concat(frames) if len(frames) > 1 else frames[0]
-        key_col, id_col = _KEYS[table]
+        key_col, id_col = TIME_KEY[table], _TIE_BREAK[table]
         below = merged[key_col] < w_eff
         kept = merged.filter(~below)
         self._buffers[table] = [kept] if kept.num_rows else []

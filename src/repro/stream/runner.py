@@ -27,16 +27,16 @@ import numpy as np
 
 from repro.core.events import EVENT_COLUMNS, FatalEventTable, fatal_event_table
 from repro.core.filtering.chain import FilterStats
-from repro.core.pipeline import CoAnalysis, CoAnalysisResult
+from repro.core.pipeline import CoAnalysis, CoAnalysisResult, _window
 from repro.frame import Frame, concat
 from repro.logs.job import JobLog, empty_job_log
 from repro.logs.ras import RasLog
+from repro.logs.window import TIME_KEY, Increment, split_trace, union_span
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import maybe_span
 from repro.stats.weibull import WeibullFit, fit_weibull
 from repro.stream.filters import CausalState, ChainState
 from repro.stream.matcher import StreamMatcher
-from repro.stream.windows import Increment
 
 __all__ = ["StreamError", "StreamUpdate", "StreamingCoAnalysis", "replay_trace"]
 
@@ -146,14 +146,14 @@ class StreamingCoAnalysis:
             raise StreamError(
                 f"watermark went backwards: {watermark} < {self.watermark}"
             )
-        self._validate_keys(ras.frame["event_time"], watermark, "RAS event")
-        self._validate_keys(job.frame["start_time"], watermark, "job start")
+        self._validate_keys(ras.frame[TIME_KEY["ras"]], watermark, "RAS event")
+        self._validate_keys(job.frame[TIME_KEY["job"]], watermark, "job start")
 
         with maybe_span("stream.increment", increment=self.increments) as sp:
             if len(ras):
-                self._ras_span = _merge_span(self._ras_span, ras.time_span())
+                self._ras_span = union_span(self._ras_span, ras.time_span())
             if len(job):
-                self._job_span = _merge_span(self._job_span, job.time_span())
+                self._job_span = union_span(self._job_span, job.time_span())
                 self._job_frames.append(job.frame)
 
             frame = fatal_event_table(ras).frame
@@ -191,7 +191,7 @@ class StreamingCoAnalysis:
         return update
 
     def ingest_increment(self, increment: Increment) -> StreamUpdate:
-        """Ingest one :func:`repro.stream.windows.split_trace` cut."""
+        """Ingest one :func:`repro.logs.window.split_trace` cut."""
         return self.ingest(increment.ras, increment.job, increment.watermark)
 
     def result(self) -> CoAnalysisResult:
@@ -228,7 +228,7 @@ class StreamingCoAnalysis:
             match=match,
             job_log=job_log,
             filter_stats=stats,
-            window=self._window(),
+            window=_window(self._ras_span, self._job_span),
             source=self.source,
         )
         return self._result
@@ -264,19 +264,10 @@ class StreamingCoAnalysis:
             self._gap_arrays.append(gaps)
         self._last_survivor_time = float(times[-1])
 
-    def _window(self) -> tuple[float, float]:
-        spans = [s for s in (self._ras_span, self._job_span) if s is not None]
-        if not spans:
-            return 0.0, 0.0
-        t0 = min(s[0] for s in spans)
-        t1 = max(s[1] for s in spans)
-        return t0, max(t1 - t0, 1.0)
-
     def _rolling_update(self, wall: float) -> StreamUpdate:
         rate = 0.0
-        spans = [s for s in (self._ras_span, self._job_span) if s is not None]
-        if spans and self._interrupted:
-            t0 = min(s[0] for s in spans)
+        if self._interrupted:
+            t0, _ = _window(self._ras_span, self._job_span)
             days = max(self.watermark - t0, 1.0) / 86400.0
             rate = len(self._interrupted) / days
         fit = None
@@ -329,14 +320,6 @@ class StreamingCoAnalysis:
         return getattr(self, "_last_flushed", 0)
 
 
-def _merge_span(
-    old: tuple[float, float] | None, new: tuple[float, float]
-) -> tuple[float, float]:
-    if old is None:
-        return new
-    return min(old[0], new[0]), max(old[1], new[1])
-
-
 def replay_trace(
     ras_log: RasLog,
     job_log: JobLog,
@@ -345,8 +328,6 @@ def replay_trace(
     source: str = "stream",
 ) -> tuple[list[StreamUpdate], CoAnalysisResult]:
     """Replay a recorded trace through the streaming runner in K cuts."""
-    from repro.stream.windows import split_trace
-
     runner = StreamingCoAnalysis(
         pipeline=pipeline if pipeline is not None else CoAnalysis(),
         source=source,

@@ -59,6 +59,7 @@ from repro.logs.quarantine import (
 from repro.logs.ras import RasLog, empty_ras_log
 from repro.logs.stream import parse_ras_block
 from repro.logs.textio import check_ras_header
+from repro.logs.window import TIME_KEY
 from repro.obs.metrics import get_metrics
 
 __all__ = [
@@ -533,10 +534,6 @@ class JobFeedParser(_FeedParserBase):
 # a feed: one tailer + one parser
 
 
-#: the event-time key column each feed's watermark advances on
-FEED_KEY = {"ras": "event_time", "job": "start_time"}
-
-
 @dataclass(frozen=True)
 class FeedChunk:
     """One poll's parsed outcome for a single feed."""
@@ -549,7 +546,7 @@ class FeedChunk:
 
     @property
     def key_times(self) -> np.ndarray:
-        return self.log.frame[FEED_KEY[self.table]]
+        return self.log.frame[TIME_KEY[self.table]]
 
 
 class Feed:
@@ -566,7 +563,7 @@ class Feed:
         sleep=time.sleep,
         seed: int = 0,
     ):
-        if table not in FEED_KEY:
+        if table not in TIME_KEY:
             raise ValueError(f"unknown feed table {table!r}")
         self.table = table
         self.tailer = LogTailer(

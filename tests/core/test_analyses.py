@@ -13,7 +13,6 @@ from repro.core.events import fatal_event_table
 from repro.core.propagation import propagation_study
 from repro.core.rates import (
     category_interarrivals,
-    interruption_cdfs,
     interruption_rate_study,
 )
 from repro.frame import Frame
@@ -162,12 +161,6 @@ class TestRates:
         study = interruption_rate_study(ints, mtbf=100.0)
         assert study.system is None
         assert np.isnan(study.mtti_over_mtbf)
-
-    def test_cdfs(self):
-        rng = np.random.default_rng(3)
-        cdfs = interruption_cdfs(self._interruptions(rng))
-        assert set(cdfs) == {1, 2}
-        assert cdfs[1].n == 119
 
 
 class TestCharacteristics:

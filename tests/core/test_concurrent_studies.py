@@ -82,13 +82,6 @@ class TestConcurrentEqualsSerial:
 
 
 class TestSchedulingModes:
-    def test_fail_fast_stays_serial_and_raises(self, trace, monkeypatch):
-        monkeypatch.setattr("repro.core.pipeline.burst_study", _boom)
-        with pytest.raises(RuntimeError, match="synthetic study crash"):
-            CoAnalysis(error_boundaries=False, study_workers=4).run(
-                trace.ras_log, trace.job_log
-            )
-
     def test_per_study_timings_in_canonical_order(self, trace):
         for workers in (1, 4):
             result = CoAnalysis(study_workers=workers).run(

@@ -63,13 +63,6 @@ class TestErrorBoundaries:
         assert result.observations == []
         assert result.failure("observations") is not None
 
-    def test_boundaries_off_restores_fail_fast(self, trace, monkeypatch):
-        monkeypatch.setattr("repro.core.pipeline.burst_study", _boom)
-        with pytest.raises(RuntimeError, match="synthetic study crash"):
-            CoAnalysis(error_boundaries=False).run(
-                trace.ras_log, trace.job_log
-            )
-
     def test_clean_run_is_not_degraded(self, trace):
         result = CoAnalysis().run(trace.ras_log, trace.job_log)
         assert not result.degraded

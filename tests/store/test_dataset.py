@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.logs.window import window_edges
 from repro.obs.metrics import get_metrics
 from repro.simulate.fleet import store_fleet, synthesize_fleet
 from repro.simulate.calibration import CalibrationProfile
@@ -13,7 +14,6 @@ from repro.store import (
     STORE_SCHEMA_VERSION,
     ShardedDataset,
     StoreManifest,
-    partition_edges,
 )
 from repro.store.manifest import MANIFEST_NAME, StoreError
 from tests.frame.npz_reference import rewrite_npz
@@ -95,7 +95,7 @@ class TestPruning:
                 machine.job_log.frame["start_time"],
             ]
         )
-        return partition_edges(
+        return window_edges(
             float(spans.min()), float(spans.max()), self.WINDOWS
         )
 
@@ -201,16 +201,18 @@ class TestFailureModes:
 
 class TestPartitionEdges:
     def test_edges_cover_span(self):
-        e = partition_edges(0.0, 100.0, 4)
-        assert list(e) == [0.0, 25.0, 50.0, 75.0, 100.0]
+        e = window_edges(0.0, 100.0, 4)
+        assert list(e[:-1]) == [0.0, 25.0, 50.0, 75.0]
+        # one ulp past the closed maximum: 100.0 is in the last window
+        assert e[-1] == np.nextafter(100.0, np.inf)
 
     def test_zero_windows_rejected(self):
         with pytest.raises(ValueError, match="window"):
-            partition_edges(0.0, 1.0, 0)
+            window_edges(0.0, 1.0, 0)
 
     def test_inverted_span_rejected(self):
         with pytest.raises(ValueError, match="span"):
-            partition_edges(5.0, 1.0, 3)
+            window_edges(5.0, 1.0, 3)
 
     def test_empty_manifest_has_no_machines(self, tmp_path):
         ds = ShardedDataset.create(tmp_path / "empty")

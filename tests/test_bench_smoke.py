@@ -7,6 +7,7 @@ comparison) honest on every test run at a tiny scale.
 
 import numpy as np
 
+from benchmarks.bench_figure6_interruption_cdf import interruption_cdfs
 from benchmarks.bench_perf_filtering import make_match_workload, make_stream
 from benchmarks.bench_table2_ras_schema import describe_ras_record
 from benchmarks.bench_table3_job_schema import describe_job_record
@@ -15,6 +16,7 @@ from repro.obs import Tracer
 from repro.viz.trace import render_timings
 from repro.logs import JobLog, RasLog
 from tests.core.matching_reference import ReferenceInterruptionMatcher
+from tests.core.test_analyses import cat_interruptions
 from tests.logs.test_job import make_job
 from tests.logs.test_ras import make_record
 
@@ -113,3 +115,22 @@ class TestCards:
         card = describe_job_record(log.frame.row(0))
         for label in ("Job ID", "Execution File", "Queuing Time", "Location"):
             assert label in card
+
+
+class TestInterruptionCdfs:
+    """Figure 6's per-category CDF helper of the interruption benchmark."""
+
+    def test_cdfs(self):
+        rng = np.random.default_rng(3)
+        rows = []
+        t = 0.0
+        for i in range(120):
+            t += float(rng.exponential(50000.0))
+            rows.append((i, t, "DDR", f"/s{i}", 0, 1))
+        t = 0.0
+        for i in range(80):
+            t += float(rng.exponential(120000.0))
+            rows.append((1000 + i, t, "SEGV", f"/a{i}", 0, 2))
+        cdfs = interruption_cdfs(cat_interruptions(rows))
+        assert set(cdfs) == {1, 2}
+        assert cdfs[1].n == 119
