@@ -10,7 +10,7 @@ restored buggy state crashes again).
 """
 
 from benchmarks.conftest import banner
-from repro.policy import (
+from benchmarks.ext.policy import (
     HistoryAwarePolicy,
     NoCheckpointPolicy,
     PeriodicPolicy,

@@ -7,11 +7,9 @@ exactly the temporal-propagation chains (sticky refires) the
 job-related filter detects.
 """
 
-import numpy as np
-
 from benchmarks.conftest import BENCH_SEED, banner
+from benchmarks.ext.failure_aware import FailureAwarePolicy
 from repro.faults.injector import IncidentCause
-from repro.sched.failure_aware import FailureAwarePolicy
 from repro.sched.policy import IntrepidPolicy
 from repro.simulate import CalibrationProfile
 

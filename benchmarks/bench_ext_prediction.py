@@ -8,7 +8,7 @@ risk lives in post-failure bursts at specific midplanes (Obs. 6/7/9).
 """
 
 from benchmarks.conftest import banner
-from repro.predict import (
+from benchmarks.ext.predict import (
     JobRiskPredictor,
     MidplaneHazard,
     RiskWeights,

@@ -22,16 +22,6 @@ def big_frame():
     )
 
 
-def test_perf_groupby_agg_500k(benchmark, big_frame):
-    out = benchmark(
-        lambda f: f.groupby("user").agg(
-            jobs="count", total=("runtime", "sum"), widest=("size", "max")
-        ),
-        big_frame,
-    )
-    assert out.num_rows == 236
-
-
 def test_perf_sort_500k(benchmark, big_frame):
     out = benchmark(big_frame.sort_by, "user", "runtime")
     assert out.num_rows == big_frame.num_rows
@@ -42,32 +32,8 @@ def test_perf_filter_500k(benchmark, big_frame):
     assert 0 < out.num_rows < big_frame.num_rows
 
 
-def test_perf_distinct_500k(benchmark, big_frame):
-    """first_occurrence_mask-based dedup; was a Python set loop."""
-    out = benchmark(big_frame.distinct, ["user", "size"])
-    assert out.num_rows <= 236 * 7
-
-
-def test_perf_groupby_int_sum_500k(benchmark, big_frame):
-    """Integer sums stay int64 (reduceat path, not float bincount)."""
-    out = benchmark(
-        lambda f: f.groupby("user").agg(total_size=("size", "sum")),
-        big_frame,
-    )
-    assert out.col("total_size").dtype == np.int64
-
-
 def test_perf_write_delimited_500k(benchmark, big_frame, tmp_path):
     """Batched column-join writer; was a per-row format loop."""
     path = tmp_path / "big.txt"
     benchmark(write_delimited, big_frame, path)
     assert path.stat().st_size > 0
-
-
-def test_perf_join_500k_x_236(benchmark, big_frame):
-    users = big_frame.unique("user")
-    lookup = Frame(
-        {"user": users, "suspicious": np.arange(len(users)) % 15 == 0}
-    )
-    out = benchmark(big_frame.join, lookup, "user")
-    assert out.num_rows == big_frame.num_rows

@@ -2,16 +2,16 @@
 
 Two actionable policy families the paper's discussion sketches:
 
-* :mod:`repro.policy.checkpoint` — checkpoint scheduling: periodic
-  (Young-interval) baselines against the observation-guided policy
-  (defer the first checkpoint for codes with application-error history,
-  scale cadence with job width), scored by lost work on the real
-  interruption record;
-* :mod:`repro.sched.failure_aware` (in the scheduler package) — the
-  CiFTS-style allocation policy that avoids recently failed partitions.
+* :mod:`benchmarks.ext.policy.checkpoint` — checkpoint scheduling:
+  periodic (Young-interval) baselines against the observation-guided
+  policy (defer the first checkpoint for codes with application-error
+  history, scale cadence with job width), scored by lost work on the
+  real interruption record;
+* :mod:`benchmarks.ext.failure_aware` — the CiFTS-style allocation
+  policy that avoids recently failed partitions.
 """
 
-from repro.policy.checkpoint import (
+from benchmarks.ext.policy.checkpoint import (
     CheckpointOutcome,
     CheckpointPolicy,
     HistoryAwarePolicy,

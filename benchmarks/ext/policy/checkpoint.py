@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 from typing import Protocol
 
-import numpy as np
-
 from repro.frame import Frame
 from repro.logs.job import JobLog
 

@@ -9,21 +9,21 @@ location-blind predictions waste proactive actions.
 This package implements that predictor on top of the co-analysis
 outputs and scores it by trace replay:
 
-* :mod:`repro.predict.hazard` — a per-midplane decreasing-hazard risk
-  model: every observed interruption-related fatal event re-arms a
-  midplane's hazard, which then decays per the fitted Weibull shape
-  (failures cluster after failures, Table IV);
-* :mod:`repro.predict.predictor` — job-level risk scoring: a job's
-  risk combines its partition's armed hazard with the size effect of
+* :mod:`benchmarks.ext.predict.hazard` — a per-midplane
+  decreasing-hazard risk model: every observed interruption-related
+  fatal event re-arms a midplane's hazard, which then decays per the
+  fitted Weibull shape (failures cluster after failures, Table IV);
+* :mod:`benchmarks.ext.predict.predictor` — job-level risk scoring: a
+  job's risk combines its partition's armed hazard with the size effect of
   Obs. 10;
-* :mod:`repro.predict.evaluation` — trace replay producing
+* :mod:`benchmarks.ext.predict.evaluation` — trace replay producing
   precision/recall against ground-truth interruptions, with the
   location-blind and size-blind ablations the paper's argument implies.
 """
 
-from repro.predict.hazard import MidplaneHazard
-from repro.predict.predictor import JobRiskPredictor, RiskWeights
-from repro.predict.evaluation import (
+from benchmarks.ext.predict.hazard import MidplaneHazard
+from benchmarks.ext.predict.predictor import JobRiskPredictor, RiskWeights
+from benchmarks.ext.predict.evaluation import (
     PredictionScore,
     evaluate_predictor,
     sweep_thresholds,

@@ -12,12 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from benchmarks.ext.predict.predictor import JobRiskPredictor
 from repro.frame import Frame
 from repro.logs.job import JobLog
-from repro.machine.partition import parse_partition
-from repro.predict.predictor import JobRiskPredictor
 
 
 @dataclass(frozen=True)

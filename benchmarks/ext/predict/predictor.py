@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from benchmarks.ext.predict.hazard import MidplaneHazard
 from repro.machine.partition import Partition, parse_partition
-from repro.predict.hazard import MidplaneHazard
 
 
 @dataclass(frozen=True)

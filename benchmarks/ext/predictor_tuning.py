@@ -9,20 +9,20 @@ aren't free, so the site caps how often the predictor may cry wolf).
 
 Usage::
 
-    python examples/predictor_tuning.py [--scale 0.2] [--alarm-budget 0.05]
+    python -m benchmarks.ext.predictor_tuning [--scale 0.2] [--alarm-budget 0.05]
 """
 
 import argparse
 
 import numpy as np
 
-from repro.core import CoAnalysis
-from repro.predict import (
+from benchmarks.ext.predict import (
     JobRiskPredictor,
     MidplaneHazard,
     RiskWeights,
     sweep_thresholds,
 )
+from repro.core import CoAnalysis
 from repro.simulate import CalibrationProfile, IntrepidSimulation
 from repro.viz import series_table, sparkline
 

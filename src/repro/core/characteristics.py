@@ -30,12 +30,6 @@ class InterarrivalStudy:
             return float("nan")
         return self.after.weibull.mean / self.before.weibull.mean
 
-    @property
-    def shape_increase(self) -> float:
-        if self.before is None or self.after is None:
-            return float("nan")
-        return self.after.weibull.shape - self.before.weibull.shape
-
 
 def interarrival_study(
     events_before: FatalEventTable,

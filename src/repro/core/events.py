@@ -42,10 +42,6 @@ class FatalEventTable:
     def __len__(self) -> int:
         return self.frame.num_rows
 
-    @property
-    def num_events(self) -> int:
-        return self.frame.num_rows
-
     def errcodes(self) -> np.ndarray:
         return self.frame.unique("errcode")
 
@@ -59,10 +55,6 @@ class FatalEventTable:
         t = np.sort(self.frame["event_time"])
         gaps = np.diff(t)
         return gaps[gaps > 0]
-
-    def select_ids(self, keep_ids: np.ndarray) -> "FatalEventTable":
-        mask = self.frame.mask_isin("event_id", list(keep_ids))
-        return FatalEventTable(self.frame.filter(mask))
 
     def drop_ids(self, drop_ids: np.ndarray | set) -> "FatalEventTable":
         drop = set(int(i) for i in drop_ids)

@@ -34,11 +34,6 @@ class TypeBehavior(enum.Enum):
     UNDETERMINED_IDLE = "undetermined_idle"
     UNDETERMINED_MIXED = "undetermined_mixed"
 
-    def pessimistic_interruption_related(self) -> bool:
-        """The downstream treatment: only confirmed non-fatal types are
-        excluded from failure statistics."""
-        return self is not TypeBehavior.NONFATAL
-
 
 @dataclass
 class IdentificationResult:
@@ -48,13 +43,6 @@ class IdentificationResult:
 
     def count(self, behavior: TypeBehavior) -> int:
         return sum(1 for b in self.behaviors.values() if b is behavior)
-
-    def interruption_related_types(self) -> list[str]:
-        return sorted(
-            e
-            for e, b in self.behaviors.items()
-            if b is TypeBehavior.INTERRUPTION_RELATED
-        )
 
     def nonfatal_types(self) -> list[str]:
         return sorted(

@@ -33,12 +33,6 @@ class PropagationStudy:
             return 0.0
         return self.propagating_events / self.total_events
 
-    @property
-    def share_of_interrupting_events(self) -> float:
-        if self.interrupting_events == 0:
-            return 0.0
-        return self.propagating_events / self.interrupting_events
-
 
 def propagation_study(pairs: Frame, total_events: int) -> PropagationStudy:
     """Find events whose kills span several jobs and locations.

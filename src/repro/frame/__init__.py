@@ -2,9 +2,13 @@
 
 The offline environment has no pandas, so the co-analysis pipeline is
 written against this substrate instead. It provides the handful of
-operations log analysis actually needs — boolean filtering, multi-key
-sorting, hash group-by with vectorized aggregations, equi-joins, and
-delimited text io — all vectorized over numpy arrays.
+operations the pipeline actually runs — boolean filtering, row takes,
+multi-key sorting, dictionary encoding (:func:`factorize`) and
+delimited text io — all vectorized over numpy arrays. Grouping and
+joining are done by the dedicated kernels that need them (the interval
+join in :mod:`repro.core.matching`, the chain collapse in
+:func:`repro.frame.column.chain_collapse_mask`), not by a generic
+group-by or equi-join.
 
 The public entry point is :class:`Frame`; :func:`concat` stacks frames
 row-wise, :mod:`repro.frame.io` reads/writes delimited text, and
@@ -19,12 +23,10 @@ from repro.frame.column import (
     is_string_kind,
 )
 from repro.frame.frame import Frame, concat
-from repro.frame.groupby import GroupBy
 from repro.frame.io import read_delimited, write_delimited
 
 __all__ = [
     "Frame",
-    "GroupBy",
     "concat",
     "as_column",
     "factorize",

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.frame.column import as_column, factorize_many, is_string_kind
+from repro.frame.column import as_column, is_string_kind
 
 
 class Frame:
@@ -14,7 +14,7 @@ class Frame:
 
     Columns are 1-D numpy arrays of equal length. Mutating operations
     return new frames; the underlying arrays are shared where safe
-    (filter/take copy by construction, column renames share).
+    (filter/take copy by construction, select and drop share).
     """
 
     __slots__ = ("_data",)
@@ -56,10 +56,6 @@ class Frame:
 
     def __contains__(self, name: str) -> bool:
         return name in self._data
-
-    def dtypes(self) -> dict[str, np.dtype]:
-        """Mapping of column name to numpy dtype."""
-        return {k: v.dtype for k, v in self._data.items()}
 
     def __repr__(self) -> str:
         cols = ", ".join(f"{k}:{v.dtype.kind}" for k, v in self._data.items())
@@ -182,17 +178,6 @@ class Frame:
         out._data = {k: v for k, v in self._data.items() if k not in names}
         return out
 
-    def rename(self, mapping: Mapping[str, str]) -> "Frame":
-        """A new frame with columns renamed per *mapping*."""
-        missing = [n for n in mapping if n not in self._data]
-        if missing:
-            raise KeyError(f"cannot rename missing columns {missing}")
-        out = Frame()
-        out._data = {mapping.get(k, k): v for k, v in self._data.items()}
-        if len(out._data) != len(self._data):
-            raise ValueError("rename would collapse two columns into one name")
-        return out
-
     # ------------------------------------------------------------------
     # row operations
 
@@ -222,10 +207,6 @@ class Frame:
 
     def head(self, n: int = 5) -> "Frame":
         return self.take(np.arange(min(n, self.num_rows)))
-
-    def tail(self, n: int = 5) -> "Frame":
-        start = max(0, self.num_rows - n)
-        return self.take(np.arange(start, self.num_rows))
 
     def sort_by(self, *keys: str, ascending: bool = True) -> "Frame":
         """Stable lexicographic sort by the given key columns.
@@ -259,47 +240,6 @@ class Frame:
         return Frame({name: values[order], "count": counts[order]})
 
     # ------------------------------------------------------------------
-    # relational operations
-
-    def groupby(self, keys: str | Sequence[str]) -> "GroupBy":
-        """Group rows by one or more key columns; see :class:`GroupBy`."""
-        from repro.frame.groupby import GroupBy
-
-        if isinstance(keys, str):
-            keys = [keys]
-        return GroupBy(self, list(keys))
-
-    def join(
-        self,
-        other: "Frame",
-        on: str | Sequence[str],
-        how: str = "inner",
-        suffix: str = "_right",
-        indicator: str | None = None,
-    ) -> "Frame":
-        """Equi-join with *other* on shared key columns.
-
-        ``how`` is ``"inner"`` or ``"left"``. Non-key columns colliding
-        between the two sides get *suffix* appended on the right side.
-        Left joins fill unmatched right-side columns with typed values:
-        NaN for floats (ints are upcast to float with NaN), ``False``
-        for bools, ``""`` for strings. *indicator* names an extra bool
-        column marking unmatched fill rows — the null mask a False/""
-        fill would otherwise hide.
-        """
-        from repro.frame.join import join as _join
-
-        if isinstance(on, str):
-            on = [on]
-        return _join(
-            self, other, list(on), how=how, suffix=suffix, indicator=indicator
-        )
-
-    def partition_codes(self, keys: Sequence[str]) -> tuple[np.ndarray, int]:
-        """Dense group codes for the row-tuples of the key columns."""
-        return factorize_many([self.col(k) for k in keys])
-
-    # ------------------------------------------------------------------
     # convenience predicates
 
     def mask_eq(self, name: str, value: Any) -> np.ndarray:
@@ -318,63 +258,6 @@ class Frame:
                 (v in vset for v in col), count=len(col), dtype=bool
             )
         return np.isin(col, np.asarray(values))
-
-    def assign_by(self, name: str, fn: Callable[[dict[str, Any]], Any]) -> "Frame":
-        """Row-wise derived column (slow path; prefer vectorized ops)."""
-        values = [fn(r) for r in self.to_rows()]
-        return self.with_column(name, values)
-
-    def with_columns(self, columns: Mapping[str, Sequence | np.ndarray]) -> "Frame":
-        """A new frame with several columns added or replaced at once."""
-        out = self
-        for name, values in columns.items():
-            out = out.with_column(name, values)
-        return out
-
-    def distinct(self, subset: Sequence[str] | None = None) -> "Frame":
-        """Rows deduplicated on *subset* (default: all columns),
-        keeping the first occurrence in row order."""
-        keys = list(subset) if subset is not None else self.columns
-        if not keys:
-            return self
-        from repro.frame.column import first_occurrence_mask
-
-        codes, _ = self.partition_codes(keys)
-        return self.filter(first_occurrence_mask(codes))
-
-    def quantile(self, name: str, q: float) -> float:
-        """The q-quantile of a numeric column (linear interpolation)."""
-        col = self.col(name)
-        if col.dtype.kind not in "iuf":
-            raise TypeError(f"column {name!r} is not numeric")
-        if self.num_rows == 0:
-            raise ValueError("empty frame has no quantiles")
-        return float(np.quantile(col.astype(np.float64), q))
-
-    def describe(self) -> "Frame":
-        """Per-numeric-column summary: count, mean, std, min, median,
-        max — the quick-look a log analyst reaches for first."""
-        rows = []
-        for name in self.columns:
-            col = self.col(name)
-            if col.dtype.kind not in "iuf" or self.num_rows == 0:
-                continue
-            values = col.astype(np.float64)
-            rows.append(
-                {
-                    "column": name,
-                    "count": int(len(values)),
-                    "mean": float(values.mean()),
-                    "std": float(values.std()),
-                    "min": float(values.min()),
-                    "median": float(np.median(values)),
-                    "max": float(values.max()),
-                }
-            )
-        return Frame.from_rows(
-            rows,
-            columns=["column", "count", "mean", "std", "min", "median", "max"],
-        )
 
 
 def concat(frames: Sequence[Frame]) -> Frame:

@@ -122,11 +122,6 @@ class JobLog:
         """Jobs sharing an execution file count once (§III-B)."""
         return self.frame.nunique("executable")
 
-    def resubmitted_executables(self) -> np.ndarray:
-        """Execution files submitted more than once, sorted."""
-        vc = self.frame.value_counts("executable")
-        return np.sort(vc.filter(vc["count"] > 1)["executable"])
-
     def runtimes(self) -> np.ndarray:
         return self.frame["end_time"] - self.frame["start_time"]
 
@@ -141,11 +136,6 @@ class JobLog:
         """Jobs with ``t0 <= start_time < t1``, however long they run
         (:func:`repro.logs.window.select`)."""
         return JobLog(select(self.frame, "job", t0, t1))
-
-    def running_at(self, t: float) -> "JobLog":
-        """Jobs running at instant *t* (start inclusive, end exclusive)."""
-        f = self.frame
-        return JobLog(f.filter((f["start_time"] <= t) & (f["end_time"] > t)))
 
 
 def _empty_job_frame() -> Frame:

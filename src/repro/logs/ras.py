@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -89,10 +89,6 @@ class RasRecord:
         if self.component not in COMPONENTS:
             raise ValueError(f"unknown component {self.component!r}")
 
-    @property
-    def is_fatal(self) -> bool:
-        return self.severity == Severity.FATAL.name
-
 
 class RasLog:
     """A RAS log: thin typed wrapper around a :class:`Frame`.
@@ -156,13 +152,6 @@ class RasLog:
     def severity_counts(self) -> dict[str, int]:
         vc = self.frame.value_counts("severity")
         return dict(zip(vc["severity"], (int(c) for c in vc["count"])))
-
-    def errcode_types(self) -> np.ndarray:
-        """Distinct ERRCODEs present, sorted."""
-        return self.frame.unique("errcode")
-
-    def component_types(self) -> np.ndarray:
-        return self.frame.unique("component")
 
     def time_span(self) -> tuple[float, float]:
         """(first, last) event time of :attr:`num_records` records;

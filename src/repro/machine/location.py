@@ -172,10 +172,6 @@ class Location:
             return True  # node card level
         return self == other
 
-    def touches_midplane(self, midplane_index: int) -> bool:
-        """True if this location lies in (or spans) the given midplane."""
-        return midplane_index in self.midplane_indices()
-
     # ------------------------------------------------------------------
 
     def __str__(self) -> str:

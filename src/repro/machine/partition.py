@@ -78,10 +78,6 @@ class Partition:
         """Global midplane indices covered by this partition."""
         return range(self.start, self.start + self.size)
 
-    def midplane_locations(self) -> Iterator[Location]:
-        for i in self.midplane_indices:
-            yield Location.from_midplane_index(i)
-
     def covers_midplane(self, index: int) -> bool:
         return self.start <= index < self.start + self.size
 

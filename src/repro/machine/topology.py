@@ -72,13 +72,6 @@ class IntrepidTopology:
         for i in range(self.num_midplanes):
             yield Location.from_midplane_index(i)
 
-    def nodecards(self, midplane: Location) -> Iterator[Location]:
-        """Node cards of a midplane."""
-        for nc in range(NODECARDS_PER_MIDPLANE):
-            yield Location(
-                midplane.row, midplane.col, midplane.midplane, nodecard=nc
-            )
-
     def service_card(self, midplane: Location) -> Location:
         """The midplane's service card location."""
         return Location(midplane.row, midplane.col, midplane.midplane, service=True)
@@ -87,17 +80,6 @@ class IntrepidTopology:
         """The midplane's four link cards."""
         for link in range(4):
             yield Location(midplane.row, midplane.col, midplane.midplane, link=link)
-
-    def compute_nodes(self, nodecard: Location) -> Iterator[Location]:
-        """Compute nodes J04..J35 on a node card."""
-        for j in range(4, 4 + COMPUTE_NODES_PER_NODECARD):
-            yield Location(
-                nodecard.row,
-                nodecard.col,
-                nodecard.midplane,
-                nodecard=nodecard.nodecard,
-                node=j,
-            )
 
     # ------------------------------------------------------------------
     # index arithmetic
@@ -111,7 +93,3 @@ class IntrepidTopology:
     def midplane_index(self, location: Location) -> int:
         """Global midplane index of a sub-midplane location."""
         return location.midplane_index
-
-    def row_of_midplane(self, index: int) -> int:
-        """Machine row (0..4) a midplane index belongs to."""
-        return index // (self.num_cols * MIDPLANES_PER_RACK)

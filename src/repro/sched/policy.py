@@ -52,7 +52,8 @@ class IntrepidPolicy:
         *preferred* (the partition of the job's previous run) wins with
         probability ``affinity`` whenever it is entirely free. *now* is
         accepted for interface compatibility with time-aware policies
-        (:class:`repro.sched.failure_aware.FailureAwarePolicy`).
+        that wrap this one (the failure-aware policy of the §VII
+        extension benchmarks, ``benchmarks/ext/failure_aware.py``).
         """
         fit = self.pool.fit_size(size_midplanes)
         if (

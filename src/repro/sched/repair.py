@@ -102,8 +102,5 @@ class BreakageTable:
         if current is breakage:
             del self._by_midplane[breakage.midplane]
 
-    def live_breakages(self) -> list[Breakage]:
-        return [b for b in self._by_midplane.values() if b.alive]
-
     def __len__(self) -> int:
         return len(self._by_midplane)

@@ -31,14 +31,6 @@ class ModelComparison:
         """True when the LRT rejects the exponential at the 5% level."""
         return self.p_value < 0.05
 
-    @property
-    def aic_weibull(self) -> float:
-        return 2.0 * 2 - 2.0 * self.weibull.log_likelihood
-
-    @property
-    def aic_exponential(self) -> float:
-        return 2.0 * 1 - 2.0 * self.exponential.log_likelihood
-
     def summary(self) -> str:
         w, e = self.weibull, self.exponential
         pick = "Weibull" if self.weibull_preferred else "exponential"

@@ -123,6 +123,8 @@ class StreamingCoAnalysis:
         self._last_survivor_time: float | None = None
         self._interrupted: set[int] = set()
         self._pairs_cursor = 0
+        # matcher events_flushed at the last update, for the counter delta
+        self._last_flushed = 0
         self._prev_fit: WeibullFit | None = None
         self._result: CoAnalysisResult | None = None
 
@@ -303,7 +305,7 @@ class StreamingCoAnalysis:
             m.monotonic_gauge("stream.watermark").set(update.watermark)
         m.counter("stream.increments").inc()
         m.counter("stream.events.flushed").inc(
-            update.events_flushed - (self._prev_flushed())
+            update.events_flushed - self._last_flushed
         )
         self._last_flushed = update.events_flushed
         m.gauge("stream.frontier.pending_events").set(update.pending_events)
@@ -315,9 +317,6 @@ class StreamingCoAnalysis:
             len(self._causal._tail_times)
         )
         m.histogram("stream.increment.wall_s").observe(update.wall_s)
-
-    def _prev_flushed(self) -> int:
-        return getattr(self, "_last_flushed", 0)
 
 
 def replay_trace(

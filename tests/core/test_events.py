@@ -1,6 +1,5 @@
 """Unit tests for the fatal-event table."""
 
-import numpy as np
 import pytest
 
 from repro.core.events import fatal_event_table
@@ -62,10 +61,6 @@ class TestOperations:
         smaller = table.drop_ids({eid})
         assert len(smaller) == 2
         assert eid not in set(smaller.frame["event_id"])
-
-    def test_select_ids(self, table):
-        ids = table.frame["event_id"][:2]
-        assert len(table.select_ids(ids)) == 2
 
     def test_midplane_counts_rack_event_counts_twice(self, table):
         counts = table.midplane_counts()

@@ -1,7 +1,5 @@
 """Unit tests for §IV-A identification and §IV-B classification."""
 
-import pytest
-
 from repro.core.classify import (
     ClassificationRule,
     FailureClassifier,
@@ -52,10 +50,6 @@ class TestIdentifier:
         assert result.count(TypeBehavior.INTERRUPTION_RELATED) == 1
         assert result.nonfatal_types() == ["c"]
         assert result.undetermined_types() == ["b"]
-
-    def test_pessimistic_treatment(self):
-        assert TypeBehavior.UNDETERMINED_IDLE.pessimistic_interruption_related()
-        assert not TypeBehavior.NONFATAL.pessimistic_interruption_related()
 
 
 def run_classifier(ev_rows, job_rows, tolerance=15.0):

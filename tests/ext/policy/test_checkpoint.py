@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.frame import Frame
-from repro.policy import (
+from benchmarks.ext.policy import (
     HistoryAwarePolicy,
     NoCheckpointPolicy,
     PeriodicPolicy,
     SizeAwareYoungPolicy,
     evaluate_checkpoint_policy,
 )
+from repro.frame import Frame
 from tests.core.helpers import jobs
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.predict import MidplaneHazard
+from benchmarks.ext.predict import MidplaneHazard
 
 
 class TestObserveAndRisk:

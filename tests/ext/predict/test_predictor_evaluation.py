@@ -2,15 +2,15 @@
 
 import pytest
 
-from repro.frame import Frame
-from repro.machine.partition import Partition
-from repro.predict import (
+from benchmarks.ext.predict import (
     JobRiskPredictor,
     MidplaneHazard,
     RiskWeights,
     evaluate_predictor,
     sweep_thresholds,
 )
+from repro.frame import Frame
+from repro.machine.partition import Partition
 from tests.core.helpers import jobs
 
 
@@ -97,7 +97,7 @@ class TestReplay:
         assert score.true_negatives == 1
 
     def test_metrics_edge_cases(self):
-        from repro.predict.evaluation import PredictionScore
+        from benchmarks.ext.predict.evaluation import PredictionScore
 
         empty = PredictionScore(0, 0, 0, 0, 0.0, 0.0)
         assert empty.precision == empty.recall == empty.f1 == 0.0

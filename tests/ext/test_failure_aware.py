@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from benchmarks.ext.failure_aware import FailureAwarePolicy
 from repro.machine.partition import Partition
 from repro.machine.topology import NUM_MIDPLANES
-from repro.sched.failure_aware import FailureAwarePolicy
 
 
 @pytest.fixture

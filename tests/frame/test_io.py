@@ -22,10 +22,10 @@ def mixed():
 class TestRoundTrip:
     def test_types_preserved(self, mixed):
         back = from_string(to_string(mixed))
-        assert back.dtypes()["recid"].kind == "i"
-        assert back.dtypes()["t"].kind == "f"
-        assert back.dtypes()["fatal"].kind == "b"
-        assert back.dtypes()["msg"].kind == "O"
+        assert back["recid"].dtype.kind == "i"
+        assert back["t"].dtype.kind == "f"
+        assert back["fatal"].dtype.kind == "b"
+        assert back["msg"].dtype.kind == "O"
 
     def test_values_preserved(self, mixed):
         back = from_string(to_string(mixed))

@@ -56,19 +56,11 @@ class TestJobLog:
         assert log.num_jobs == 3
         assert log.num_distinct_jobs() == 2
 
-    def test_resubmitted_executables(self, log):
-        assert list(log.resubmitted_executables()) == ["/a"]
-
     def test_runtimes(self, log):
         assert list(log.runtimes()) == [1500.0, 1000.0, 100.0]
 
     def test_time_span(self, log):
         assert log.time_span() == (1000.0, 3000.0)
-
-    def test_running_at(self, log):
-        assert set(log.running_at(2500.0).frame["job_id"]) == {2, 3}
-        assert set(log.running_at(1000.0).frame["job_id"]) == {1}
-        assert len(log.running_at(3000.0)) == 0
 
     def test_empty(self):
         log = empty_job_log()

@@ -1,6 +1,5 @@
 """Unit tests for the RAS log schema and container."""
 
-import numpy as np
 import pytest
 
 from repro.logs import RasLog, RasRecord
@@ -30,10 +29,6 @@ class TestRecord:
                       "errcode", "severity", "event_time", "location",
                       "serialnumber", "message"):
             assert hasattr(r, field)
-
-    def test_is_fatal(self):
-        assert make_record(severity="FATAL").is_fatal
-        assert not make_record(severity="WARN").is_fatal
 
     def test_bad_severity_rejected(self):
         with pytest.raises(ValueError, match="severity"):
@@ -69,9 +64,6 @@ class TestRasLog:
 
     def test_severity_counts(self, log):
         assert log.severity_counts() == {"FATAL": 2, "INFO": 1, "WARN": 1}
-
-    def test_errcode_types(self, log):
-        assert list(log.errcode_types()) == ["DDR_ERR", "KERN_PANIC"]
 
     def test_time_span(self, log):
         assert log.time_span() == (100.0, 300.0)

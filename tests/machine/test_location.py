@@ -86,11 +86,6 @@ class TestIndexing:
         with pytest.raises(ValueError):
             Location.from_midplane_index(-1)
 
-    def test_touches_midplane(self):
-        assert parse_location("R10").touches_midplane(16)
-        assert parse_location("R10").touches_midplane(17)
-        assert not parse_location("R10").touches_midplane(18)
-
 
 class TestHierarchy:
     def test_rack_contains_everything_below(self):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.machine import IntrepidTopology
-from repro.machine.location import LocationKind, parse_location
+from repro.machine.location import parse_location
 from repro.machine import topology as T
 
 
@@ -48,33 +48,12 @@ class TestEnumeration:
         assert len(mps) == 80
         assert [m.midplane_index for m in mps] == list(range(80))
 
-    def test_nodecards(self, topo):
-        mp = parse_location("R12-M1")
-        ncs = list(topo.nodecards(mp))
-        assert len(ncs) == 16
-        assert all(nc.kind is LocationKind.NODECARD for nc in ncs)
-        assert str(ncs[0]) == "R12-M1-N00"
-
-    def test_compute_nodes(self, topo):
-        nc = parse_location("R12-M1-N03")
-        nodes = list(topo.compute_nodes(nc))
-        assert len(nodes) == 32
-        assert str(nodes[0]) == "R12-M1-N03-J04"
-        assert str(nodes[-1]) == "R12-M1-N03-J35"
-        assert all(n.kind is LocationKind.COMPUTE_NODE for n in nodes)
-
     def test_service_and_link_cards(self, topo):
         mp = parse_location("R12-M1")
         assert str(topo.service_card(mp)) == "R12-M1-S"
         links = list(topo.link_cards(mp))
         assert len(links) == 4
         assert str(links[2]) == "R12-M1-L2"
-
-    def test_full_machine_node_enumeration_scale(self, topo):
-        # one midplane's worth: 16 cards x 32 nodes
-        mp = parse_location("R00-M0")
-        total = sum(len(list(topo.compute_nodes(nc))) for nc in topo.nodecards(mp))
-        assert total == 512
 
 
 class TestIndexArithmetic:
@@ -85,9 +64,3 @@ class TestIndexArithmetic:
     def test_midplane_location_bounds(self, topo):
         with pytest.raises(ValueError):
             topo.midplane_location(80)
-
-    def test_row_of_midplane(self, topo):
-        assert topo.row_of_midplane(0) == 0
-        assert topo.row_of_midplane(15) == 0
-        assert topo.row_of_midplane(16) == 1
-        assert topo.row_of_midplane(79) == 4

@@ -36,11 +36,6 @@ class TestLifecycle:
         table.close(b1)  # closing the stale one leaves the new one
         assert table.get(5) is b2
 
-    def test_live_breakages(self, table, rng):
-        table.open(1, STICKY_TYPES[0], 0.0, 1, rng)
-        table.open(2, STICKY_TYPES[0], 0.0, 2, rng)
-        assert len(table.live_breakages()) == 2
-
 
 class TestDetection:
     def test_record_kill_triggers_at_max(self, table, rng):

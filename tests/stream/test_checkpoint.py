@@ -10,6 +10,7 @@ from repro.core.equivalence import diff_results
 from repro.core.filtering.chain import FilterChain
 from repro.core.filtering.temporal import TemporalFilter
 from repro.core.pipeline import CoAnalysis
+from repro.obs.metrics import get_metrics
 from repro.stream import (
     StreamError,
     StreamingCoAnalysis,
@@ -74,6 +75,28 @@ class TestSaveResume:
             assert a.events_flushed == b.events_flushed
             assert a.pairs_emitted == b.pairs_emitted
             assert a.interrupted_jobs == b.interrupted_jobs
+
+    def test_flushed_counter_counts_each_event_once(self, trace, tmp_path):
+        """``stream.events.flushed`` adds each update's new flushes: the
+        fresh run's total is the matcher's count, and a resumed run
+        counts only what it flushed after the checkpoint."""
+        metrics = get_metrics()
+        metrics.reset()
+        runner, incs = ingest_first(trace, 6, 3)
+        at_checkpoint = runner._matcher.events_flushed
+        save_checkpoint(runner, tmp_path / "ckpt")
+        last = [runner.ingest_increment(inc) for inc in incs[3:]][-1]
+        assert metrics.value("stream.events.flushed") == last.events_flushed
+
+        metrics.reset()
+        resumed = load_checkpoint(tmp_path / "ckpt")
+        for inc in incs[3:]:
+            resumed.ingest_increment(inc)
+        assert (
+            metrics.value("stream.events.flushed")
+            == last.events_flushed - at_checkpoint
+        )
+        metrics.reset()
 
 
 def _bump_version(directory):

@@ -21,8 +21,6 @@ PACKAGES = [
     "repro.faults",
     "repro.core",
     "repro.core.filtering",
-    "repro.predict",
-    "repro.policy",
     "repro.viz",
     "repro.simulate",
 ]
@@ -50,6 +48,27 @@ class TestImports:
         env = {**os.environ, "PYTHONPATH": str(SRC)}
         proc = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_package_loads_no_benchmarks_module(self):
+        """``benchmarks`` (the §VII extensions among them) builds on the
+        package, never the other way round: importing the CLI and every
+        public package loads no ``benchmarks.*`` module."""
+        code = (
+            "import importlib, sys, repro.cli\n"
+            f"for name in {PACKAGES!r}:\n"
+            "    importlib.import_module(name)\n"
+            "bad = sorted(m for m in sys.modules if m.split('.')[0] == 'benchmarks')\n"
+            "assert not bad, bad\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            cwd=SRC.parent,
         )
         assert proc.returncode == 0, proc.stderr
 
