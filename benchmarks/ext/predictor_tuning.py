@@ -13,6 +13,7 @@ Usage::
 """
 
 import argparse
+from typing import Sequence
 
 import numpy as np
 
@@ -24,7 +25,36 @@ from benchmarks.ext.predict import (
 )
 from repro.core import CoAnalysis
 from repro.simulate import CalibrationProfile, IntrepidSimulation
-from repro.viz import series_table, sparkline
+from repro.viz import sparkline
+
+
+def series_table(
+    columns: dict[str, Sequence[float]],
+    index: Sequence | None = None,
+    float_format: str = "{:.4g}",
+) -> str:
+    """Aligned table of parallel series, one row per index entry."""
+    if not columns:
+        return ""
+    names = list(columns)
+    arrays = [list(columns[n]) for n in names]
+    n = len(arrays[0])
+    for a in arrays:
+        if len(a) != n:
+            raise ValueError("all series must share a length")
+    idx = list(index) if index is not None else list(range(n))
+    widths = [max(len(name), 10) for name in names]
+    header = f"{'':>8} " + " ".join(
+        f"{name:>{w}}" for name, w in zip(names, widths)
+    )
+    lines = [header]
+    for i in range(n):
+        cells = " ".join(
+            f"{float_format.format(float(a[i])):>{w}}"
+            for a, w in zip(arrays, widths)
+        )
+        lines.append(f"{str(idx[i]):>8} " + cells)
+    return "\n".join(lines)
 
 
 def main() -> None:

@@ -36,16 +36,6 @@ from repro.frame.column import factorize, segmented_arange
 _DENSE_KEY_LIMIT = 1 << 25
 
 
-def _sorted_unique(keys: np.ndarray) -> np.ndarray:
-    """Sorted distinct int keys via sort + shifted comparison."""
-    if not len(keys):
-        return keys
-    in_order = np.sort(keys)
-    starts = np.ones(len(in_order), dtype=bool)
-    starts[1:] = in_order[1:] != in_order[:-1]
-    return in_order[starts]
-
-
 def _sorted_unique_counts(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sorted distinct int keys plus occurrence counts."""
     if not len(keys):
@@ -121,62 +111,40 @@ class CausalityFilter:
             ev_type = np.flatnonzero(seen)
         else:
             cross = a != codes[ev]
-            ev_type = _sorted_unique(ev[cross] * k + a[cross])
+            cand = np.sort(ev[cross] * k + a[cross])
+            starts = np.ones(len(cand), dtype=bool)
+            starts[1:] = cand[1:] != cand[:-1]
+            ev_type = cand[starts]
         pre_ev, pre_a = np.divmod(ev_type, k)
 
-        # vocab codes are assigned in sorted order, so the cut's
-        # ascending composite keys reproduce the reference's
+        # vocab codes are assigned in sorted order, so ascending
+        # composite keys reproduce the reference's
         # sorted(pair_counts.items()) rule order
-        keep, self.rules = causal_rule_cut(
-            pre_ev, pre_a, codes[pre_ev], np.bincount(codes, minlength=k),
-            vocab, n, self.min_support, self.min_confidence,
+        cand_key = pre_a * k + codes[pre_ev]
+        if k * k <= _DENSE_KEY_LIMIT:
+            pair_hist = np.bincount(cand_key, minlength=k * k)
+            pair_key = np.flatnonzero(pair_hist)
+            support = pair_hist[pair_key]
+        else:
+            pair_key, support = _sorted_unique_counts(cand_key)
+        confidence = support / np.bincount(codes, minlength=k)[pair_key % k]
+        is_rule = (support >= self.min_support) & (
+            confidence >= self.min_confidence
         )
+        self.rules = [
+            CausalRule(vocab[key // k], vocab[key % k], int(c), float(conf))
+            for key, c, conf in zip(
+                pair_key[is_rule], support[is_rule], confidence[is_rule]
+            )
+        ]
+
+        # drop event j iff any distinct preceding type forms a rule with
+        # its type: probe the sorted rule keys per (event, type) entry
+        keep = np.ones(n, dtype=bool)
+        rule_keys = pair_key[is_rule]
+        if len(rule_keys) and len(cand_key):
+            at = np.searchsorted(rule_keys, cand_key)
+            at_c = np.minimum(at, len(rule_keys) - 1)
+            hit = (at < len(rule_keys)) & (rule_keys[at_c] == cand_key)
+            keep[pre_ev[hit]] = False
         return FatalEventTable(frame.filter(keep))
-
-
-def causal_rule_cut(
-    pre_ev: np.ndarray,
-    pre_a: np.ndarray,
-    pre_b: np.ndarray,
-    type_counts: np.ndarray,
-    vocab: np.ndarray,
-    n: int,
-    min_support: int,
-    min_confidence: float,
-) -> tuple[np.ndarray, list[CausalRule]]:
-    """Mine the rules and cut their followers: ``(keep mask, rules)``.
-
-    Each entry ``i`` says event ``pre_ev[i]`` (type code ``pre_b[i]``)
-    had a distinct preceding type ``pre_a[i]`` inside the window; codes
-    index the sorted *vocab*, and *type_counts* holds each type's
-    occurrences over all *n* events. Rules come out in ascending
-    composite-key order. Both the batch filter and the streaming
-    :class:`~repro.stream.filters.CausalState` end here.
-    """
-    k = len(vocab)
-    cand_key = pre_a * k + pre_b
-    if k * k <= _DENSE_KEY_LIMIT:
-        pair_hist = np.bincount(cand_key, minlength=k * k)
-        pair_key = np.flatnonzero(pair_hist)
-        support = pair_hist[pair_key]
-    else:
-        pair_key, support = _sorted_unique_counts(cand_key)
-    confidence = support / type_counts[pair_key % k]
-    is_rule = (support >= min_support) & (confidence >= min_confidence)
-    rules = [
-        CausalRule(vocab[key // k], vocab[key % k], int(c), float(conf))
-        for key, c, conf in zip(
-            pair_key[is_rule], support[is_rule], confidence[is_rule]
-        )
-    ]
-
-    # drop event j iff any distinct preceding type forms a rule with
-    # its type: probe the sorted rule keys per (event, type) entry
-    keep = np.ones(n, dtype=bool)
-    rule_keys = pair_key[is_rule]
-    if len(rule_keys) and len(cand_key):
-        at = np.searchsorted(rule_keys, cand_key)
-        at_c = np.minimum(at, len(rule_keys) - 1)
-        hit = (at < len(rule_keys)) & (rule_keys[at_c] == cand_key)
-        keep[pre_ev[hit]] = False
-    return keep, rules

@@ -50,7 +50,6 @@ __all__ = [
     "InjectedCrash",
     "FaultyFS",
     "FaultyFile",
-    "RealFS",
 ]
 
 
@@ -155,16 +154,6 @@ class FaultPlan:
                 del self.faults[i]
                 return fault
         return None
-
-
-class RealFS:
-    """The pass-through filesystem facade the tailer uses by default."""
-
-    def stat(self, path: str | Path) -> os.stat_result:
-        return os.stat(path)
-
-    def open(self, path: str | Path) -> "FaultyFile":
-        return open(path, "rb")  # noqa: SIM115 - caller closes
 
 
 class FaultyFile:

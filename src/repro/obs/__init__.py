@@ -54,12 +54,7 @@ from repro.obs.metrics import (
     MonotonicGauge,
     get_metrics,
 )
-from repro.obs.opslog import (
-    OPS_SCHEMA_VERSION,
-    OpsLog,
-    read_ops_log,
-    validate_ops_log,
-)
+from repro.obs.opslog import OPS_SCHEMA_VERSION, OpsLog, read_ops_log
 from repro.obs.trace import (
     Span,
     Tracer,
@@ -87,7 +82,6 @@ __all__ = [
     "read_health",
     "read_ops_log",
     "sample_value",
-    "validate_ops_log",
     "write_health",
     "Span",
     "Tracer",

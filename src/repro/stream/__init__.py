@@ -8,7 +8,7 @@ and their watermarks follow the one time-window rule,
 :mod:`repro.logs.window` (``split_trace`` and ``Increment`` are
 re-exported here).
 
-* :mod:`repro.stream.filters` — incremental temporal/spatial/causal state
+* :mod:`repro.stream.filters` — carried temporal/spatial chain state
 * :mod:`repro.stream.matcher` — the frontier interval-join matcher
 * :mod:`repro.stream.runner` — the orchestrating runner + rolling stats
 * :mod:`repro.stream.lateness` — bounded-lateness reorder buffer + sink
@@ -32,7 +32,6 @@ from repro.stream.runner import (
     StreamError,
     StreamingCoAnalysis,
     StreamUpdate,
-    replay_trace,
 )
 from repro.stream.source import Feed, LogTailer, RetryPolicy
 
@@ -48,7 +47,6 @@ __all__ = [
     "StreamingCoAnalysis",
     "StreamUpdate",
     "load_checkpoint",
-    "replay_trace",
     "save_checkpoint",
     "split_trace",
     "validate_checkpoint",

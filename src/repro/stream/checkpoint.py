@@ -4,13 +4,11 @@ A checkpoint is a directory (the format DESIGN.md §12 documents):
 
 * ``checkpoint.json`` — version, the pipeline's threshold configuration
   plus its fingerprint (resume refuses a mismatched pipeline), the
-  watermark/counters, the chain-filter carry dicts and the causal
-  vocabulary — everything scalar or small;
-* ``arrays.npz`` — the numeric state arrays (causal accumulator,
-  window tails, flushed case labels, interarrival gaps);
+  watermark, counters and rolling-observation scalars;
 * one ``<name>.npz`` frame file per buffered frame (pending events, job
-  and raw frontiers, accumulated pairs, survivors, jobs), in the one
-  frame file format (:mod:`repro.frame.npz`).
+  and raw frontiers, accumulated pairs, flushed case labels, survivors,
+  jobs, the two chain filters' carried rows, interarrival gaps), in the
+  one frame file format (:mod:`repro.frame.npz`).
 
 The index records a blake2b digest for every file it names, and
 :func:`validate_checkpoint` cross-checks them the way
@@ -52,7 +50,7 @@ __all__ = [
     "validate_checkpoint",
 ]
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 def stream_config(pipeline: CoAnalysis) -> dict:
@@ -123,18 +121,18 @@ def save_checkpoint(
         raise StreamError("cannot checkpoint a finalized stream")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    causal = runner._causal
     matcher = runner._matcher
 
-    flushed = None
+    flushed = gaps = None
     if matcher.events_flushed:
         flushed = Frame(
             {
                 "event_id": np.concatenate(matcher._event_ids),
-                "errcode": np.concatenate(matcher._errcodes),
                 "case": np.concatenate(matcher._case),
             }
         )
+    if runner._gap_arrays:
+        gaps = Frame({"gap": np.concatenate(runner._gap_arrays)})
     frames = {
         "survivors": _concat_or_none(runner._survivors),
         "jobs_all": _concat_or_none(runner._job_frames),
@@ -143,6 +141,9 @@ def save_checkpoint(
         "raw_tail": _concat_or_none(matcher._raw),
         "pairs": _concat_or_none(matcher._pair_frames),
         "flushed": flushed,
+        "temporal_carry": runner._temporal.carry,
+        "spatial_carry": runner._spatial.carry,
+        "gaps": gaps,
     }
     specs = {
         name: None
@@ -155,18 +156,7 @@ def save_checkpoint(
         for name, frame in (extra_frames or {}).items()
     }
 
-    arrays = {
-        "causal_acc_ev": _cat(causal._acc_ev),
-        "causal_acc_pred": _cat(causal._acc_pred),
-        "causal_codes": _cat(causal._codes),
-        "causal_tail_codes": causal._tail_codes,
-        "causal_tail_times": causal._tail_times,
-        "gaps": _cat(runner._gap_arrays, dtype=np.float64),
-    }
-    atomic_write(directory / "arrays.npz", lambda fh: np.savez(fh, **arrays))
-
     hashed = [
-        "arrays.npz",
         *(f"{name}.npz" for name, spec in specs.items() if spec is not None),
         *(f"x_{name}.npz" for name in extra_specs),
     ]
@@ -186,15 +176,6 @@ def save_checkpoint(
         "after_spatial": runner._after_spatial,
         "ras_span": list(runner._ras_span) if runner._ras_span else None,
         "job_span": list(runner._job_span) if runner._job_span else None,
-        "temporal_last": [
-            [*key, t] for key, t in runner._temporal.last.items()
-        ],
-        "spatial_last": [
-            [key, t] for key, t in runner._spatial.last.items()
-        ],
-        "causal_vocab": list(causal.vocab),
-        "causal_type_counts": causal.type_counts,
-        "causal_n_seen": causal.n_seen,
         "events_flushed": matcher.events_flushed,
         "pairs_emitted": matcher.pairs_emitted,
         "last_survivor_time": runner._last_survivor_time,
@@ -247,29 +228,21 @@ def load_checkpoint(
     runner._job_span = (
         tuple(index["job_span"]) if index["job_span"] else None
     )
-    runner._temporal.last = {
-        (e, loc): t for e, loc, t in index["temporal_last"]
-    }
-    runner._spatial.last = {e: t for e, t in index["spatial_last"]}
     runner._interrupted = set(int(j) for j in index["interrupted"])
     runner._last_survivor_time = index["last_survivor_time"]
     if index["prev_fit"] is not None:
         shape, scale, n, ll = index["prev_fit"]
         runner._prev_fit = WeibullFit(shape, scale, int(n), ll)
 
-    with np.load(directory / "arrays.npz") as arrays:
-        causal = runner._causal
-        causal.vocab = {c: i for i, c in enumerate(index["causal_vocab"])}
-        causal.type_counts = [int(c) for c in index["causal_type_counts"]]
-        causal.n_seen = int(index["causal_n_seen"])
-        causal._acc_ev = _uncat(arrays["causal_acc_ev"])
-        causal._acc_pred = _uncat(arrays["causal_acc_pred"])
-        causal._codes = _uncat(arrays["causal_codes"])
-        causal._tail_codes = arrays["causal_tail_codes"].copy()
-        causal._tail_times = arrays["causal_tail_times"].copy()
-        runner._gap_arrays = _uncat(arrays["gaps"])
-
     specs = index["frames"]
+    for state, name in (
+        (runner._temporal, "temporal_carry"),
+        (runner._spatial, "spatial_carry"),
+    ):
+        state.carry = _concat_or_none(_decode(directory, name, specs[name]))
+    runner._gap_arrays = [
+        f["gap"] for f in _decode(directory, "gaps", specs["gaps"])
+    ]
     runner._survivors = _decode(directory, "survivors", specs["survivors"])
     runner._job_frames = _decode(directory, "jobs_all", specs["jobs_all"])
     matcher = runner._matcher
@@ -282,7 +255,6 @@ def load_checkpoint(
     flushed = _decode(directory, "flushed", specs["flushed"])
     if flushed:
         matcher._event_ids = [flushed[0]["event_id"]]
-        matcher._errcodes = [flushed[0]["errcode"]]
         matcher._case = [flushed[0]["case"]]
     runner._pairs_cursor = len(matcher._pair_frames)
     runner._last_flushed = matcher.events_flushed
@@ -343,13 +315,3 @@ def validate_checkpoint(
                     f"hash-mismatch: {name} ({digest} != {expected})"
                 )
     return problems
-
-
-def _cat(arrays: list[np.ndarray], dtype=np.int64) -> np.ndarray:
-    if not arrays:
-        return np.zeros(0, dtype=dtype)
-    return np.concatenate(arrays)
-
-
-def _uncat(array: np.ndarray) -> list[np.ndarray]:
-    return [array.copy()] if len(array) else []

@@ -20,9 +20,10 @@ flush-local pair ordering concatenates to exactly the batch ordering.
 The matcher runs over the causality filter's **input** (spatial
 survivors) because causal rules are mined globally and an event's fate
 is unknown until the stream ends; :meth:`StreamMatcher.result` restricts
-the accumulated pairs and cases to the final causal survivors and
-recomputes the per-job earliest interruption — cheap, and exactly what
-the batch matcher would have produced over the survivor set.
+the accumulated pairs and cases to the event ids of the final causal
+survivors and recomputes the per-job earliest interruption — cheap, and
+exactly what the batch matcher would have produced over the survivor
+set.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ class StreamMatcher:
     Feed :meth:`ingest` one increment at a time (spatial-survivor
     events, the increment's jobs, its post-temporal raw records and the
     new watermark); call :meth:`finalize` after the last increment and
-    then :meth:`result` with the causal keep-mask.
+    then :meth:`result` with the causal survivors.
     """
 
     def __init__(self, tolerance: float):
@@ -77,7 +78,6 @@ class StreamMatcher:
         #: accumulated flush products, in global event order
         self._pair_frames: list[Frame] = []
         self._case: list[np.ndarray] = []
-        self._errcodes: list[np.ndarray] = []
         self._event_ids: list[np.ndarray] = []
         self._finalized = False
         self.events_flushed = 0
@@ -158,7 +158,6 @@ class StreamMatcher:
         if pairs.num_rows:
             self._pair_frames.append(pairs)
         self._case.append(case)
-        self._errcodes.append(ev["errcode"])
         self._event_ids.append(ev["event_id"])
         self.events_flushed += count
         self.pairs_emitted += pairs.num_rows
@@ -184,44 +183,38 @@ class StreamMatcher:
 
     # ------------------------------------------------------------------
 
-    def result(self, keep: np.ndarray) -> MatchResult:
+    def result(self, events: FatalEventTable) -> MatchResult:
         """The batch-identical :class:`MatchResult` over causal survivors.
 
-        *keep* is the causality filter's keep-mask over every spatial
-        survivor, in stream order (what :meth:`ingest` was fed).
+        *events* is the causality filter's output over every spatial
+        survivor :meth:`ingest` was fed, in the same (time) order.
         """
         if not self._finalized:
             raise RuntimeError("finalize() the matcher before result()")
-        n = self.events_flushed
-        if len(keep) != n:
-            raise ValueError(
-                f"keep mask has {len(keep)} entries, matched {n} events"
-            )
-        if n:
+        ev = events.frame
+        surviving_ids = ev["event_id"]
+        if self.events_flushed:
             event_ids = np.concatenate(self._event_ids)
-            errcodes = np.concatenate(self._errcodes)
             case = np.concatenate(self._case)
         else:
             event_ids = np.zeros(0, dtype=np.int64)
-            errcodes = np.array([], dtype=object)
             case = np.zeros(0, dtype=np.int64)
-        surviving_ids = event_ids[keep]
+        keep = np.isin(event_ids, surviving_ids)
+        if not np.array_equal(event_ids[keep], surviving_ids):
+            raise ValueError(
+                f"{len(surviving_ids)} surviving events are not an ordered"
+                f" subset of the {self.events_flushed} matched"
+            )
         pairs = (
             concat(self._pair_frames) if self._pair_frames else _empty_pairs()
         )
         if pairs.num_rows:
             pairs = pairs.filter(np.isin(pairs["event_id"], surviving_ids))
-        interruptions = _first_event_per_job(pairs)
-        ev_frame = Frame(
-            {"event_id": surviving_ids, "errcode": errcodes[keep]}
-        )
-        event_cases = dict(
-            zip(surviving_ids.tolist(), case[keep].tolist())
-        )
-        type_cases = _type_case_table(ev_frame, case[keep])
         return MatchResult(
             pairs=pairs,
-            interruptions=interruptions,
-            event_cases=event_cases,
-            type_cases=type_cases,
+            interruptions=_first_event_per_job(pairs),
+            event_cases=dict(
+                zip(surviving_ids.tolist(), case[keep].tolist())
+            ),
+            type_cases=_type_case_table(ev, case[keep]),
         )

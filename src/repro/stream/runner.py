@@ -3,15 +3,17 @@
 :class:`StreamingCoAnalysis` consumes a trace increment by increment —
 each :meth:`~StreamingCoAnalysis.ingest` takes one (RAS chunk, job
 chunk, watermark) triple and touches **only the new tail plus the open
-frontier**: carried chain state for the temporal/spatial filters
-(:class:`repro.stream.filters.ChainState`), the causality accumulator's
-window tail, and the matcher's pending-event/job/raw buffers
-(:class:`repro.stream.matcher.StreamMatcher`). Per increment it emits a
-rolling :class:`StreamUpdate` (counts, interruption rate, a Weibull
-refit of the survivor interarrivals with change deltas).
+frontier**: each group's last row for the batch temporal and spatial
+filters (:class:`repro.stream.filters.ChainState`) and the matcher's
+pending-event/job/raw buffers (:class:`repro.stream.matcher.StreamMatcher`).
+Per increment it emits a rolling :class:`StreamUpdate` (counts,
+interruption rate, a Weibull refit of the survivor interarrivals with
+change deltas).
 
-:meth:`~StreamingCoAnalysis.result` finalizes the frontier and feeds
-the accumulated tables through :meth:`repro.core.pipeline.CoAnalysis.complete`
+:meth:`~StreamingCoAnalysis.result` finalizes the frontier, runs the
+batch causality filter once over the spatial survivors (its rules are
+mined over the whole stream) and feeds the accumulated tables through
+:meth:`repro.core.pipeline.CoAnalysis.complete`
 — the *identical* downstream code the batch pipeline runs — so
 replaying a trace in K increments is bit-identical to the one-shot
 batch run for any K, cuts on window edges included (the equivalence
@@ -31,14 +33,14 @@ from repro.core.pipeline import CoAnalysis, CoAnalysisResult, _window
 from repro.frame import Frame, concat
 from repro.logs.job import JobLog, empty_job_log
 from repro.logs.ras import RasLog
-from repro.logs.window import TIME_KEY, Increment, split_trace, union_span
+from repro.logs.window import TIME_KEY, Increment, union_span
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import maybe_span
 from repro.stats.weibull import WeibullFit, fit_weibull
-from repro.stream.filters import CausalState, ChainState
+from repro.stream.filters import ChainState
 from repro.stream.matcher import StreamMatcher
 
-__all__ = ["StreamError", "StreamUpdate", "StreamingCoAnalysis", "replay_trace"]
+__all__ = ["StreamError", "StreamUpdate", "StreamingCoAnalysis"]
 
 _EVENT_DTYPES = {
     "event_id": np.int64,
@@ -99,13 +101,8 @@ class StreamingCoAnalysis:
 
     def __post_init__(self) -> None:
         f = self.pipeline.filters
-        self._temporal = ChainState(
-            ("errcode", "location"), f.temporal.threshold
-        )
-        self._spatial = ChainState(("errcode",), f.spatial.threshold)
-        self._causal = CausalState(
-            f.causal.window, f.causal.min_support, f.causal.min_confidence
-        )
+        self._temporal = ChainState(f.temporal)
+        self._spatial = ChainState(f.spatial)
         self._matcher = StreamMatcher(self.pipeline.matcher.tolerance)
         self.watermark = float("-inf")
         self.increments = 0
@@ -174,9 +171,6 @@ class StreamingCoAnalysis:
             if s_frame.num_rows:
                 self._survivors.append(s_frame)
                 self._track_gaps(s_frame["event_time"])
-            self._causal.update(
-                s_frame["errcode"], s_frame["event_time"], watermark
-            )
             self._matcher.ingest(s_frame, job.frame, t_frame, watermark)
             while self._pairs_cursor < len(self._matcher._pair_frames):
                 pairs = self._matcher._pair_frames[self._pairs_cursor]
@@ -197,7 +191,8 @@ class StreamingCoAnalysis:
         return self.ingest(increment.ras, increment.job, increment.watermark)
 
     def result(self) -> CoAnalysisResult:
-        """Finalize the frontier and run the batch downstream stages.
+        """Finalize the frontier and run the batch causality filter and
+        downstream stages.
 
         Finalization is terminal: further :meth:`ingest` calls raise.
         The result is computed once and cached.
@@ -205,21 +200,21 @@ class StreamingCoAnalysis:
         if self._result is not None:
             return self._result
         self._matcher.finalize()
-        keep, rules = self._causal.finalize()
         survivors = (
             concat(self._survivors) if self._survivors else _empty_events()
         )
-        events_filtered = FatalEventTable(survivors.filter(keep))
+        events_filtered = self.pipeline.filters.causal.apply(
+            FatalEventTable(survivors)
+        )
         stats = FilterStats(
             raw=self._raw,
             after_temporal=self._after_temporal,
             after_spatial=self._after_spatial,
-            after_causal=int(keep.sum()),
+            after_causal=len(events_filtered),
         )
-        # surface the stream's products where batch callers look for them
+        # surface the stream's stats where batch callers look for them
         self.pipeline.filters.stats = stats
-        self.pipeline.filters.causal.rules = rules
-        match = self._matcher.result(keep)
+        match = self._matcher.result(events_filtered)
         job_log = (
             JobLog(concat(self._job_frames))
             if self._job_frames
@@ -313,26 +308,4 @@ class StreamingCoAnalysis:
             self._matcher.jobs_buffered
         )
         m.gauge("stream.frontier.raw_buffered").set(self._matcher.raw_buffered)
-        m.gauge("stream.frontier.causal_tail").set(
-            len(self._causal._tail_times)
-        )
         m.histogram("stream.increment.wall_s").observe(update.wall_s)
-
-
-def replay_trace(
-    ras_log: RasLog,
-    job_log: JobLog,
-    increments: int,
-    pipeline: CoAnalysis | None = None,
-    source: str = "stream",
-) -> tuple[list[StreamUpdate], CoAnalysisResult]:
-    """Replay a recorded trace through the streaming runner in K cuts."""
-    runner = StreamingCoAnalysis(
-        pipeline=pipeline if pipeline is not None else CoAnalysis(),
-        source=source,
-    )
-    updates = [
-        runner.ingest_increment(inc)
-        for inc in split_trace(ras_log, job_log, increments=increments)
-    ]
-    return updates, runner.result()

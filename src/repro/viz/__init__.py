@@ -1,18 +1,12 @@
 """Terminal visualization primitives for reports and benchmarks.
 
 The paper's figures are reproduced as data series; these helpers render
-them readably in a terminal: horizontal bar charts, sparklines,
-histograms, and aligned two-series comparisons. Pure text, no plotting
-dependencies — the bench harness prints the same rows/series the paper
-plots.
+them readably in a terminal: horizontal bar charts, sparklines and
+histograms. Pure text, no plotting dependencies — the bench harness
+prints the same rows/series the paper plots.
 """
 
-from repro.viz.ascii import (
-    bar_chart,
-    histogram,
-    series_table,
-    sparkline,
-)
+from repro.viz.ascii import bar_chart, histogram, sparkline
 from repro.viz.dash import render_dashboard, render_prometheus
 from repro.viz.fleet import render_fleet_report
 from repro.viz.trace import (
@@ -27,7 +21,6 @@ __all__ = [
     "bar_chart",
     "sparkline",
     "histogram",
-    "series_table",
     "render_dashboard",
     "render_gauges",
     "render_prometheus",

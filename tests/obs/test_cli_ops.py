@@ -4,8 +4,9 @@ import pytest
 
 from repro.cli import main
 from repro.logs import write_job_log, write_ras_log
-from repro.obs import read_ops_log, validate_ops_log
+from repro.obs import read_ops_log
 from repro.obs.metrics import get_metrics
+from tests.obs.opslog_checks import validate_ops_log
 from tests.stream.conftest import make_jobs, make_ras
 
 

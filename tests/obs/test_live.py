@@ -13,8 +13,8 @@ from repro.obs import (
     accumulate_samples,
     read_ops_log,
     sample_value,
-    validate_ops_log,
 )
+from tests.obs.opslog_checks import validate_ops_log
 
 
 class FakeClock:

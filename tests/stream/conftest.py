@@ -14,10 +14,11 @@ shapes are provided:
 import numpy as np
 import pytest
 
-from repro.core.pipeline import CoAnalysis
+from repro.core.pipeline import CoAnalysis, CoAnalysisResult
 from repro.frame import Frame
 from repro.logs.job import JobLog
 from repro.logs.ras import RasLog
+from repro.stream import StreamingCoAnalysis, StreamUpdate, split_trace
 
 
 def valid_locations(n):
@@ -86,6 +87,25 @@ def make_jobs(ras_log, n, seed=7):
             }
         )
     )
+
+
+def replay_trace(
+    ras_log: RasLog,
+    job_log: JobLog,
+    increments: int,
+    pipeline: CoAnalysis | None = None,
+    source: str = "stream",
+) -> tuple[list[StreamUpdate], CoAnalysisResult]:
+    """Replay a recorded trace through the streaming runner in K cuts."""
+    runner = StreamingCoAnalysis(
+        pipeline=pipeline if pipeline is not None else CoAnalysis(),
+        source=source,
+    )
+    updates = [
+        runner.ingest_increment(inc)
+        for inc in split_trace(ras_log, job_log, increments=increments)
+    ]
+    return updates, runner.result()
 
 
 def make_causal_trace(periods=25, t0=1.2e9):

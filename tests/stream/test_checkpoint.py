@@ -7,9 +7,13 @@ import numpy as np
 import pytest
 
 from repro.core.equivalence import diff_results
+from repro.core.events import fatal_event_table
 from repro.core.filtering.chain import FilterChain
+from repro.core.filtering.spatial import SpatialFilter
 from repro.core.filtering.temporal import TemporalFilter
 from repro.core.pipeline import CoAnalysis
+from repro.frame import Frame
+from repro.logs.ras import RasLog
 from repro.obs.metrics import get_metrics
 from repro.stream import (
     StreamError,
@@ -21,6 +25,7 @@ from repro.stream import (
 )
 from repro.stream.checkpoint import load_extras
 from tests.frame.npz_reference import rewrite_npz
+from tests.stream.conftest import make_jobs, valid_locations
 
 
 def ingest_first(trace, k, upto):
@@ -99,6 +104,63 @@ class TestSaveResume:
         metrics.reset()
 
 
+def make_chain_trace(t0=1.2e9):
+    """A temporal chain (``_T``, one location) and a spatial chain
+    (``_S``, three locations), each three rows 200 s apart.
+
+    The first row of each chain is kept, the middle one is dropped, and
+    the third is dropped only because the dropped middle row extends the
+    300 s window: the first row is 400 s back.
+    """
+    loc = valid_locations(4)
+    times = [t0 + dt for k in range(3) for dt in (200.0 * k, 200.0 * k + 10)]
+    n = len(times)
+    ras = RasLog(
+        Frame(
+            {
+                "recid": np.arange(1, n + 1, dtype=np.int64),
+                "msg_id": np.array(["KERN_0001"] * n, dtype=object),
+                "component": np.array(["KERNEL"] * n, dtype=object),
+                "subcomponent": np.array(["sub"] * n, dtype=object),
+                "errcode": np.array(["_T", "_S"] * 3, dtype=object),
+                "severity": np.array(["FATAL"] * n, dtype=object),
+                "event_time": np.array(times, dtype=np.float64),
+                "location": np.array(
+                    [loc[0], loc[1], loc[0], loc[2], loc[0], loc[3]],
+                    dtype=object,
+                ),
+                "serialnumber": np.array(["SN0"] * n, dtype=object),
+                "message": np.array(["m"] * n, dtype=object),
+            }
+        )
+    )
+    return ras, make_jobs(ras, 10, seed=3)
+
+
+class TestChainCarry:
+    def test_chains_span_three_increments_across_checkpoints(self, tmp_path):
+        """Each chain's rows land in three increments, with a save and
+        load between every pair: the carried last row of each group
+        (kept or dropped) must reproduce the batch filters."""
+        ras, job = make_chain_trace()
+        t0 = float(ras.frame["event_time"][0])
+        edges = [t0, t0 + 100.0, t0 + 300.0, t0 + 500.0]
+        runner = StreamingCoAnalysis()
+        for i, inc in enumerate(split_trace(ras, job, edges=edges)):
+            if i:
+                save_checkpoint(runner, tmp_path / f"ckpt{i}")
+                runner = load_checkpoint(tmp_path / f"ckpt{i}")
+            update = runner.ingest_increment(inc)
+            prefix = fatal_event_table(
+                RasLog(ras.frame.filter(ras.frame["event_time"] < inc.watermark))
+            )
+            temporal = TemporalFilter().apply(prefix)
+            assert update.after_temporal == len(temporal)
+            assert update.after_spatial == len(SpatialFilter().apply(temporal))
+        assert (update.after_temporal, update.after_spatial) == (4, 2)
+        assert diff_results(runner.result(), CoAnalysis().run(ras, job)) == []
+
+
 def _bump_version(directory):
     path = directory / "checkpoint.json"
     index = json.loads(path.read_text())
@@ -133,10 +195,10 @@ class TestValidateCheckpoint:
         assert "survivors" in problems[0]
 
     def test_bit_flip_in_arrays_is_hash_mismatch(self, ckpt):
-        _flip_last_byte(ckpt / "arrays.npz")
+        _flip_last_byte(ckpt / "gaps.npz")
         problems = validate_checkpoint(ckpt)
         assert any(
-            p.startswith("hash-mismatch") and "arrays.npz" in p
+            p.startswith("hash-mismatch") and "gaps.npz" in p
             for p in problems
         )
 

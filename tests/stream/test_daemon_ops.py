@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from repro.logs import DefectClass, read_ras_log
-from repro.obs import probe_health, read_ops_log, validate_ops_log
+from repro.obs import probe_health, read_ops_log
 from repro.obs.metrics import get_metrics
 from repro.stream.daemon import DaemonLoop
+from tests.obs.opslog_checks import validate_ops_log
 from tests.stream.test_daemon import (
     NO_SLEEP,
     FlakyFS,

@@ -12,14 +12,9 @@ import pytest
 
 from repro.core.equivalence import diff_results
 from repro.core.pipeline import CoAnalysis
-from repro.stream import (
-    StreamError,
-    StreamingCoAnalysis,
-    replay_trace,
-    split_trace,
-)
+from repro.stream import StreamError, StreamingCoAnalysis, split_trace
 
-from tests.stream.conftest import make_causal_trace
+from tests.stream.conftest import make_causal_trace, replay_trace
 
 
 def replay_edges(ras, job, edges):

@@ -1,9 +1,10 @@
 """Every file ``repro`` persists, checked writer by writer.
 
 The writers are the frame file codec (the store's shards) and the
-store manifest, the parse cache, the streaming checkpoint (its ``arrays.npz`` and index), the
-daemon's ``CURRENT`` slot pointer, the run manifest, the bench
-trajectory, the health snapshot and the fault injector's log rotation.
+store manifest, the parse cache, the streaming checkpoint (its
+``gaps.npz`` frame file and index), the daemon's ``CURRENT`` slot
+pointer, the run manifest, the bench trajectory, the health snapshot
+and the fault injector's log rotation.
 For each one:
 
 * a fault partway through the payload leaves the previous file
@@ -163,8 +164,8 @@ PINS = {
         "entry.npz": "cf9f257d75ad7eb9ba20d70dac4d911177d46e27",
     },
     "stream.checkpoint": {
-        "ckpt/arrays.npz": "773e98359481a0608f842efbb0eccb163f682438",
-        "ckpt/checkpoint.json": "487802493a0478212e4ae7fe5f82881464116fb5",
+        "ckpt/gaps.npz": "a1fb6e3f437acaa208a77e5f0ef8ca22d9ea5e9c",
+        "ckpt/checkpoint.json": "c61f7229e9c3b83893f7f7ca31c8c813a7c2615d",
     },
     "stream.daemon.pointer": {
         "CURRENT": "10c9d810d287c7b1812e305da80ea56efffa8806",
