@@ -91,7 +91,6 @@ from repro.logs import (
     write_ras_log,
 )
 from repro.logs.quarantine import INGEST_MODES
-from repro.simulate import CalibrationProfile, IntrepidSimulation
 
 
 def _number(kind, name: str, lo=0, hi=None, lo_open: bool = False):
@@ -420,6 +419,8 @@ def _run_analysis(
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from repro.simulate import CalibrationProfile, IntrepidSimulation
+
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     profile = CalibrationProfile(seed=args.seed, scale=args.scale)
@@ -469,6 +470,7 @@ def cmd_corrupt(args: argparse.Namespace) -> int:
 
 def cmd_demo(args: argparse.Namespace) -> int:
     from repro.obs import maybe_span
+    from repro.simulate import CalibrationProfile, IntrepidSimulation
 
     profile = CalibrationProfile(seed=args.seed, scale=args.scale)
     with maybe_span("simulate"):
@@ -494,6 +496,7 @@ def _time_range_arg(text: str) -> tuple[float, float]:
 def cmd_fleet(args: argparse.Namespace) -> int:
     import tempfile
 
+    from repro.simulate import CalibrationProfile
     from repro.simulate.fleet import store_fleet, synthesize_fleet
     from repro.store import ShardedDataset, analyze_fleet
     from repro.store.manifest import StoreError
@@ -599,6 +602,8 @@ def cmd_stream(args: argparse.Namespace) -> int:
         ras_log, job_log, _ = _read_logs(args, _ingest_policy(args))
         source = f"{args.ras} + {args.job}"
     else:
+        from repro.simulate import CalibrationProfile, IntrepidSimulation
+
         profile = CalibrationProfile(seed=args.seed, scale=args.scale)
         trace = IntrepidSimulation(profile).run()
         ras_log, job_log = trace.ras_log, trace.job_log

@@ -15,6 +15,16 @@ taxonomy, for every line a column check flags. With ``fatal_only`` the
 kernel still checks every line but builds cells only for the FATAL
 rows.
 
+A FATAL-only read (``read_ras_log(..., fatal_only=True)``, what
+``analyze`` runs) holds one :data:`_BATCH_CHARS` batch's lines and
+split cells at a time, plus the FATAL rows: while every accepted
+candidate follows the one before it (recids strictly increasing, no
+time below the running max) no candidate can be a duplicate or out of
+order, so each chunk keeps only its FATAL rows and a summary of the
+rest. The first candidate that breaks that order makes the reader
+parse the file a second time, keeping every candidate's line, recid
+and time for the cross-record replay (:mod:`repro.parallel.workers`).
+
 Ingestion is policy-driven (:mod:`repro.logs.quarantine`): every data
 line passes structural checks (encoding damage, blank, truncated,
 garbled delimiters), field checks (recid, BG/P timestamp, severity /
@@ -79,9 +89,11 @@ _NUM_SEPS = len(_DISK_COLUMNS) - 1
 
 #: bytes per batch the chunk reader classifies at once
 #: (:func:`repro.parallel.workers.iter_line_batches`, extended to the next
-#: line end): large enough to amortize the column work, small enough that
-#: a batch's split cells stay a small fraction of the parsed frame
-_BATCH_CHARS = 1 << 20
+#: line end). A batch's lines and split cells take about ten times its
+#: size, and that is most of what a FATAL-only read holds beyond its
+#: FATAL rows; at 256 KiB the column work is still amortized over
+#: ~1,700 lines, and the parse runs as fast as with 1 MiB batches
+_BATCH_CHARS = 1 << 18
 
 #: the recid column's range, and the longest all-digit recid inside it
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
@@ -128,6 +140,13 @@ class RasRows:
     def __len__(self) -> int:
         return len(self.lines)
 
+    def celled(self) -> "RasRows":
+        """The rows that have cells (every row when ``kept`` is None)."""
+        if self.kept is None:
+            return self
+        k = self.kept
+        return RasRows(self.lines[k], self.recids[k], self.times[k], self.cells)
+
     def take(self, index) -> "RasRows":
         """The rows selected by *index* (a mask, slice or index array)."""
         at, kept = index, None
@@ -172,14 +191,12 @@ class RasRows:
 
     def to_frame(self) -> Frame:
         """The rows that have cells as an in-memory RAS frame (Table II)."""
-        recids, times = self.recids, self.times
-        if self.kept is not None:
-            recids, times = recids[self.kept], times[self.kept]
+        rows = self.celled()
         data = {
-            _DISK_COLUMNS[j]: col for j, col in zip(_CELL_COLUMNS, self.cells)
+            _DISK_COLUMNS[j]: col for j, col in zip(_CELL_COLUMNS, rows.cells)
         }
-        data["recid"] = recids
-        data["event_time"] = times
+        data["recid"] = rows.recids
+        data["event_time"] = rows.times
         return Frame({c: data[c] for c in RAS_COLUMNS})
 
 

@@ -21,22 +21,8 @@ Typical use::
                    observations=result.observations)
 """
 
-from repro.obs.alerts import AlertEngine, AlertEvent, AlertRule
-from repro.obs.health import (
-    HealthThresholds,
-    evaluate_health,
-    probe_health,
-    read_health,
-    write_health,
-)
-from repro.obs.live import (
-    LiveTelemetry,
-    MetricRing,
-    MetricSample,
-    MetricsSampler,
-    accumulate_samples,
-    sample_value,
-)
+import importlib
+
 from repro.obs.manifest import (
     MANIFEST_SCHEMA_VERSION,
     config_fingerprint,
@@ -54,7 +40,6 @@ from repro.obs.metrics import (
     MonotonicGauge,
     get_metrics,
 )
-from repro.obs.opslog import OPS_SCHEMA_VERSION, OpsLog, read_ops_log
 from repro.obs.trace import (
     Span,
     Tracer,
@@ -63,6 +48,37 @@ from repro.obs.trace import (
     current_tracer,
     maybe_span,
 )
+
+#: the live-operations names (alerts, health, live sampling, ops log),
+#: imported on first use so that a batch run, which never reads them,
+#: does not load their modules
+_LAZY = {
+    "AlertEngine": "alerts",
+    "AlertEvent": "alerts",
+    "AlertRule": "alerts",
+    "HealthThresholds": "health",
+    "evaluate_health": "health",
+    "probe_health": "health",
+    "read_health": "health",
+    "write_health": "health",
+    "LiveTelemetry": "live",
+    "MetricRing": "live",
+    "MetricSample": "live",
+    "MetricsSampler": "live",
+    "accumulate_samples": "live",
+    "sample_value": "live",
+    "OPS_SCHEMA_VERSION": "opslog",
+    "OpsLog": "opslog",
+    "read_ops_log": "opslog",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_LAZY[name]}")
+    return getattr(module, name)
+
 
 __all__ = [
     "MANIFEST_SCHEMA_VERSION",

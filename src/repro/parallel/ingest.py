@@ -27,8 +27,8 @@ from repro.logs.quarantine import (
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import current_tracer
 from repro.parallel.chunking import plan_chunks, scan_header
-from repro.parallel.merge import merge_ras_chunks
-from repro.parallel.workers import parse_ras_chunk
+from repro.parallel.merge import chunks_in_order, merge_ras_chunks
+from repro.parallel.workers import ChunkTask, RasChunk, parse_ras_chunk
 
 __all__ = [
     "effective_cpu_count",
@@ -55,26 +55,15 @@ def resolve_workers(workers: int) -> int:
     return workers
 
 
-def _run_chunks(worker, tasks: list, workers: int) -> list:
-    """Map *worker* over chunk *tasks*, pooled when it pays off."""
+def _run_chunks(tasks: list[ChunkTask], workers: int) -> list[RasChunk]:
+    """Parse chunk *tasks*, in a pool when there are several workers."""
     n = min(workers, len(tasks))
     if n <= 1:
-        chunks = [worker(t) for t in tasks]
-    else:
-        methods = multiprocessing.get_all_start_methods()
-        ctx = multiprocessing.get_context(
-            "fork" if "fork" in methods else None
-        )
-        with ctx.Pool(processes=n) as pool:
-            chunks = pool.map(worker, tasks)
-    # fork workers cannot reach this process's tracer or registry, so
-    # each chunk carries its own measurements home to be noted here
-    note = f"{n} workers" if n > 1 else ""
-    for i, chunk in enumerate(chunks):
-        note_parse_chunk(
-            i, chunk.n_lines, chunk.n_bytes, chunk.wall_s, chunk.cpu_s, note
-        )
-    return chunks
+        return [parse_ras_chunk(t) for t in tasks]
+    methods = multiprocessing.get_all_start_methods()
+    ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
+    with ctx.Pool(processes=n) as pool:
+        return pool.map(parse_ras_chunk, tasks)
 
 
 def note_parse_chunk(
@@ -128,9 +117,14 @@ def parallel_read_ras_frame(
     frame carries the in-memory RAS columns; an empty data region
     yields a frame the caller may swap for ``empty_ras_log()``. With
     *fatal_only* the frame holds the FATAL rows only: each chunk checks
-    every line of its range but builds cells for its FATAL candidates
-    only, and the merge reads the sample of a candidate it rejects back
-    from the file.
+    every line of its range but keeps only its FATAL candidates while
+    every candidate follows the one before it in recid and time, which
+    leaves nothing to replay. If one does not, the file is parsed a
+    second time keeping every candidate's line, recid and time (cells
+    for the FATAL ones only), counted by ``ingest.ras.reparsed``, and
+    the merge replays the cross-record checks, reading the sample of a
+    candidate it rejects back from the file. Only the returned pass's
+    chunks are noted (:func:`note_parse_chunk`).
     """
     from repro.logs.textio import check_ras_header
 
@@ -146,7 +140,22 @@ def parallel_read_ras_frame(
     if chunk_bounds is None:
         chunk_bounds = plan_chunks(str(path), n_workers, data_start)
     tasks = [
-        (str(path), start, end, fatal_only) for start, end in chunk_bounds
+        ChunkTask(str(path), start, end, fatal_only)
+        for start, end in chunk_bounds
     ]
-    chunks = _run_chunks(parse_ras_chunk, tasks, n_workers)
+    chunks = _run_chunks(tasks, n_workers)
+    if fatal_only and not chunks_in_order(chunks):
+        # a duplicate, a time regression or recids out of order: parse
+        # again with every candidate's line, recid and time, for the replay
+        get_metrics().counter("ingest.ras.reparsed").inc()
+        tasks = [t._replace(every_row=True) for t in tasks]
+        chunks = _run_chunks(tasks, n_workers)
+    # fork workers cannot reach this process's tracer or registry, so
+    # each chunk carries its own measurements home to be noted here
+    n = min(n_workers, len(chunks))
+    for i, chunk in enumerate(chunks):
+        note_parse_chunk(
+            i, chunk.n_lines, chunk.n_bytes, chunk.wall_s, chunk.cpu_s,
+            f"{n} workers" if n > 1 else "",
+        )
     return merge_ras_chunks(chunks, pol, report, str(path), chunk_bounds)

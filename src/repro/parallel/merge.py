@@ -15,7 +15,9 @@ policy:
   log case); otherwise a loop re-runs the line-by-line acceptance from
   the first violation on. A candidate it rejects takes its quarantine
   sample from its own line, read back from its chunk's byte range,
-  since workers ship no candidate text;
+  since workers ship no candidate text. FATAL-only first-pass chunks
+  skip the replay: when their summaries show every candidate in order
+  (:func:`chunks_in_order`), every candidate is accepted;
 * **policy replay** — all defects (context-free ones from the workers
   plus cross-record ones from the replay) are routed through
   :func:`~repro.logs.quarantine.replay_defects` in global line order,
@@ -41,6 +43,7 @@ from repro.logs.quarantine import (
 from repro.parallel.workers import RasChunk, iter_line_batches
 
 __all__ = [
+    "chunks_in_order",
     "merge_ras_chunks",
     "replay_cross_record",
 ]
@@ -97,6 +100,27 @@ def replay_cross_record(
     return accepted, defects
 
 
+def chunks_in_order(chunks: list[RasChunk]) -> bool:
+    """Whether FATAL-only first-pass *chunks* hold their candidates in
+    order: each chunk ``ordered``, and each non-empty one's first recid
+    above, and first time not below, the last recid and max time of the
+    non-empty chunk before it. Such candidates are all accepted: none
+    repeats a recid or falls behind an earlier time."""
+    prev = None
+    for chunk in chunks:
+        if not chunk.ordered:
+            return False
+        if not chunk.n_cand:
+            continue
+        if prev is not None and (
+            chunk.first_recid <= prev.last_recid
+            or chunk.first_time < prev.max_time
+        ):
+            return False
+        prev = chunk
+    return True
+
+
 def _line_bases(chunk_lines: list[int]) -> list[int]:
     """Global line number of each chunk's first data line."""
     bases = []
@@ -119,21 +143,30 @@ def merge_ras_chunks(
     *chunks* are the parses of the byte ranges *bounds* of *path*, in
     order. Output is bit-identical to a line-by-line parse: same row
     order, same dtypes, same quarantine report (or the same raise).
-    Projected chunks give that parse's FATAL rows.
+    Projected chunks give that parse's FATAL rows. FATAL-only
+    first-pass chunks are merged only when they pass
+    :func:`chunks_in_order`; others need a second pass.
     """
     from repro.logs.stream import RasRows
 
     bases = _line_bases([c.n_lines for c in chunks])
     total_lines = sum(c.n_lines for c in chunks)
     rows = RasRows.concat([c.cand for c in chunks])
-    accepted, cross = replay_cross_record(rows.recids, rows.times)
-
     defects: list[tuple[int, DefectClass, str]] = []
     for base, chunk in zip(bases, chunks):
         defects.extend(
             (base + idx, defect, sample)
             for idx, defect, sample in chunk.defects
         )
+    if chunks_in_order(chunks):
+        # every candidate is accepted; rows holds the FATAL ones
+        replay_defects(policy, report, defects, total_lines)
+        spans = [(c.first_time, c.max_time) for c in chunks if c.n_cand]
+        if spans:
+            report.note_clean_times((spans[0][0], spans[-1][1]))
+        return rows.to_frame()
+
+    accepted, cross = replay_cross_record(rows.recids, rows.times)
     if cross:
         # a rejected candidate's sample is its line, read back from its
         # chunk's byte range

@@ -6,8 +6,16 @@ cells, vocabulary. Cross-record state (duplicate recids, time
 ordering) cannot be decided inside a chunk, so it returns *candidate*
 rows plus per-line defects in chunk-local coordinates;
 :mod:`repro.parallel.merge` replays the cross-record checks and the
-ingest policy over the merged stream. A FATAL-only read projects here,
-batch by batch.
+ingest policy over the merged stream.
+
+A FATAL-only read projects here, batch by batch. Its first pass keeps
+only the FATAL candidates, plus a summary that shows whether every
+candidate follows the one before it (recids strictly increasing, no
+time below the running max): such a log needs no replay, since no
+candidate can be a duplicate or out of order. A chunk whose candidates
+break that order stops at the offending batch, and the reader parses
+the file again with every candidate's line, recid and time kept
+(``ChunkTask.every_row``) for the merge to replay.
 
 It takes a single picklable task tuple, so it runs the same in the
 calling process (one chunk) or under ``Pool.map`` with any start
@@ -18,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter, process_time
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from repro.logs.quarantine import SAMPLE_WIDTH, DefectClass
 from repro.parallel.chunking import split_chunk_lines
@@ -27,10 +35,26 @@ if TYPE_CHECKING:
     from repro.logs.stream import RasRows
 
 __all__ = [
+    "ChunkTask",
     "RasChunk",
     "iter_line_batches",
     "parse_ras_chunk",
 ]
+
+
+class ChunkTask(NamedTuple):
+    """One chunk to parse: the byte range ``[start, end)`` of *path*.
+
+    *every_row* marks a FATAL-only second pass, which keeps every
+    candidate's line, recid and time for the merge's replay; a plain
+    ``(path, start, end, fatal_only)`` tuple is a first pass.
+    """
+
+    path: str
+    start: int
+    end: int
+    fatal_only: bool = False
+    every_row: bool = False
 
 
 @dataclass
@@ -39,11 +63,19 @@ class RasChunk:
 
     ``defects`` carries context-free bad lines as ``(local_line_index,
     defect, sample)``; ``cand`` holds the field-valid rows that still
-    await the merge-time duplicate/ordering verdict. A projected chunk
-    (``fatal_only``) ships every candidate's line index, recid and time
-    but cells only for its FATAL candidates (``cand.kept``). No
-    candidate ships its text: the merge reads the line of one it
-    rejects back from the file.
+    await the merge-time duplicate/ordering verdict. No candidate ships
+    its text: the merge reads the line of one it rejects back from the
+    file.
+
+    A FATAL-only first pass ships only its FATAL candidates in ``cand``
+    and summarizes the rest: ``n_cand`` candidates, recids from
+    ``first_recid`` to ``last_recid`` and times from ``first_time`` to
+    ``max_time``, all in order when ``ordered`` is set. The summary is a
+    field because a pool worker cannot set state in the parent. A chunk
+    whose candidates fall out of order stops there, ``ordered`` unset.
+    A second pass (``ChunkTask.every_row``) ships every candidate's
+    line, recid and time, and cells for the FATAL ones (``cand.kept``);
+    a full read ships every candidate's cells. Neither sets ``ordered``.
     """
 
     n_lines: int
@@ -55,6 +87,33 @@ class RasChunk:
     wall_s: float = 0.0
     cpu_s: float = 0.0
     n_bytes: int = 0
+    ordered: bool = False
+    n_cand: int = 0
+    first_recid: int = 0
+    last_recid: int = 0
+    first_time: float = 0.0
+    max_time: float = 0.0
+
+    def follow(self, rows: RasRows) -> bool:
+        """Add a batch's candidates *rows* to the summary if they follow
+        the chunk's so far in order; otherwise unset ``ordered``."""
+        recids, times = rows.recids, rows.times
+        if not len(recids):
+            return True
+        ordered = bool(
+            (recids[1:] > recids[:-1]).all() and (times[1:] >= times[:-1]).all()
+        )
+        if ordered and self.n_cand:
+            ordered = recids[0] > self.last_recid and times[0] >= self.max_time
+        if not ordered:
+            self.ordered = False
+            return False
+        if not self.n_cand:
+            self.first_recid, self.first_time = int(recids[0]), float(times[0])
+        self.n_cand += len(recids)
+        # times never decrease, so the last is the max
+        self.last_recid, self.max_time = int(recids[-1]), float(times[-1])
+        return True
 
 
 def iter_line_batches(path: str, start: int, end: int) -> Iterator[list[str]]:
@@ -81,35 +140,38 @@ def iter_line_batches(path: str, start: int, end: int) -> Iterator[list[str]]:
                 return
 
 
-def parse_ras_chunk(task: tuple[str, int, int, bool]) -> RasChunk:
-    """Parse one RAS data chunk: ``(path, start, end, fatal_only)``.
+def parse_ras_chunk(task: tuple) -> RasChunk:
+    """Parse one RAS data chunk, a :class:`ChunkTask` or a plain
+    ``(path, start, end, fatal_only)`` tuple.
 
     The range is classified one :func:`iter_line_batches` batch at a
     time, all through one string table, so a worker holds one batch's
     lines and split cells at a time, however long its range. With
-    *fatal_only* cells are built for the FATAL candidates only.
+    *fatal_only* cells are built for the FATAL candidates only, and a
+    first pass keeps only those candidates while the batches stay in
+    order (see :class:`RasChunk`).
     """
     from repro.logs.stream import RasRows, parse_ras_block
 
-    path, start, end, fatal_only = task
+    path, start, end, fatal_only, every_row = ChunkTask(*task)
     t0, c0 = perf_counter(), process_time()
     table: dict = {}  # one string table for the whole chunk
-    defects: list[tuple[int, DefectClass, str]] = []
+    chunk = RasChunk(0, [], None, ordered=fatal_only and not every_row)
     parts = []
-    n_lines = 0
     for lines in iter_line_batches(path, start, end):
         found, rows = parse_ras_block(lines, table, fatal_only)
-        defects.extend(
-            (n_lines + i, d, lines[i][:SAMPLE_WIDTH]) for i, d in found
+        chunk.defects.extend(
+            (chunk.n_lines + i, d, lines[i][:SAMPLE_WIDTH]) for i, d in found
         )
-        rows.lines += n_lines
+        rows.lines += chunk.n_lines
+        chunk.n_lines += len(lines)
+        if chunk.ordered:
+            if not chunk.follow(rows):
+                break  # the reader parses the file again
+            rows = rows.celled()
         parts.append(rows)
-        n_lines += len(lines)
-    return RasChunk(
-        n_lines=n_lines,
-        defects=defects,
-        cand=RasRows.concat(parts),
-        wall_s=perf_counter() - t0,
-        cpu_s=process_time() - c0,
-        n_bytes=end - start,
-    )
+    chunk.cand = RasRows.concat(parts)
+    chunk.wall_s = perf_counter() - t0
+    chunk.cpu_s = process_time() - c0
+    chunk.n_bytes = end - start
+    return chunk

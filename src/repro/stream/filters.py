@@ -8,7 +8,10 @@ whether an event survives depends only on the time of the
 those rows to the next chunk, asks the batch filter for the keep mask
 over the extended frame and discards the carried rows' entries: exactly
 the batch decision for the chunk's rows. The batch filter alone defines
-the groups.
+the groups. A carried row more than the threshold before the next
+chunk starts can suppress nothing, so it is dropped first: the carry
+holds the groups of the last chunk and of the threshold before it, not
+every group ever seen.
 
 The causality filter is **not** prefix-decomposable — its rules are
 mined over the whole stream — so the runner applies the batch
@@ -31,7 +34,8 @@ class ChainState:
 
     def __init__(self, chain_filter: ChainCollapseFilter):
         self.filter = chain_filter
-        #: each group's last row (kept or dropped), in time order
+        #: each group's last row (kept or dropped), in time order, for
+        #: the groups of the last chunk and of the threshold before it
         self.carry: Frame | None = None
 
     def apply(self, frame: Frame) -> np.ndarray:
@@ -42,6 +46,12 @@ class ChainState:
         """
         if frame.num_rows == 0:
             return np.zeros(0, dtype=bool)
+        if self.carry is not None:
+            # a carried row further than the threshold before the chunk
+            # starts suppresses none of it (the gap test of
+            # chain_collapse_mask), so its group starts afresh either way
+            gap = frame["event_time"][0] - self.carry["event_time"]
+            self.carry = self.carry.filter(~(gap > self.filter.threshold))
         m = 0 if self.carry is None else self.carry.num_rows
         full = concat([self.carry, frame]) if m else frame
         codes, keep = self.filter.group_keep(full)

@@ -16,14 +16,32 @@ stand-in:
 stream the scheduler simulation replays.
 """
 
-from repro.workload.population import Executable, Population, PopulationProfile
-from repro.workload.sampler import JobSubmission, WorkloadSampler
+import importlib
+
 from repro.workload.tables import (
     RUNTIME_BUCKETS,
     SIZE_CLASSES,
     TABLE_VI_TOTALS,
     runtime_bucket_index,
 )
+
+#: the generators, imported on first use: the analysis reads only the
+#: tables, and the population model loads the fault processes
+_LAZY = {
+    "Executable": "population",
+    "Population": "population",
+    "PopulationProfile": "population",
+    "JobSubmission": "sampler",
+    "WorkloadSampler": "sampler",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_LAZY[name]}")
+    return getattr(module, name)
+
 
 __all__ = [
     "Population",

@@ -11,6 +11,12 @@ report with its samples, or the same raise. The hand-built logs place
 rejected lines where the reader could go wrong — on a chunk seam, on a
 chunk's internal batch seam, and in a chunk after the row that rejects
 them.
+
+A first pass keeps only the FATAL candidates while every candidate
+follows the one before it; a log that breaks that order is parsed a
+second time for the cross-record replay. ``TestSecondPass`` holds both
+passes to one result, and ``TestReadMemory`` holds the first pass's
+memory to one batch, however long the log.
 """
 
 import gc
@@ -24,7 +30,13 @@ import pytest
 from repro.logs import IngestAbortError, IngestError, IngestPolicy
 from repro.logs.stream import _BATCH_CHARS
 from repro.logs.textio import read_ras_log, write_ras_log
-from repro.parallel import parse_ras_chunk, scan_header
+from repro.obs import get_metrics
+from repro.parallel import (
+    parallel_read_ras_frame,
+    parse_ras_chunk,
+    scan_header,
+)
+from repro.parallel.workers import ChunkTask
 from repro.simulate import CalibrationProfile, IntrepidSimulation
 
 from tests.logs.ras_reference import read_ras_log_by_line
@@ -50,11 +62,14 @@ POLICIES = [
     ),
 ]
 
-#: the most pickled bytes a projected chunk may ship per line: a line
-#: index, a recid and a time (8 bytes each) and a kept flag for every
-#: candidate, plus the cells of the few FATAL ones (about 26 bytes a
-#: line on the scale-0.02 trace; about 50 with every row's cells)
-MAX_PROJECTED_PAYLOAD_PER_LINE = 32
+#: the most pickled bytes a projected first-pass chunk may ship per
+#: line: the line, recid, time and cells of its few FATAL candidates and
+#: a fixed summary (under half a byte a line on the scale-0.02 trace)
+MAX_PROJECTED_PAYLOAD_PER_LINE = 2
+#: the same for a second pass, which adds a line index, a recid and a
+#: time (8 bytes each) and a kept flag for every candidate (about 26
+#: bytes a line; about 50 with every row's cells)
+MAX_REPARSED_PAYLOAD_PER_LINE = 32
 #: the most traced heap, in batches of ``_BATCH_CHARS``, a worker may
 #: hold at its peak beyond the chunk it returns: one batch's bytes, text,
 #: lines and split cells, about 10 whatever the range (about 54 on the
@@ -210,15 +225,35 @@ def trace_range(tmp_path_factory):
 
 class TestWorkerPayload:
     def test_projected_chunk_ships_fatal_cells_only(self, trace_range):
+        """A first pass ships its FATAL candidates and a summary of the
+        rest; a second pass ships every candidate's line, recid and time
+        but cells for the FATAL ones only."""
+        full = parse_ras_chunk((*trace_range, False)).cand
+        fatal = full.to_frame()["severity"] == "FATAL"
         chunk = parse_ras_chunk((*trace_range, True))
-        cand = chunk.cand
-        assert cand.kept is not None and len(cand.kept) == len(cand)
-        n_fatal = int(cand.kept.sum())
-        assert 0 < n_fatal < len(cand) // 10
-        assert [len(col) for col in cand.cells] == [n_fatal] * 8
-        assert set(cand.to_frame()["severity"].tolist()) == {"FATAL"}
+        assert chunk.ordered and chunk.cand.kept is None
+        assert chunk.n_cand == len(full)
+        assert 0 < len(chunk.cand) == int(fatal.sum()) < len(full) // 10
+        assert chunk.cand.lines.tobytes() == full.lines[fatal].tobytes()
+        assert set(chunk.cand.to_frame()["severity"].tolist()) == {"FATAL"}
+        assert (chunk.first_recid, chunk.last_recid) == (
+            full.recids[0], full.recids[-1]
+        )
+        assert (chunk.first_time, chunk.max_time) == (
+            full.times[0], full.times.max()
+        )
         size = len(pickle.dumps(chunk))
         assert size <= MAX_PROJECTED_PAYLOAD_PER_LINE * chunk.n_lines, (
+            size / chunk.n_lines
+        )
+
+        chunk = parse_ras_chunk(ChunkTask(*trace_range, True, every_row=True))
+        cand = chunk.cand
+        assert not chunk.ordered and cand.kept.tobytes() == fatal.tobytes()
+        assert cand.recids.tobytes() == full.recids.tobytes()
+        assert [len(col) for col in cand.cells] == [int(fatal.sum())] * 8
+        size = len(pickle.dumps(chunk))
+        assert size <= MAX_REPARSED_PAYLOAD_PER_LINE * chunk.n_lines, (
             size / chunk.n_lines
         )
 
@@ -244,3 +279,141 @@ class TestWorkerMemory:
         assert chunk.n_lines > 40_000
         batches = (peak - kept) / _BATCH_CHARS
         assert batches <= MAX_WORKER_TRANSIENT_BATCHES, batches
+
+
+# -- the second pass ------------------------------------------------------
+
+#: strict, quarantine and skip
+SECOND_PASS_POLICIES = POLICIES[:3]
+
+#: rows of the second-pass logs: three batches of ``_row`` lines
+_N_ROWS = 7_000
+#: the chunk seam of the second-pass logs, after this many rows
+_CHUNK_SPLIT = 5_000
+
+
+def _ordered_rows():
+    """In-order rows with every seventh FATAL and one line-local defect."""
+    rows = [
+        [str(i + 1), _stamp(i), "FATAL" if i % 7 == 0 else "INFO", "msg"]
+        for i in range(_N_ROWS)
+    ]
+    rows[100][2] = "BOGUS"
+    return rows
+
+
+def _duplicate(rows):
+    rows[2_996][0] = rows[2_990][0]  # a FATAL row repeats an accepted recid
+
+
+def _time_regression(rows):
+    rows[4_000][1] = rows[3_950][1]
+
+
+def _decreasing_recids(rows):
+    for i, row in enumerate(rows):
+        row[0] = str(_N_ROWS - i)
+
+
+def _on_batch_seam(rows):
+    # the first row of the chunk's second batch repeats the last recid of
+    # its first batch
+    last = worker_seam(rows)
+    rows[last + 1][0] = rows[last][0]
+
+
+def _on_chunk_seam(rows):
+    # the first row of chunk 2 repeats the last recid of chunk 1
+    rows[_CHUNK_SPLIT][0] = rows[_CHUNK_SPLIT - 1][0]
+
+
+SECOND_PASS_LOGS = {
+    "in-order": None,
+    "duplicate": _duplicate,
+    "time-regression": _time_regression,
+    "decreasing-recids": _decreasing_recids,
+    "batch-seam": _on_batch_seam,
+    "chunk-seam": _on_chunk_seam,
+}
+
+
+def read_state(path, policy, bounds, workers):
+    """A FATAL-only read's frame and report (counts, samples, clean
+    rows and span), or its raise, and the second passes it made."""
+    reparsed = get_metrics().counter("ingest.ras.reparsed")
+    before = reparsed.value
+    report = policy.new_report(str(path))
+    try:
+        frame = parallel_read_ras_frame(
+            path, policy=policy, report=report, workers=workers,
+            chunk_bounds=bounds, fatal_only=True,
+        )
+    except (IngestError, IngestAbortError) as exc:
+        return ("raise", error_state(exc)), reparsed.value - before
+    samples = {
+        d.value: [(r.line_no, r.text) for r in recs]
+        for d, recs in report.samples.items()
+    }
+    state = (
+        frame_state(frame), report.as_dict(), samples, report.clean_rows,
+        report.clean_span,
+    )
+    return ("ok", state), reparsed.value - before
+
+
+class TestSecondPass:
+    """A log whose candidates fall out of order, by a defect or not, is
+    parsed twice; the result equals a read forced into the second pass
+    at once, and the per-line reference."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("policy", SECOND_PASS_POLICIES)
+    @pytest.mark.parametrize("log", sorted(SECOND_PASS_LOGS))
+    def test_first_pass_equals_forced_second_pass(
+        self, tmp_path, monkeypatch, log, policy, workers
+    ):
+        rows = _ordered_rows()
+        if SECOND_PASS_LOGS[log] is not None:
+            SECOND_PASS_LOGS[log](rows)
+        path = write_lines(tmp_path / "ras.log", rows)
+        bounds = bounds_after(path, [_CHUNK_SPLIT])
+        assert bounds[0][1] - bounds[0][0] > _BATCH_CHARS
+        got, reparsed = read_state(path, policy, bounds, workers)
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                "repro.parallel.ingest.chunks_in_order", lambda chunks: False
+            )
+            forced, forced_reparsed = read_state(path, policy, bounds, workers)
+        assert got == forced
+        assert (reparsed, forced_reparsed) == (int(log != "in-order"), 1)
+        if workers == 1:
+            assert_matches_line_reference(path, bounds, policy)
+
+
+class TestReadMemory:
+    def test_fatal_only_read_does_not_grow_with_the_log(
+        self, trace_range, tmp_path
+    ):
+        """A FATAL-only read's traced peak beyond the frame it returns is
+        the same, within one batch, for a log four times as long."""
+        path, start, end = trace_range
+        raw = open(path, "rb").read()
+        quarter = tmp_path / "quarter.log"
+        cut = raw.index(b"\n", start + (end - start) // 4) + 1
+        quarter.write_bytes(raw[:cut])
+        del raw
+
+        def transient(log):
+            parallel_read_ras_frame(log, workers=1, fatal_only=True)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                frame = parallel_read_ras_frame(log, workers=1, fatal_only=True)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert frame.num_rows
+            return peak - kept
+
+        growth = transient(path) - transient(str(quarter))
+        assert growth <= _BATCH_CHARS, growth

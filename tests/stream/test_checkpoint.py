@@ -160,6 +160,33 @@ class TestChainCarry:
         assert (update.after_temporal, update.after_spatial) == (4, 2)
         assert diff_results(runner.result(), CoAnalysis().run(ras, job)) == []
 
+    def test_carry_holds_only_the_open_window(self, trace, batch):
+        """Over a 10-increment replay each carry keeps only rows within
+        the threshold of the chunk it was last applied to, not a row for
+        every group seen, and every update still matches the batch
+        filters over its prefix."""
+        ras, job = trace
+        runner = StreamingCoAnalysis()
+        states = (runner._temporal, runner._spatial)
+        watermark = float("-inf")
+        for inc in split_trace(ras, job, increments=10):
+            update = runner.ingest_increment(inc)
+            prefix = fatal_event_table(
+                RasLog(ras.frame.filter(ras.frame["event_time"] < inc.watermark))
+            )
+            temporal = TemporalFilter().apply(prefix)
+            assert update.after_temporal == len(temporal)
+            assert update.after_spatial == len(SpatialFilter().apply(temporal))
+            for state in states:
+                # rows of this increment, or within the threshold before
+                # its first row, which the previous watermark bounds
+                oldest = watermark - state.filter.threshold
+                assert (state.carry["event_time"] >= oldest).all()
+            watermark = inc.watermark
+        groups = np.unique(runner._temporal.filter.group_codes(prefix.frame))
+        assert 0 < runner._temporal.carry.num_rows < len(groups) // 2
+        assert diff_results(runner.result(), batch) == []
+
 
 def _bump_version(directory):
     path = directory / "checkpoint.json"

@@ -23,7 +23,18 @@ PACKAGES = [
     "repro.core.filtering",
     "repro.viz",
     "repro.simulate",
+    "repro.obs",
 ]
+
+#: what `repro analyze` never runs: no module of these packages, and
+#: none of these modules, may load with the CLI
+_NOT_FOR_ANALYZE_PACKAGES = ("repro.simulate", "repro.sched", "repro.faults")
+_NOT_FOR_ANALYZE_MODULES = (
+    "repro.workload.population",
+    "repro.obs.live",
+    "repro.obs.alerts",
+    "repro.obs.health",
+)
 
 
 class TestImports:
@@ -44,6 +55,24 @@ class TestImports:
             "import repro.cli, sys; "
             "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], "
             "sorted(m for m in sys.modules if m.startswith('scipy'))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_cli_import_loads_no_simulator_or_live_module(self):
+        """``import repro.cli`` loads no simulator, scheduler,
+        fault-injection, population or live-telemetry module: the
+        commands that need them import them."""
+        code = (
+            "import repro.cli, sys\n"
+            f"pkgs, mods = {_NOT_FOR_ANALYZE_PACKAGES!r}, "
+            f"{_NOT_FOR_ANALYZE_MODULES!r}\n"
+            "bad = sorted(m for m in sys.modules if m in mods or "
+            "'.'.join(m.split('.')[:2]) in pkgs)\n"
+            "assert not bad, bad\n"
         )
         env = {**os.environ, "PYTHONPATH": str(SRC)}
         proc = subprocess.run(
