@@ -17,11 +17,11 @@ import pytest
 from repro.frame import Frame
 from repro.logs.job import JOB_COLUMNS, JobLog
 from repro.logs.window import select, window_edges
-from repro.obs import record_bench
 from repro.store import ShardedDataset
 
 from benchmarks.bench_perf_parallel_ingestion import make_ras_log
 from benchmarks.conftest import banner
+from benchmarks.trajectory import record_bench
 
 BENCH = "fleet_scan"
 

@@ -13,7 +13,8 @@ import time
 
 from benchmarks.bench_stream_update import make_job_log, make_ras_log
 from benchmarks.conftest import banner
-from repro.obs import MetricsSampler, record_bench
+from benchmarks.trajectory import record_bench
+from repro.obs import MetricsSampler
 from repro.obs.metrics import get_metrics
 from repro.obs.opslog import OpsLog
 from repro.stream import BoundedLatenessStream, split_trace

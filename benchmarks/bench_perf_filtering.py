@@ -21,8 +21,9 @@ from repro.core.matching import InterruptionMatcher
 from repro.frame import Frame
 from repro.logs.job import JobLog
 from repro.machine.partition import PartitionPool
-from repro.obs import Tracer, record_bench
+from repro.obs import Tracer
 from repro.viz.trace import render_timings
+from benchmarks.trajectory import record_bench
 from tests.core.filtering_reference import (
     ReferenceCausalityFilter,
     ReferenceSpatialFilter,

@@ -25,10 +25,11 @@ from repro.frame import Frame
 from repro.logs.ras import RAS_COLUMNS, RasLog
 from repro.logs.stream import parse_ras_block
 from repro.logs.textio import read_ras_log, write_ras_log
-from repro.obs import Tracer, get_metrics, record_bench
+from repro.obs import Tracer, get_metrics
 from repro.parallel import ParseCache, effective_cpu_count, replay_cross_record
 
 from benchmarks.conftest import banner
+from benchmarks.trajectory import record_bench
 from tests.logs.ras_reference import RasRowCursor, classify_ras_line
 
 BENCH = "perf_parallel_ingestion"

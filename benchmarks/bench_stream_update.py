@@ -19,7 +19,7 @@ from repro.core.pipeline import CoAnalysis
 from repro.frame import Frame
 from repro.logs.job import JOB_COLUMNS, JobLog
 from repro.logs.ras import RAS_COLUMNS, RasLog
-from repro.obs import record_bench
+from benchmarks.trajectory import record_bench
 from repro.stream import StreamingCoAnalysis, split_trace
 
 from benchmarks.conftest import banner

@@ -1,11 +1,13 @@
 """Table III: the Cobalt job record.
 
-Times job-log text io; prints one reproduced record in the paper's card
-layout (Table III shows job 8935 on R10-R11).
+Times the job-log reader on a written log file; prints one reproduced
+record in the paper's card layout (Table III shows job 8935 on
+R10-R11).
 """
 
 from benchmarks.conftest import banner
-from repro.frame.io import from_string, to_string
+from repro.logs.job import JobLog
+from repro.logs.textio import read_job_log, write_job_log
 
 
 def describe_job_record(frame_row: dict) -> str:
@@ -25,10 +27,11 @@ def describe_job_record(frame_row: dict) -> str:
     return "\n".join(lines)
 
 
-def test_table3_job_record_roundtrip(benchmark, trace):
-    text = to_string(trace.job_log.frame.head(5000))
-    parsed = benchmark(from_string, text)
-    assert parsed.num_rows == 5000
+def test_table3_job_record_roundtrip(benchmark, trace, tmp_path):
+    path = tmp_path / "job.log"
+    write_job_log(JobLog(trace.job_log.frame.head(5000)), path)
+    parsed = benchmark(read_job_log, path)
+    assert parsed.num_jobs == 5000
 
     banner("TABLE III: one reproduced job record (paper card layout)")
     # pick a multi-midplane job like the paper's R10-R11 example

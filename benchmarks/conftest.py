@@ -7,7 +7,7 @@ paper's full volumes (Table I) and takes ~1 minute to generate.
 
 Every pytest-benchmark result is exported at session end as a
 perf-trajectory record (``BENCH_<module>.json`` via
-:func:`repro.obs.record_bench`, in ``$REPRO_BENCH_DIR`` or the working
+:func:`benchmarks.trajectory.record_bench`, in ``$REPRO_BENCH_DIR`` or the working
 directory) so timings accumulate across commits; manual gate tests call
 ``record_bench`` themselves.
 """
@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.core import CoAnalysis
-from repro.obs import record_bench
+from benchmarks.trajectory import record_bench
 from repro.simulate import CalibrationProfile, IntrepidSimulation
 
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.25"))

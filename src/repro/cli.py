@@ -13,7 +13,6 @@ Eleven subcommands::
         [--time-range T0:T1] [--check-equivalence]
     repro-coanalysis stream [--ras ... --job ... | --scale 0.1] \
         [--increments K] [--checkpoint-dir DIR] [--resume] \
-        [--allowed-lateness S] [--late-sink DIR] \
         [--validate-checkpoint DIR] [--check-equivalence]
     repro-coanalysis daemon --ras live_ras.psv --job live_job.psv \
         --checkpoint-root ckpt/ [--allowed-lateness S] [--store DIR] \
@@ -592,11 +591,6 @@ def cmd_stream(args: argparse.Namespace) -> int:
         )
     if args.resume and not args.checkpoint_dir:
         raise _Refused("--resume requires --checkpoint-dir")
-    if args.allowed_lateness and args.checkpoint_dir:
-        raise _Refused(
-            "--allowed-lateness replay does not checkpoint; use"
-            " `repro-coanalysis daemon` for durable lateness state"
-        )
 
     if args.ras:
         ras_log, job_log, _ = _read_logs(args, _ingest_policy(args))
@@ -623,42 +617,15 @@ def cmd_stream(args: argparse.Namespace) -> int:
             )
         except StreamError as exc:
             raise _Refused(f"cannot resume: {exc}") from None
-    lateness = None
     if runner is None:
-        if args.allowed_lateness:
-            from repro.stream.lateness import (
-                BoundedLatenessStream,
-                LateRecordSink,
-            )
-
-            sink = LateRecordSink(args.late_sink) if args.late_sink else None
-            lateness = BoundedLatenessStream(
-                pipeline=_pipeline_from_args(args),
-                allowed_lateness=args.allowed_lateness,
-                sink=sink,
-                source=source,
-            )
-            runner = lateness.inner
-        else:
-            runner = StreamingCoAnalysis(
-                pipeline=_pipeline_from_args(args), source=source
-            )
+        runner = StreamingCoAnalysis(
+            pipeline=_pipeline_from_args(args), source=source
+        )
 
     for inc in split_trace(ras_log, job_log, increments=args.increments):
         if inc.watermark <= runner.watermark:
             continue  # covered by the resumed checkpoint
-        if lateness is not None:
-            lu = lateness.ingest(inc.ras, inc.job, inc.watermark)
-            if lu.update is None:
-                print(
-                    f"increment held: watermark={lu.producer_watermark:.0f}"
-                    f" buffered={lu.buffered}"
-                    f" dropped={sum(lu.dropped.values())}"
-                )
-                continue
-            u = lu.update
-        else:
-            u = runner.ingest_increment(inc)
+        u = runner.ingest_increment(inc)
         fit = ""
         if u.fit is not None:
             delta = (
@@ -674,17 +641,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
         )
         if args.checkpoint_dir:
             save_checkpoint(runner, args.checkpoint_dir)
-    if lateness is not None:
-        result = lateness.result()
-        dropped = sum(lateness.late_dropped.values())
-        if dropped:
-            print(
-                f"late records beyond the {args.allowed_lateness:.0f}s"
-                f" horizon: {dropped} dropped"
-                + (f" (sink: {args.late_sink})" if args.late_sink else "")
-            )
-    else:
-        result = runner.result()
+    result = runner.result()
     _observe(result.observations)
     print()
     print(result.report())
@@ -1021,18 +978,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--check-equivalence", action="store_true",
         help="also run the one-shot batch pipeline and assert the "
              "streamed result is bit-identical (exit 3 on divergence)",
-    )
-    p_st.add_argument(
-        "--allowed-lateness", type=_number(float, "allowed lateness"),
-        default=0.0, metavar="S",
-        help="bounded-lateness horizon in seconds: records this late "
-             "still merge bit-identically; older ones go to the late "
-             "sink instead of crashing the stream (default 0)",
-    )
-    p_st.add_argument(
-        "--late-sink", default=None, metavar="DIR",
-        help="directory for records beyond the lateness horizon "
-             "(late_ras.psv / late_job.psv, standard formats)",
     )
     p_st.add_argument(
         "--validate-checkpoint", default=None, metavar="DIR",

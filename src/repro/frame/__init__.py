@@ -11,8 +11,8 @@ join in :mod:`repro.core.matching`, the chain collapse in
 group-by or equi-join.
 
 The public entry point is :class:`Frame`; :func:`concat` stacks frames
-row-wise, :mod:`repro.frame.io` reads/writes delimited text, and
-:mod:`repro.frame.npz` is the one on-disk frame file format.
+row-wise, :mod:`repro.frame.io` writes and classifies delimited text,
+and :mod:`repro.frame.npz` is the one on-disk frame file format.
 """
 
 from repro.frame.column import (
@@ -23,7 +23,7 @@ from repro.frame.column import (
     is_string_kind,
 )
 from repro.frame.frame import Frame, concat
-from repro.frame.io import read_delimited, write_delimited
+from repro.frame.io import write_delimited
 
 __all__ = [
     "Frame",
@@ -33,6 +33,5 @@ __all__ = [
     "factorize_many",
     "first_occurrence_mask",
     "is_string_kind",
-    "read_delimited",
     "write_delimited",
 ]

@@ -8,18 +8,18 @@ loss-free for int/float/str/bool columns.
 String cells are escaped on write (``\\`` → ``\\\\``, separator →
 ``\\p``, newline → ``\\n``, carriage return → ``\\r``) and unescaped on
 read, so messages containing the delimiter or embedded newlines
-round-trip losslessly. Readers tolerate a UTF-8 BOM and CRLF line
-endings, both of which real exports grown on other platforms carry.
+round-trip losslessly.
 
-Passing an :class:`repro.logs.quarantine.IngestPolicy` switches
-:func:`read_delimited` to a validating path that classifies structural
-damage (blank/truncated/garbled/encoding) and typed-cell failures into
-the defect taxonomy: strict policies raise an
-:class:`~repro.logs.quarantine.IngestError` with the line number, while
-quarantine/skip policies divert bad rows and keep parsing. Every
-validating reader of delimited text — this one and the live job feed
+This module writes text and classifies it; it opens no file for
+reading. A written log becomes lines in one place, the byte-range batch
+reader of :mod:`repro.parallel` (a UTF-8 BOM, CRLF and lone-CR line
+endings and encoding damage handled there). Every validating reader of
+typed delimited text — the job-log reader
+(:func:`repro.parallel.ingest.read_job_frame`) and the live job feed
 (:mod:`repro.stream.source`) — classifies lines with one block kernel,
-:func:`parse_delimited_block`.
+:func:`parse_delimited_block`, which sorts structural damage
+(blank/truncated/garbled/encoding) and typed-cell failures into the
+defect taxonomy of :mod:`repro.logs.quarantine`.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import math
 import re
 from itertools import repeat
 from pathlib import Path
-from typing import IO
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -37,22 +37,19 @@ from repro.frame.column import shared_strings
 from repro.frame.frame import Frame
 
 if False:  # import-time cycle guard: quarantine lives above frame
-    from repro.logs.quarantine import DefectClass, IngestPolicy, QuarantineReport
+    from repro.logs.quarantine import DefectClass
 
 _TAGS = {"i": "int", "u": "int", "f": "float", "b": "bool", "O": "str", "U": "str"}
-#: typed column from a list of cells, by header tag; a ``str`` column
-#: holds one object per distinct value, shared by its equal cells
-#: (a fresh table per call, so no reader keeps one that keeps growing)
+#: typed column from a list of cells, by header tag (``str`` columns
+#: are built with :func:`~repro.frame.column.shared_strings`)
 _PARSERS = {
     "int": lambda col: np.array([int(v) for v in col], dtype=np.int64),
     "float": lambda col: np.array([float(v) for v in col], dtype=np.float64),
     "bool": lambda col: np.array([v == "True" for v in col], dtype=bool),
-    "str": shared_strings,
 }
 #: the cells a validating read accepts in a ``bool`` column
 _BOOL_CELLS = frozenset({"True", "False"})
 
-_BOM = "\ufeff"
 _ESCAPE_RE = re.compile(r"\\(.)")
 
 
@@ -143,39 +140,12 @@ def write_delimited(frame: Frame, target: str | Path | IO[str], sep: str = "|") 
             fh.close()
 
 
-def _open_for_read(source: str | Path | IO[str], tolerant: bool) -> tuple[IO[str], bool]:
-    if isinstance(source, (str, Path)):
-        # utf-8-sig absorbs a BOM if present; errors="replace" keeps the
-        # tolerant path line-oriented so encoding damage is classified
-        # per record instead of killing the whole read
-        return (
-            open(
-                source,
-                "r",
-                encoding="utf-8-sig",
-                errors="replace" if tolerant else "strict",
-            ),
-            True,
-        )
-    return source, False
-
-
-def _parse_header(header_line: str, sep: str) -> tuple[list[str], list[str]]:
-    names, tags = [], []
-    for cell in header_line.split(sep):
-        name, _, tag = cell.rpartition(":")
-        if tag not in _PARSERS:
-            raise ValueError(f"bad header cell {cell!r}")
-        names.append(name)
-        tags.append(tag)
-    return names, tags
-
-
 def parse_delimited_block(
     lines: list[str],
-    names: list[str] | tuple[str, ...],
-    tags: list[str] | tuple[str, ...],
+    names: Sequence[str],
+    tags: Sequence[str],
     sep: str = "|",
+    tables: Sequence[dict] | None = None,
 ) -> tuple[list[tuple[int, DefectClass]], list[np.ndarray]]:
     """Classify and type a block of delimited data lines.
 
@@ -187,7 +157,10 @@ def parse_delimited_block(
     lines it accepts. The checks run a column at a time: lines with the
     header's separator count are split at once, and each typed column is
     converted whole, with a per-cell check only when a conversion fails.
-    String cells are unescaped and shared per column (:data:`_PARSERS`).
+    String cells are unescaped and shared per column: through
+    ``tables[j]`` for column *j* when *tables* is given — a reader
+    passes the same tables to every batch of a file — and a fresh table
+    per column otherwise.
     """
     from repro.logs.quarantine import (
         REPLACEMENT_CHAR,
@@ -246,9 +219,13 @@ def parse_delimited_block(
     for j, tag in enumerate(tags):
         if arrays[j] is None:
             col = cols[j]
-            if tag == "str" and "\\" in text:
+            if tag != "str":
+                arrays[j] = _PARSERS[tag](col)
+                continue
+            if "\\" in text:
                 col = [unescape_cell(v, sep) for v in col]
-            arrays[j] = _PARSERS[tag](col)
+            table = None if tables is None else tables[j]
+            arrays[j] = shared_strings(col, table)
 
     rejected = np.ones(n, dtype=bool)
     rejected[keep] = False
@@ -263,76 +240,10 @@ def parse_delimited_block(
     return defects, arrays
 
 
-def read_delimited(
-    source: str | Path | IO[str],
-    sep: str = "|",
-    policy: "IngestPolicy | str | None" = None,
-    report: "QuarantineReport | None" = None,
-) -> Frame:
-    """Read a frame written by :func:`write_delimited`.
-
-    With *policy* ``None`` (the default) any malformed line raises a
-    plain :class:`ValueError` — the legacy path, a lossless round-trip
-    for any frame. Passing a policy (or a mode string
-    ``"strict"``/``"quarantine"``/``"skip"``) classifies every line with
-    :func:`parse_delimited_block`; bad rows are routed through the
-    policy in line order and, for non-strict modes, tallied into
-    *report*.
-    """
-    from repro.logs.quarantine import coerce_policy, replay_defects
-
-    validating = policy is not None
-    pol = coerce_policy(policy)
-    fh, close = _open_for_read(source, tolerant=validating)
-    if report is None:
-        report = pol.new_report(str(source) if close else "")
-    try:
-        header_line = fh.readline().rstrip("\r\n").lstrip(_BOM)
-        if not header_line:
-            return Frame()
-        names, tags = _parse_header(header_line, sep)
-        if validating:
-            lines = [line.rstrip("\r\n") for line in fh]
-            defects, arrays = parse_delimited_block(lines, names, tags, sep)
-            replay_defects(
-                pol,
-                report,
-                [(i + 2, defect, lines[i]) for i, defect in defects],
-                len(lines),
-            )
-            return Frame(dict(zip(names, arrays)))
-        raw_cols: list[list[str]] = [[] for _ in names]
-        for line in fh:
-            parts = line.rstrip("\r\n").split(sep)
-            if len(parts) != len(names):
-                raise ValueError(
-                    f"row has {len(parts)} cells, expected {len(names)}: {line!r}"
-                )
-            for c, v in zip(raw_cols, parts):
-                c.append(v)
-        data = {}
-        for name, tag, col in zip(names, tags, raw_cols):
-            if tag == "str":
-                col = [unescape_cell(v, sep) for v in col]
-            data[name] = _PARSERS[tag](col)
-        return Frame(data)
-    finally:
-        if close:
-            fh.close()
-
-
 def to_string(frame: Frame, sep: str = "|") -> str:
-    """Serialize to an in-memory string (round-trips via from_string)."""
+    """Serialize to an in-memory string (the text :func:`write_delimited`
+    writes to a file)."""
     buf = _io.StringIO()
     write_delimited(frame, buf, sep=sep)
     return buf.getvalue()
 
-
-def from_string(
-    text: str,
-    sep: str = "|",
-    policy: IngestPolicy | str | None = None,
-    report: QuarantineReport | None = None,
-) -> Frame:
-    """Parse a frame from :func:`to_string` output."""
-    return read_delimited(_io.StringIO(text), sep=sep, policy=policy, report=report)

@@ -28,6 +28,8 @@ JOB_SCHEMA = (
 )
 #: canonical job frame columns
 JOB_COLUMNS = tuple(name for name, _ in JOB_SCHEMA)
+#: their dtype tags, in the same order
+JOB_TAGS = tuple(tag for _, tag in JOB_SCHEMA)
 
 
 def check_job_header(header: str) -> None:
@@ -73,14 +75,6 @@ class JobRecord:
             raise ValueError(
                 f"job {self.job_id}: started before it was queued"
             )
-
-    @property
-    def runtime(self) -> float:
-        return self.end_time - self.start_time
-
-    @property
-    def wait_time(self) -> float:
-        return self.start_time - self.queued_time
 
 
 class JobLog:

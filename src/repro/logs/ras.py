@@ -149,10 +149,6 @@ class RasLog:
         """The FATAL-severity subset, as a new log."""
         return RasLog(self.frame.filter(self.frame.mask_eq("severity", "FATAL")))
 
-    def severity_counts(self) -> dict[str, int]:
-        vc = self.frame.value_counts("severity")
-        return dict(zip(vc["severity"], (int(c) for c in vc["count"])))
-
     def time_span(self) -> tuple[float, float]:
         """(first, last) event time of :attr:`num_records` records;
         raises on an empty log."""

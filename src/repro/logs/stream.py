@@ -87,12 +87,13 @@ _CELL_COLUMNS = tuple(
 _SEP = "|"
 _NUM_SEPS = len(_DISK_COLUMNS) - 1
 
-#: bytes per batch the chunk reader classifies at once
-#: (:func:`repro.parallel.workers.iter_line_batches`, extended to the next
-#: line end). A batch's lines and split cells take about ten times its
-#: size, and that is most of what a FATAL-only read holds beyond its
-#: FATAL rows; at 256 KiB the column work is still amortized over
-#: ~1,700 lines, and the parse runs as fast as with 1 MiB batches
+#: bytes per batch a log reader classifies at once, the RAS chunk parse
+#: and the job read alike (:func:`repro.parallel.workers.iter_line_batches`,
+#: extended to the next line end). A batch's lines and split cells take
+#: about ten times its size, and that is most of what a FATAL-only read
+#: holds beyond its FATAL rows; at 256 KiB the column work is still
+#: amortized over ~1,700 lines, and the parse runs as fast as with 1 MiB
+#: batches
 _BATCH_CHARS = 1 << 18
 
 #: the recid column's range, and the longest all-digit recid inside it

@@ -4,7 +4,8 @@ RAS timestamps use the BG/P form seen in Table II
 (``2008-04-14-15.08.12.285324``); job logs keep epoch floats the way
 Cobalt does (Table III). Both logs serialize as pipe-delimited text via
 :mod:`repro.frame.io`, with RAS event times converted to the BG/P form
-on disk and back to epoch seconds in memory.
+on disk and back to epoch seconds in memory. Both are read back by the
+byte-range batch readers of :mod:`repro.parallel.ingest`.
 """
 
 from __future__ import annotations
@@ -12,15 +13,14 @@ from __future__ import annotations
 import os
 from datetime import datetime, timezone
 from pathlib import Path
-from time import perf_counter, thread_time
 
 import numpy as np
 
 from repro.frame import Frame
-from repro.frame.io import read_delimited, to_string, write_delimited
-from repro.logs.job import JOB_COLUMNS, JobLog, check_job_header
+from repro.frame.io import to_string, write_delimited
+from repro.logs.job import JOB_COLUMNS, JobLog
 from repro.logs.quarantine import IngestPolicy, coerce_policy
-from repro.logs.ras import RAS_COLUMNS, RasLog
+from repro.logs.ras import RasLog
 
 _BGP_FMT = "%Y-%m-%d-%H.%M.%S.%f"
 
@@ -103,7 +103,9 @@ def read_log_frame(
     applies to the RAS log only; the job log is read serially.
     *fatal_only* (RAS only) keeps only the FATAL rows in the frame; the
     report's ``clean_rows`` and ``clean_span`` still cover every
-    accepted row. The cache keys the two reads apart.
+    accepted row. The cache keys the two reads apart. Both tables are
+    read through the same byte-range batch path
+    (:mod:`repro.parallel.ingest`); only the kernels differ.
     """
     if table not in ("ras", "job"):
         raise ValueError(f"unknown log table {table!r}")
@@ -136,23 +138,9 @@ def read_log_frame(
         if not frame.num_rows:
             frame = empty_ras_log().frame
     else:
-        from repro.parallel.chunking import scan_header
-        from repro.parallel.ingest import note_parse_chunk
+        from repro.parallel.ingest import read_job_frame
 
-        header, data_start = scan_header(path)
-        if header:
-            check_job_header(header)
-        # the job log is one chunk: every data line and byte after the
-        # header, noted like the RAS reader's chunks
-        t0, c0 = perf_counter(), thread_time()
-        frame = read_delimited(path, policy=pol, report=report)
-        note_parse_chunk(
-            0,
-            report.total_rows,
-            os.path.getsize(path) - data_start,
-            wall_s=perf_counter() - t0,
-            cpu_s=thread_time() - c0,
-        )
+        frame = read_job_frame(path, policy=pol, report=report)
 
     status = None if cache is None else cache.last_status
     if key is not None:
@@ -224,8 +212,8 @@ def read_job_log(
     (``ValueError`` otherwise, as for a RAS header). Job-log damage is
     structural/typed only (blank, truncated, garbled, encoding garbage,
     unparseable numeric cells); the defect taxonomy and policy semantics
-    match the RAS reader's. The file is parsed serially, as one block;
-    *cache* behaves as in :func:`read_ras_log`.
+    match the RAS reader's. The file is parsed in this process, one
+    bounded batch at a time; *cache* behaves as in :func:`read_ras_log`.
     """
     pol = coerce_policy(policy)
     frame, report, status = read_log_frame(

@@ -142,12 +142,6 @@ class Location:
             raise ValueError(f"{self} is rack-level and spans midplanes {idx}")
         return idx[0]
 
-    def to_midplane(self) -> "Location":
-        """The enclosing midplane location (identity for midplanes)."""
-        if self.midplane is None:
-            raise ValueError(f"{self} is rack-level; no single midplane")
-        return Location(self.row, self.col, self.midplane)
-
     def to_rack(self) -> "Location":
         """The enclosing rack location."""
         return Location(self.row, self.col)

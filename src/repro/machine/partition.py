@@ -81,19 +81,6 @@ class Partition:
     def covers_midplane(self, index: int) -> bool:
         return self.start <= index < self.start + self.size
 
-    def covers_location(self, location: Location) -> bool:
-        """True if every midplane the location touches lies inside."""
-        return all(self.covers_midplane(i) for i in location.midplane_indices())
-
-    def touches_location(self, location: Location) -> bool:
-        """True if any midplane the location touches lies inside.
-
-        This is the predicate used to match RAS events to running jobs:
-        a rack-level event (e.g. bulk power) touches a partition if
-        either of the rack's midplanes belongs to it.
-        """
-        return any(self.covers_midplane(i) for i in location.midplane_indices())
-
     def overlaps(self, other: "Partition") -> bool:
         return (
             self.start < other.start + other.size
@@ -159,10 +146,6 @@ class PartitionPool:
                 f"size {size} not schedulable; legal sizes {ALLOWED_PARTITION_SIZES}"
             )
         return self._by_size[size]
-
-    def all_partitions(self) -> Iterator[Partition]:
-        for size in ALLOWED_PARTITION_SIZES:
-            yield from self._by_size[size]
 
     @staticmethod
     def fit_size(requested_midplanes: int) -> int:

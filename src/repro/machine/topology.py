@@ -54,10 +54,6 @@ class IntrepidTopology:
     def num_compute_nodes(self) -> int:
         return self.num_midplanes * NODES_PER_MIDPLANE
 
-    @property
-    def num_cores(self) -> int:
-        return self.num_compute_nodes * CORES_PER_NODE
-
     # ------------------------------------------------------------------
     # enumeration
 

@@ -3,8 +3,7 @@
 Log-analysis tooling at production scale needs to be observable itself:
 this package provides hierarchical tracing (:mod:`repro.obs.trace`),
 a process-wide metrics registry (:mod:`repro.obs.metrics`) and the
-schema-versioned JSONL run manifest plus perf-trajectory exporter
-(:mod:`repro.obs.manifest`). Instrumentation points throughout the
+schema-versioned JSONL run manifest (:mod:`repro.obs.manifest`). Instrumentation points throughout the
 pipeline probe :func:`current_tracer` — with no tracer active the cost
 is one ContextVar read, so telemetry-off runs pay effectively nothing.
 
@@ -28,7 +27,6 @@ from repro.obs.manifest import (
     config_fingerprint,
     git_rev,
     read_manifest,
-    record_bench,
     validate_manifest,
     write_manifest,
 )
@@ -114,7 +112,6 @@ __all__ = [
     "config_fingerprint",
     "git_rev",
     "read_manifest",
-    "record_bench",
     "validate_manifest",
     "write_manifest",
 ]

@@ -1,4 +1,10 @@
-"""The RAS file reader: line-aligned chunks, parsed in-process or in a pool.
+"""The log file readers: line-aligned byte ranges parsed in bounded batches.
+
+Both written logs are read through one path: :func:`scan_header`
+finds the data region, :class:`~repro.parallel.workers.ParsedRange`
+decodes and classifies it one batch at a time, and
+:func:`note_parse_chunk` notes each range's telemetry. Only the block
+kernels differ.
 
 :func:`parallel_read_ras_frame` is the one reader of a written RAS
 file, at every worker count. It splits the data region into byte-range
@@ -8,8 +14,13 @@ chunks (:mod:`repro.parallel.chunking`), parses each
 parsed in the calling process; several go to a ``multiprocessing``
 pool. The result — frame, quarantine report, or raised
 ``IngestError``/``IngestAbortError`` — is bit-identical to a
-line-by-line parse under every policy, whatever the chunking. The job
-log has no pool: it is read serially, as one block.
+line-by-line parse under every policy, whatever the chunking.
+
+:func:`read_job_frame` reads a written job log as one range in this
+process, with the delimited kernel
+(:func:`repro.frame.io.parse_delimited_block`) and one string table per
+column shared by every batch. It holds a batch's lines and cells at a
+time plus the typed columns it returns.
 """
 
 from __future__ import annotations
@@ -18,23 +29,34 @@ import multiprocessing
 import os
 from pathlib import Path
 
+import numpy as np
+
 from repro.frame.frame import Frame
+from repro.frame.io import parse_delimited_block
+from repro.logs.job import JOB_COLUMNS, JOB_TAGS, check_job_header
 from repro.logs.quarantine import (
     IngestPolicy,
     QuarantineReport,
     coerce_policy,
+    replay_defects,
 )
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import current_tracer
 from repro.parallel.chunking import plan_chunks, scan_header
-from repro.parallel.merge import chunks_in_order, merge_ras_chunks
-from repro.parallel.workers import ChunkTask, RasChunk, parse_ras_chunk
+from repro.parallel.merge import chunks_in_order, file_defects, merge_ras_chunks
+from repro.parallel.workers import (
+    ChunkTask,
+    ParsedRange,
+    RasChunk,
+    parse_ras_chunk,
+)
 
 __all__ = [
     "effective_cpu_count",
     "note_parse_chunk",
     "resolve_workers",
     "parallel_read_ras_frame",
+    "read_job_frame",
 ]
 
 
@@ -66,14 +88,7 @@ def _run_chunks(tasks: list[ChunkTask], workers: int) -> list[RasChunk]:
         return pool.map(parse_ras_chunk, tasks)
 
 
-def note_parse_chunk(
-    index: int,
-    lines: int,
-    n_bytes: int,
-    wall_s: float,
-    cpu_s: float,
-    note: str = "",
-) -> None:
+def note_parse_chunk(index: int, chunk: ParsedRange, note: str = "") -> None:
     """Telemetry of one parsed chunk of a log's data lines.
 
     Every text reader notes its chunks here — the RAS reader's planned
@@ -85,19 +100,19 @@ def note_parse_chunk(
     ``ingest.parse.chunk`` child span of the current span per chunk.
     """
     registry = get_metrics()
-    registry.counter("ingest.chunk.records").inc(lines)
-    registry.counter("ingest.chunk.bytes").inc(n_bytes)
-    registry.histogram("ingest.chunk.wall_s").observe(wall_s)
+    registry.counter("ingest.chunk.records").inc(chunk.n_lines)
+    registry.counter("ingest.chunk.bytes").inc(chunk.n_bytes)
+    registry.histogram("ingest.chunk.wall_s").observe(chunk.wall_s)
     tracer = current_tracer()
     if tracer is not None:
         tracer.attach(
             "ingest.parse.chunk",
-            wall_s=wall_s,
-            cpu_s=cpu_s,
-            rows=lines,
+            wall_s=chunk.wall_s,
+            cpu_s=chunk.cpu_s,
+            rows=chunk.n_lines,
             note=note,
             chunk=index,
-            bytes=n_bytes,
+            bytes=chunk.n_bytes,
         )
 
 
@@ -154,8 +169,50 @@ def parallel_read_ras_frame(
     # each chunk carries its own measurements home to be noted here
     n = min(n_workers, len(chunks))
     for i, chunk in enumerate(chunks):
-        note_parse_chunk(
-            i, chunk.n_lines, chunk.n_bytes, chunk.wall_s, chunk.cpu_s,
-            f"{n} workers" if n > 1 else "",
-        )
+        note_parse_chunk(i, chunk, f"{n} workers" if n > 1 else "")
     return merge_ras_chunks(chunks, pol, report, str(path), chunk_bounds)
+
+
+def read_job_frame(
+    path: str | Path,
+    policy: "IngestPolicy | str | None" = None,
+    report: QuarantineReport | None = None,
+) -> Frame:
+    """Parse a written job log in bounded batches; job frame out.
+
+    The header must be the :data:`~repro.logs.job.JOB_SCHEMA` header
+    (``ValueError`` otherwise); a blank first line gives an empty
+    ``Frame()``. The data region is one range, classified batch by batch
+    with :func:`~repro.frame.io.parse_delimited_block`; each string
+    column shares one table across the batches, so it holds one ``str``
+    per distinct value. The defects are routed through *policy* in line
+    order afterwards, as the RAS merge routes its own.
+    """
+    pol = coerce_policy(policy)
+    if report is None:
+        report = pol.new_report(str(path))
+    header, data_start = scan_header(path)
+    if not header:
+        return Frame()
+    check_job_header(header)
+    tables = [{} for _ in JOB_COLUMNS]
+    chunk = ParsedRange()
+    batches = [
+        arrays
+        for _, arrays in chunk.parse(
+            str(path), data_start, os.path.getsize(path),
+            lambda lines: parse_delimited_block(
+                lines, JOB_COLUMNS, JOB_TAGS, tables=tables
+            ),
+        )
+    ]
+    note_parse_chunk(0, chunk)
+    replay_defects(pol, report, file_defects([chunk])[1], chunk.n_lines)
+    # one column at a time, each column's batches freed once it is joined
+    columns = [list(col) for col in zip(*batches)]
+    del batches
+    data = {}
+    for name, parts in zip(JOB_COLUMNS, columns):
+        data[name] = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        parts.clear()
+    return Frame(data)

@@ -40,10 +40,11 @@ from repro.logs.quarantine import (
     QuarantineReport,
     replay_defects,
 )
-from repro.parallel.workers import RasChunk, iter_line_batches
+from repro.parallel.workers import ParsedRange, RasChunk, iter_line_batches
 
 __all__ = [
     "chunks_in_order",
+    "file_defects",
     "merge_ras_chunks",
     "replay_cross_record",
 ]
@@ -121,14 +122,22 @@ def chunks_in_order(chunks: list[RasChunk]) -> bool:
     return True
 
 
-def _line_bases(chunk_lines: list[int]) -> list[int]:
-    """Global line number of each chunk's first data line."""
+def file_defects(
+    chunks: list[ParsedRange],
+) -> tuple[list[int], list[tuple[int, DefectClass, str]]]:
+    """The file line number of each chunk's first data line, and every
+    chunk's defects renumbered as file lines, in order."""
     bases = []
     base = _FIRST_DATA_LINE
-    for n in chunk_lines:
+    for chunk in chunks:
         bases.append(base)
-        base += n
-    return bases
+        base += chunk.n_lines
+    defects = [
+        (b + idx, defect, sample)
+        for b, chunk in zip(bases, chunks)
+        for idx, defect, sample in chunk.defects
+    ]
+    return bases, defects
 
 
 def merge_ras_chunks(
@@ -149,15 +158,9 @@ def merge_ras_chunks(
     """
     from repro.logs.stream import RasRows
 
-    bases = _line_bases([c.n_lines for c in chunks])
+    bases, defects = file_defects(chunks)
     total_lines = sum(c.n_lines for c in chunks)
     rows = RasRows.concat([c.cand for c in chunks])
-    defects: list[tuple[int, DefectClass, str]] = []
-    for base, chunk in zip(bases, chunks):
-        defects.extend(
-            (base + idx, defect, sample)
-            for idx, defect, sample in chunk.defects
-        )
     if chunks_in_order(chunks):
         # every candidate is accepted; rows holds the FATAL ones
         replay_defects(policy, report, defects, total_lines)

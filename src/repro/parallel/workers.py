@@ -1,4 +1,12 @@
-"""The per-chunk parse of the RAS file reader.
+"""The per-chunk parse of the log file readers.
+
+A written log becomes lines in one place: :func:`iter_line_batches`
+decodes a line-aligned byte range in bounded batches, and
+:meth:`ParsedRange.parse` runs a block kernel over each batch, numbering
+its defects and timing the range. The job-log reader
+(:func:`repro.parallel.ingest.read_job_frame`) runs the delimited
+kernel over its one range; the RAS reader runs the RAS kernel over
+each of its chunks.
 
 :func:`parse_ras_chunk` parses one line-aligned byte range of a RAS log
 with the **context-free** checks of the block kernel — structure, typed
@@ -24,9 +32,9 @@ method.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from time import perf_counter, process_time
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple
 
 from repro.logs.quarantine import SAMPLE_WIDTH, DefectClass
 from repro.parallel.chunking import split_chunk_lines
@@ -36,6 +44,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "ChunkTask",
+    "ParsedRange",
     "RasChunk",
     "iter_line_batches",
     "parse_ras_chunk",
@@ -58,14 +67,61 @@ class ChunkTask(NamedTuple):
 
 
 @dataclass
-class RasChunk:
+class ParsedRange:
+    """The data lines of one byte range, classified batch by batch.
+
+    ``n_lines`` counts the range's lines and ``defects`` carries its
+    context-free bad lines as ``(local_line_index, defect, sample)``.
+    The range's parse telemetry rides along: the parent process cannot
+    observe a fork worker's clocks, so each chunk ships its own
+    measurements home and the parent notes them
+    (:func:`repro.parallel.ingest.note_parse_chunk`).
+    """
+
+    n_lines: int = 0
+    defects: list[tuple[int, DefectClass, str]] = field(default_factory=list)
+    wall_s: float = 0.0
+    cpu_s: float = 0.0
+    n_bytes: int = 0
+
+    def parse(
+        self,
+        path: str,
+        start: int,
+        end: int,
+        kernel: Callable[[list[str]], tuple[list, Any]],
+    ) -> Iterator[tuple[int, Any]]:
+        """Run *kernel* over the :func:`iter_line_batches` batches of
+        ``[start, end)`` of *path*; yield ``(first, rows)`` per batch.
+
+        *kernel* maps a batch's lines to ``(defects, rows)``, its
+        defects as ``(index in the batch, defect)``; *first* is the
+        batch's first line's index in the range. Each defect is added to
+        ``defects`` with its range index and sample. The telemetry is
+        set once the last batch is parsed.
+        """
+        t0, c0 = perf_counter(), process_time()
+        for lines in iter_line_batches(path, start, end):
+            first = self.n_lines
+            found, rows = kernel(lines)
+            self.defects.extend(
+                (first + i, d, lines[i][:SAMPLE_WIDTH]) for i, d in found
+            )
+            self.n_lines += len(lines)
+            yield first, rows
+            del rows  # the caller's copy is all that may outlive the batch
+        self.wall_s = perf_counter() - t0
+        self.cpu_s = process_time() - c0
+        self.n_bytes = end - start
+
+
+@dataclass
+class RasChunk(ParsedRange):
     """One parsed RAS chunk, in chunk-local coordinates.
 
-    ``defects`` carries context-free bad lines as ``(local_line_index,
-    defect, sample)``; ``cand`` holds the field-valid rows that still
-    await the merge-time duplicate/ordering verdict. No candidate ships
-    its text: the merge reads the line of one it rejects back from the
-    file.
+    ``cand`` holds the field-valid rows that still await the merge-time
+    duplicate/ordering verdict. No candidate ships its text: the merge
+    reads the line of one it rejects back from the file.
 
     A FATAL-only first pass ships only its FATAL candidates in ``cand``
     and summarizes the rest: ``n_cand`` candidates, recids from
@@ -78,15 +134,7 @@ class RasChunk:
     a full read ships every candidate's cells. Neither sets ``ordered``.
     """
 
-    n_lines: int
-    defects: list[tuple[int, DefectClass, str]]
-    cand: RasRows
-    # worker-side telemetry: the parent process cannot observe a fork
-    # worker's clocks, so each chunk ships its own measurements home
-    # and the parent re-attaches them as child spans / counters
-    wall_s: float = 0.0
-    cpu_s: float = 0.0
-    n_bytes: int = 0
+    cand: RasRows | None = None
     ordered: bool = False
     n_cand: int = 0
     first_recid: int = 0
@@ -154,24 +202,17 @@ def parse_ras_chunk(task: tuple) -> RasChunk:
     from repro.logs.stream import RasRows, parse_ras_block
 
     path, start, end, fatal_only, every_row = ChunkTask(*task)
-    t0, c0 = perf_counter(), process_time()
     table: dict = {}  # one string table for the whole chunk
-    chunk = RasChunk(0, [], None, ordered=fatal_only and not every_row)
+    chunk = RasChunk(ordered=fatal_only and not every_row)
     parts = []
-    for lines in iter_line_batches(path, start, end):
-        found, rows = parse_ras_block(lines, table, fatal_only)
-        chunk.defects.extend(
-            (chunk.n_lines + i, d, lines[i][:SAMPLE_WIDTH]) for i, d in found
-        )
-        rows.lines += chunk.n_lines
-        chunk.n_lines += len(lines)
+    for first, rows in chunk.parse(
+        path, start, end, lambda lines: parse_ras_block(lines, table, fatal_only)
+    ):
+        rows.lines += first
         if chunk.ordered:
             if not chunk.follow(rows):
                 break  # the reader parses the file again
             rows = rows.celled()
         parts.append(rows)
     chunk.cand = RasRows.concat(parts)
-    chunk.wall_s = perf_counter() - t0
-    chunk.cpu_s = process_time() - c0
-    chunk.n_bytes = end - start
     return chunk

@@ -45,7 +45,7 @@ from repro.frame import Frame
 from repro.frame.io import parse_delimited_block
 from repro.logs.job import (
     JOB_COLUMNS,
-    JOB_SCHEMA,
+    JOB_TAGS,
     JobLog,
     check_job_header,
     empty_job_log,
@@ -518,9 +518,7 @@ class JobFeedParser(_FeedParserBase):
     def parse(self, lines: list[str]) -> JobLog:
         # the schema is pinned, so the block is typed before its header
         # (if it carries one) is checked
-        defects, arrays = parse_delimited_block(
-            lines, JOB_COLUMNS, [tag for _, tag in JOB_SCHEMA]
-        )
+        defects, arrays = parse_delimited_block(lines, JOB_COLUMNS, JOB_TAGS)
         keep = self._admit(lines, defects, arrays[0].tolist())
         if not keep:
             return empty_job_log()

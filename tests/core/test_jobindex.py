@@ -23,7 +23,7 @@ from repro.core.vulnerability import (
 )
 from repro.frame import Frame
 from repro.logs.job import JobLog
-from repro.machine.partition import PartitionPool
+from repro.machine.partition import ALLOWED_PARTITION_SIZES, PartitionPool
 from repro.machine.topology import NUM_MIDPLANES
 from repro.simulate import CalibrationProfile, IntrepidSimulation
 from repro.stats.infogain import rank_features
@@ -37,7 +37,9 @@ from tests.core.jobindex_reference import (
     size_time_grid_by_row,
 )
 
-_PARTITIONS = list(PartitionPool().all_partitions())
+_PARTITIONS = [
+    p for size in ALLOWED_PARTITION_SIZES for p in PartitionPool().candidates(size)
+]
 _RACK_EVENT_LOCATIONS = ["R00", "R17", "R23-M0-S", "R31-M1-L2", "R46-M1-N08-J22"]
 
 

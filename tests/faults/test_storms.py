@@ -1,5 +1,7 @@
 """Unit tests for RAS storm emission."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -94,7 +96,7 @@ class TestNoiseAndMerge:
         emitter = StormEmitter(t_start=0.0, duration=86400.0,
                                noise_count_mean=20000.0)
         log = emitter.emit([], {}, rng)
-        counts = log.severity_counts()
+        counts = Counter(log.frame["severity"].tolist())
         assert counts["INFO"] > counts["WARN"] > counts["ERROR"]
 
     def test_recids_sequential_and_sorted(self, rng):

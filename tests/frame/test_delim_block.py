@@ -2,9 +2,9 @@
 
 ``parse_delimited_block`` must classify every line exactly as
 ``structural_defect`` + ``typed_cell_defect`` would one at a time, and
-type the accepted rows exactly as the old loop did; the validating
-``read_delimited`` built on it must leave the oracle's frame, report
-and raise under every policy (:mod:`tests.frame.delim_reference`).
+type the accepted rows exactly as the old loop did; the job-log reader
+built on it must leave the oracle's frame, report and raise under every
+policy (:mod:`tests.frame.delim_reference`).
 """
 
 import io
@@ -14,7 +14,7 @@ import pytest
 
 from repro.faults.corruption import LogCorruptor
 from repro.frame import Frame
-from repro.frame.io import from_string, parse_delimited_block, to_string
+from repro.frame.io import parse_delimited_block, to_string
 from repro.logs import (
     IngestAbortError,
     IngestError,
@@ -240,12 +240,16 @@ class TestJobReaderMatchesLineLoop:
             oracle, job_file, policy
         )
 
-    def test_crlf_stream(self):
-        text = "i:int|f:float|s:str|b:bool\r\n1|2.5|a|True\r\nx|1|b|False\r\n"
-        got = from_string(text, policy="skip")
-        expected = read_delimited_by_line(io.StringIO(text), policy="skip")
-        assert_frames_identical(got, expected)
-        assert got["i"].tolist() == [1]
+    def test_crlf_stream(self, job_file, tmp_path):
+        lines = job_file.read_text().splitlines()
+        text = "\r\n".join(lines[:3] + ["x" + lines[3]] + lines[4:6]) + "\r\n"
+        path = tmp_path / "crlf.log"
+        path.write_bytes(text.encode("utf-8"))
+        policy = IngestPolicy(mode="skip")
+        assert outcome(read_job_log, path, policy) == outcome(oracle, path, policy)
+        assert read_job_log(path, policy=policy).frame["job_id"].tolist() == [
+            1, 2, 4, 5,
+        ]
 
 
 class TestJobHeaderIsPinned:

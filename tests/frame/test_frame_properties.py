@@ -1,5 +1,6 @@
 """Property-based tests for the frame substrate (hypothesis)."""
 
+import io
 
 import numpy as np
 from hypothesis import given, settings
@@ -7,7 +8,9 @@ from hypothesis import strategies as st
 
 from repro.frame import Frame, concat
 from repro.frame.column import factorize_many
-from repro.frame.io import from_string, to_string
+from repro.frame.io import to_string
+
+from tests.frame.delim_reference import read_delimited_by_line
 
 # Strategy: a small frame with an int key, a string key and a float value.
 _keys = st.lists(st.integers(min_value=0, max_value=5), min_size=0, max_size=40)
@@ -80,7 +83,7 @@ def test_factorize_many_row_identity(f):
 @given(frames())
 @settings(max_examples=50)
 def test_io_roundtrip(f):
-    back = from_string(to_string(f))
+    back = read_delimited_by_line(io.StringIO(to_string(f)))
     assert back.num_rows == f.num_rows
     if f.num_rows:
         for c in f.columns:

@@ -1,10 +1,32 @@
-"""Unit tests for delimited frame io."""
+"""Unit tests for delimited frame io.
+
+A frame of any typed columns is written with :func:`write_delimited`
+and read back with the line-at-a-time reference reader
+(:mod:`tests.frame.delim_reference`): the package itself reads only the
+two log layouts. The BOM and line-ending tolerance of the package's one
+file reader is checked on a job log.
+"""
+
+import io
 
 import numpy as np
 import pytest
 
 from repro.frame import Frame
-from repro.frame.io import from_string, read_delimited, to_string, write_delimited
+from repro.frame.io import to_string, write_delimited
+from repro.logs.job import JobLog
+from repro.logs.textio import read_job_log, write_job_log
+
+from tests.frame.delim_reference import read_delimited_by_line
+from tests.logs.test_job import make_job
+
+
+def from_string(text: str, sep: str = "|") -> Frame:
+    return read_delimited_by_line(io.StringIO(text), sep=sep)
+
+
+def read_delimited(path) -> Frame:
+    return read_delimited_by_line(path)
 
 
 @pytest.fixture
@@ -86,9 +108,10 @@ class TestValidation:
                 for i in rng.integers(0, len(alphabet), size=length)
             )
             for length in rng.integers(0, 24, size=200)
-            # blank-only cells are indistinguishable from empty, fine
         ]
-        f = Frame({"msg": values})
+        # the index column keeps a row whose cell is empty from being a
+        # blank line, which a validating reader rejects
+        f = Frame({"i": np.arange(len(values)), "msg": values})
         back = from_string(to_string(f))
         assert list(back["msg"]) == values
 
@@ -98,7 +121,7 @@ class TestValidation:
         assert back["msg"][0] == "has|pipe"
 
     def test_ragged_row_rejected(self):
-        with pytest.raises(ValueError, match="cells"):
+        with pytest.raises(ValueError, match="line 3: truncated"):
             from_string("a:int|b:int\n1|2\n3\n")
 
     def test_bad_header_rejected(self):
@@ -112,22 +135,33 @@ class TestValidation:
 
 
 class TestTolerantDecoding:
-    def test_utf8_bom_tolerated(self, mixed, tmp_path):
-        p = tmp_path / "bom.psv"
-        p.write_bytes(b"\xef\xbb\xbf" + to_string(mixed).encode("utf-8"))
-        back = read_delimited(p)
-        assert back.columns == mixed.columns
+    @pytest.fixture
+    def jobs(self):
+        return JobLog.from_records(
+            [make_job(job_id=i, start=1000.0 + i) for i in range(1, 4)]
+        ).frame
+
+    def _job_text(self, jobs, tmp_path) -> str:
+        p = tmp_path / "clean.log"
+        write_job_log(JobLog(jobs), p)
+        return p.read_text(encoding="utf-8")
+
+    def test_utf8_bom_tolerated(self, jobs, tmp_path):
+        p = tmp_path / "bom.log"
+        p.write_bytes(b"\xef\xbb\xbf" + self._job_text(jobs, tmp_path).encode())
+        back = read_job_log(p).frame
+        assert back.columns == jobs.columns
         assert back.num_rows == 3
 
-    def test_crlf_line_endings_tolerated(self, mixed, tmp_path):
-        p = tmp_path / "crlf.psv"
+    def test_crlf_line_endings_tolerated(self, jobs, tmp_path):
+        p = tmp_path / "crlf.log"
         p.write_bytes(
-            to_string(mixed).replace("\n", "\r\n").encode("utf-8")
+            self._job_text(jobs, tmp_path).replace("\n", "\r\n").encode()
         )
-        back = read_delimited(p)
+        back = read_job_log(p).frame
         assert back.num_rows == 3
-        for c in mixed.columns:
-            assert (back[c] == mixed[c]).all()
+        for c in jobs.columns:
+            assert (back[c] == jobs[c]).all()
 
 
 class TestFloatBitRoundTrip:

@@ -24,11 +24,6 @@ def make_job(job_id=1, executable="/home/u/a.out", start=1000.0, end=2000.0,
 
 
 class TestRecord:
-    def test_runtime_and_wait(self):
-        j = make_job()
-        assert j.runtime == 1000.0
-        assert j.wait_time == 100.0
-
     def test_end_before_start_rejected(self):
         with pytest.raises(ValueError, match="before start"):
             make_job(start=2000.0, end=1000.0)

@@ -62,9 +62,6 @@ class TestRasLog:
         assert len(fatal) == 2
         assert set(fatal.frame["errcode"]) == {"KERN_PANIC", "DDR_ERR"}
 
-    def test_severity_counts(self, log):
-        assert log.severity_counts() == {"FATAL": 2, "INFO": 1, "WARN": 1}
-
     def test_time_span(self, log):
         assert log.time_span() == (100.0, 300.0)
 

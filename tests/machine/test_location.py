@@ -120,10 +120,10 @@ class TestHierarchy:
 
     def test_to_midplane_and_rack(self):
         n = parse_location("R04-M1-N02-J11")
-        assert str(n.to_midplane()) == "R04-M1"
+        assert str(Location.from_midplane_index(n.midplane_index)) == "R04-M1"
         assert str(n.to_rack()) == "R04"
         with pytest.raises(ValueError):
-            parse_location("R04").to_midplane()
+            parse_location("R04").midplane_index
 
 
 class TestValidation:

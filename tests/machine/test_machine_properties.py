@@ -13,7 +13,9 @@ from repro.machine import (
 from repro.machine.location import Location
 
 _POOL = PartitionPool()
-partitions = st.sampled_from([p for p in _POOL.all_partitions()])
+partitions = st.sampled_from(
+    [p for size in ALLOWED_PARTITION_SIZES for p in _POOL.candidates(size)]
+)
 midplane_indices = st.integers(min_value=0, max_value=79)
 
 
@@ -39,14 +41,6 @@ def test_overlap_symmetric_and_consistent(a, b):
     assert a.overlaps(b) == b.overlaps(a)
     shared = set(a.midplane_indices) & set(b.midplane_indices)
     assert a.overlaps(b) == bool(shared)
-
-
-@given(partitions)
-def test_touch_vs_cover_for_own_midplanes(p):
-    for i in list(p.midplane_indices)[:4]:
-        loc = Location.from_midplane_index(i)
-        assert p.covers_location(loc)
-        assert p.touches_location(loc)
 
 
 @given(partitions)

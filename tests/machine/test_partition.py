@@ -8,7 +8,6 @@ from repro.machine import (
     PartitionPool,
     parse_partition,
 )
-from repro.machine.location import parse_location
 
 
 class TestConstruction:
@@ -80,18 +79,6 @@ class TestNaming:
 
 
 class TestGeometry:
-    def test_covers_location(self):
-        p = parse_partition("R10-R11")
-        assert p.covers_location(parse_location("R10-M1-N02-J08"))
-        assert p.covers_location(parse_location("R11"))
-        assert not p.covers_location(parse_location("R12-M0"))
-
-    def test_touches_rack_level_event(self):
-        # Rack R10 straddles the boundary of a single-midplane partition.
-        p = Partition(16, 1)  # R10-M0
-        assert p.touches_location(parse_location("R10"))
-        assert not p.covers_location(parse_location("R10"))
-
     def test_overlaps(self):
         a = parse_partition("R10-R11")
         b = parse_partition("R11")
@@ -120,8 +107,9 @@ class TestPool:
         assert len(pool.candidates(80)) == 1
 
     def test_all_candidates_valid_by_construction(self, pool):
-        for p in pool.all_partitions():
-            assert p.size in ALLOWED_PARTITION_SIZES
+        for size in ALLOWED_PARTITION_SIZES:
+            for p in pool.candidates(size):
+                assert p.size == size
 
     def test_bad_size_raises(self, pool):
         with pytest.raises(ValueError, match="not schedulable"):

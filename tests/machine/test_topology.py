@@ -19,7 +19,7 @@ class TestScale:
         assert topo.num_racks == 40
         assert topo.num_midplanes == 80
         assert topo.num_compute_nodes == 40960
-        assert topo.num_cores == 163840
+        assert T.NUM_CORES == 163840
 
     def test_io_ratio(self):
         assert T.COMPUTE_NODES_PER_IO_NODE == 64

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from benchmarks.trajectory import record_bench
 from repro.core.observations import Observation
 from repro.obs import (
     MANIFEST_SCHEMA_VERSION,
@@ -11,7 +12,6 @@ from repro.obs import (
     Tracer,
     config_fingerprint,
     read_manifest,
-    record_bench,
     validate_manifest,
     write_manifest,
 )

@@ -1,5 +1,7 @@
 """Unit tests for the calibration profile."""
 
+from collections import Counter
+
 import pytest
 
 from repro.simulate import CalibrationProfile
@@ -78,7 +80,7 @@ class TestEndToEndSmall:
         assert truth_ids == by_field
 
     def test_severity_mix(self, trace):
-        counts = trace.ras_log.severity_counts()
+        counts = Counter(trace.ras_log.frame["severity"].tolist())
         assert counts["INFO"] > counts["FATAL"]
         assert "WARN" in counts
 

@@ -66,9 +66,10 @@ class TestJobLogInvariants:
                 continue
             loc = parse_location(inc.location)
             hit = any(
-                partitions[jid].touches_location(loc)
+                partitions[jid].covers_midplane(i)
                 for jid in inc.interrupted_job_ids
                 if jid in partitions
+                for i in loc.midplane_indices()
             )
             assert hit, f"{inc.errcode} at {inc.location} touches no victim"
 

@@ -378,13 +378,6 @@ class TestDaemonParser:
         assert args.copy == ["a:b", "c:d"]
         assert args.steps == 3
 
-    def test_stream_lateness_flags(self):
-        args = build_parser().parse_args(
-            ["stream", "--allowed-lateness", "120", "--late-sink", "q"]
-        )
-        assert args.allowed_lateness == 120.0
-        assert args.late_sink == "q"
-
 
 class TestValidateCheckpointCLI:
     """`repro stream --validate-checkpoint`: the offline integrity audit."""

@@ -25,11 +25,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import benchmarks.trajectory
 import repro.obs.manifest
+from benchmarks.trajectory import record_bench
 from repro.faults.io import FaultyFS
 from repro.frame import Frame
 from repro.logs.quarantine import DefectClass, QuarantineReport
-from repro.obs import record_bench, write_manifest
+from repro.obs import write_manifest
 from repro.obs.health import write_health
 from repro.parallel.cache import ParseCache
 from repro.frame.npz import write_frame
@@ -78,6 +80,7 @@ def frozen(monkeypatch):
         time, "strftime", lambda fmt, t=None: "2011-03-13T07:06:40+0000"
     )
     monkeypatch.setattr(repro.obs.manifest, "git_rev", lambda cwd=None: "r0")
+    monkeypatch.setattr(benchmarks.trajectory, "git_rev", lambda cwd=None: "r0")
 
 
 # -- the writers, each with fixed inputs --------------------------------
